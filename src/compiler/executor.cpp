@@ -79,15 +79,22 @@ projectJacobian(const Vector &p, const fg::CameraModel &c)
     return j;
 }
 
-/** Row-scale by 1/sigma (whitening) for matrices. */
+/** Row-scale by 1/sigma (whitening) for matrices, in place. */
+template <typename T>
+void
+scaleRowsInPlace(mat::MatrixT<T> &m, const Vector &sigmas)
+{
+    for (std::size_t i = 0; i < m.rows(); ++i)
+        for (std::size_t j = 0; j < m.cols(); ++j)
+            m(i, j) /= T(sigmas[i]);
+}
+
 template <typename T>
 mat::MatrixT<T>
 scaleRows(const mat::MatrixT<T> &m, const Vector &sigmas)
 {
     mat::MatrixT<T> out = m;
-    for (std::size_t i = 0; i < m.rows(); ++i)
-        for (std::size_t j = 0; j < m.cols(); ++j)
-            out(i, j) /= T(sigmas[i]);
+    scaleRowsInPlace(out, sigmas);
     return out;
 }
 
@@ -99,6 +106,22 @@ scaleRows(const mat::VectorT<T> &v, const Vector &sigmas)
     for (std::size_t i = 0; i < v.size(); ++i)
         out[i] /= T(sigmas[i]);
     return out;
+}
+
+/**
+ * The matrix in @p slot, reshaped to @p rows by @p cols and zeroed.
+ * A warm slot keeps its storage, so steady-state frames assemble
+ * matrices without allocating.
+ */
+template <typename T>
+mat::MatrixT<T> &
+zeroedMatrix(SlotValueT<T> &slot, std::size_t rows, std::size_t cols)
+{
+    auto *m = std::get_if<mat::MatrixT<T>>(&slot);
+    if (m == nullptr)
+        m = &slot.template emplace<mat::MatrixT<T>>();
+    m->setZero(rows, cols);
+    return *m;
 }
 
 } // namespace
@@ -292,9 +315,14 @@ ExecutorT<T>::step(std::size_t index, const fg::Values &values)
         else
             dst = scaleRows(matrixAt(inst.srcs[0]), inst.constVec);
         break;
-      case IsaOp::GATHER: {
+      case IsaOp::GATHER:
+      case IsaOp::GSCALE: {
         // All-rhs placements at column zero assemble a vector;
-        // otherwise a dense matrix is built from the placements.
+        // otherwise a dense matrix is built from the placements, in
+        // the destination's storage. GSCALE (fused GATHER + SCALER)
+        // then whitens rows exactly like SCALER — same FLOPs, same
+        // order, so fusion stays bit-identical.
+        const bool whiten = inst.op == IsaOp::GSCALE;
         bool vector_gather = !inst.placements.empty();
         for (const GatherPlacement &p : inst.placements)
             vector_gather = vector_gather && p.isRhs && p.colBegin == 0;
@@ -302,38 +330,33 @@ ExecutorT<T>::step(std::size_t index, const fg::Values &values)
             mat::VectorT<T> out(inst.rows);
             for (const GatherPlacement &p : inst.placements)
                 out.setSegment(p.rowBegin, vectorAt(p.src));
-            dst = std::move(out);
-        } else {
-            mat::MatrixT<T> out(inst.rows, inst.cols);
-            for (const GatherPlacement &p : inst.placements) {
-                if (p.isRhs) {
-                    const mat::VectorT<T> &v = vectorAt(p.src);
-                    for (std::size_t i = 0; i < v.size(); ++i)
-                        out(p.rowBegin + i, p.colBegin) = v[i];
-                } else {
-                    out.setBlock(p.rowBegin, p.colBegin,
-                                 matrixAt(p.src));
-                }
-            }
-            dst = std::move(out);
+            if (whiten)
+                dst = scaleRows(out, inst.constVec);
+            else
+                dst = std::move(out);
+            break;
         }
+        mat::MatrixT<T> &out = zeroedMatrix(dst, inst.rows, inst.cols);
+        for (const GatherPlacement &p : inst.placements) {
+            if (p.isRhs) {
+                const mat::VectorT<T> &v = vectorAt(p.src);
+                for (std::size_t i = 0; i < v.size(); ++i)
+                    out(p.rowBegin + i, p.colBegin) = v[i];
+            } else {
+                out.setBlock(p.rowBegin, p.colBegin, matrixAt(p.src));
+            }
+        }
+        if (whiten)
+            scaleRowsInPlace(out, inst.constVec);
         break;
       }
-      case IsaOp::QR: {
-        // Givens-array template on the augmented [A | b]: the last
-        // column is the rhs and is carried through the rotations.
-        const mat::MatrixT<T> &aug = matrixAt(inst.srcs[0]);
-        const std::size_t n = aug.cols() - 1;
-        mat::MatrixT<T> a = aug.block(0, 0, aug.rows(), n);
-        mat::VectorT<T> rhs = aug.col(n);
-        mat::QrResultT<T> qr = mat::givensQr(a, rhs);
-        mat::MatrixT<T> out(aug.rows(), aug.cols());
-        out.setBlock(0, 0, qr.r);
-        for (std::size_t i = 0; i < rhs.size(); ++i)
-            out(i, n) = qr.rhs[i];
-        dst = std::move(out);
+      case IsaOp::QR:
+        // Givens-array template on the augmented [A | b], rotated in
+        // the destination's storage (the copy reuses it when warm);
+        // the last column is the rhs, carried through the rotations.
+        dst = matrixAt(inst.srcs[0]);
+        mat::givensQr(std::get<mat::MatrixT<T>>(dst));
         break;
-      }
       case IsaOp::EXTRACT: {
         const mat::MatrixT<T> &src = matrixAt(inst.srcs[0]);
         if (inst.extractVector) {
@@ -341,10 +364,15 @@ ExecutorT<T>::step(std::size_t index, const fg::Values &values)
             for (std::size_t i = 0; i < inst.rows; ++i)
                 out[i] = src(inst.extractRow + i, inst.extractCol);
             dst = std::move(out);
-        } else {
-            dst = src.block(inst.extractRow, inst.extractCol, inst.rows,
-                            inst.cols);
+            break;
         }
+        if (inst.extractRow + inst.rows > src.rows() ||
+            inst.extractCol + inst.cols > src.cols())
+            throw std::out_of_range("EXTRACT: block out of range");
+        mat::MatrixT<T> &out = zeroedMatrix(dst, inst.rows, inst.cols);
+        for (std::size_t i = 0; i < inst.rows; ++i)
+            for (std::size_t j = 0; j < inst.cols; ++j)
+                out(i, j) = src(inst.extractRow + i, inst.extractCol + j);
         break;
       }
       case IsaOp::BSUB:
@@ -353,34 +381,6 @@ ExecutorT<T>::step(std::size_t index, const fg::Values &values)
         break;
       case IsaOp::STORE:
         break; // Host-visibility marker; no data change.
-      case IsaOp::GSCALE: {
-        // Fused GATHER + SCALER: assemble exactly like GATHER, then
-        // whiten rows exactly like SCALER — same FLOPs, same order,
-        // so fusion stays bit-identical.
-        bool vector_gather = !inst.placements.empty();
-        for (const GatherPlacement &p : inst.placements)
-            vector_gather = vector_gather && p.isRhs && p.colBegin == 0;
-        if (vector_gather) {
-            mat::VectorT<T> out(inst.rows);
-            for (const GatherPlacement &p : inst.placements)
-                out.setSegment(p.rowBegin, vectorAt(p.src));
-            dst = scaleRows(out, inst.constVec);
-        } else {
-            mat::MatrixT<T> out(inst.rows, inst.cols);
-            for (const GatherPlacement &p : inst.placements) {
-                if (p.isRhs) {
-                    const mat::VectorT<T> &v = vectorAt(p.src);
-                    for (std::size_t i = 0; i < v.size(); ++i)
-                        out(p.rowBegin + i, p.colBegin) = v[i];
-                } else {
-                    out.setBlock(p.rowBegin, p.colBegin,
-                                 matrixAt(p.src));
-                }
-            }
-            dst = scaleRows(out, inst.constVec);
-        }
-        break;
-      }
       case IsaOp::MVSUB:
         // Fused MV + VSUB: dst = src0 - src1 * src2, evaluated as the
         // unfused pair would (gemv first, then the subtraction).

@@ -146,6 +146,17 @@ template <typename T> class MatrixT
     /** Row-major backing storage (for the kernels layer). */
     const std::vector<T> &data() const { return data_; }
 
+    /**
+     * Reshape to @p rows by @p cols with every entry zero, keeping the
+     * existing storage whenever it is large enough.
+     */
+    void setZero(std::size_t rows, std::size_t cols)
+    {
+        rows_ = rows;
+        cols_ = cols;
+        data_.assign(rows * cols, T(0));
+    }
+
     MatrixT operator+(const MatrixT &other) const;
     MatrixT operator-(const MatrixT &other) const;
     MatrixT operator-() const;

@@ -64,39 +64,37 @@ householderQr(const MatrixT<T> &a, const VectorT<T> &b)
 }
 
 template <typename T>
-QrResultT<T>
-givensQr(const MatrixT<T> &a, const VectorT<T> &b)
+void
+givensQr(MatrixT<T> &aug)
 {
-    if (a.rows() != b.size())
-        throw std::invalid_argument("givensQr: A/b row mismatch");
+    if (aug.cols() == 0)
+        throw std::invalid_argument("givensQr: no rhs column");
 
-    const std::size_t m = a.rows();
-    const std::size_t n = a.cols();
-    MatrixT<T> r = a;
-    VectorT<T> rhs = b;
-    T *rp = m > 0 && n > 0 ? &r(0, 0) : nullptr;
+    const std::size_t m = aug.rows();
+    const std::size_t n = aug.cols() - 1; // Column n is the rhs.
+    const std::size_t stride = aug.cols();
+    T *p = m > 0 ? &aug(0, 0) : nullptr;
 
     for (std::size_t j = 0; j < n; ++j) {
         for (std::size_t i = m; i-- > j + 1;) {
-            const T x = r(j, j);
-            const T y = r(i, j);
+            const T x = aug(j, j);
+            const T y = aug(i, j);
             if (y == T(0))
                 continue;
             const T hyp = std::hypot(x, y);
             const T c = x / hyp;
             const T s = y / hyp;
-            kernels::givensRotate(rp + j * n + j, rp + i * n + j, c, s,
-                                  n - j);
+            kernels::givensRotate(p + j * stride + j, p + i * stride + j,
+                                  c, s, n - j);
             MacCounter::add(4 * (n - j));
-            const T tj = rhs[j];
-            const T ti = rhs[i];
-            rhs[j] = c * tj + s * ti;
-            rhs[i] = -s * tj + c * ti;
+            const T tj = aug(j, n);
+            const T ti = aug(i, n);
+            aug(j, n) = c * tj + s * ti;
+            aug(i, n) = -s * tj + c * ti;
             MacCounter::add(4);
-            r(i, j) = T(0);
+            aug(i, j) = T(0);
         }
     }
-    return {std::move(r), std::move(rhs)};
 }
 
 template <typename T>
@@ -145,10 +143,8 @@ template QrResultT<double> householderQr(const MatrixT<double> &,
                                          const VectorT<double> &);
 template QrResultT<float> householderQr(const MatrixT<float> &,
                                         const VectorT<float> &);
-template QrResultT<double> givensQr(const MatrixT<double> &,
-                                    const VectorT<double> &);
-template QrResultT<float> givensQr(const MatrixT<float> &,
-                                   const VectorT<float> &);
+template void givensQr(MatrixT<double> &);
+template void givensQr(MatrixT<float> &);
 template VectorT<double> backSubstitute(const MatrixT<double> &,
                                         const VectorT<double> &);
 template VectorT<float> backSubstitute(const MatrixT<float> &,

@@ -34,17 +34,21 @@ template <typename T>
 QrResultT<T> householderQr(const MatrixT<T> &a, const VectorT<T> &b);
 
 /**
- * Givens-rotation QR of the augmented system [A | b].
+ * Givens-rotation QR of the augmented system [A | b], in place: @p aug
+ * holds A in its leading cols() - 1 columns and b in the last one; on
+ * return they hold R (upper trapezoidal) and Q^T b.
  *
  * Functional model of the hardware QR template (a Givens array is the
  * standard systolic QR structure the paper's template follows, cf.
- * prior factor-graph accelerators [19][21][36]). Produces the same R
- * and Q^T b as householderQr up to row signs; the accelerator
- * simulator executes this kernel so software/accelerator accuracy can
- * be compared honestly.
+ * prior factor-graph accelerators [19][21][36]), which streams the
+ * rhs through the array beside A. Produces the same R and Q^T b as
+ * householderQr up to row signs; the accelerator simulator executes
+ * this kernel so software/accelerator accuracy can be compared
+ * honestly.
+ *
+ * @throws std::invalid_argument when @p aug has no rhs column.
  */
-template <typename T>
-QrResultT<T> givensQr(const MatrixT<T> &a, const VectorT<T> &b);
+template <typename T> void givensQr(MatrixT<T> &aug);
 
 /**
  * Solve R x = y by back substitution for square upper-triangular R

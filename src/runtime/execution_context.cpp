@@ -195,16 +195,36 @@ ExecutionContext::run(const hw::AcceleratorConfig &config,
             freeInstances_[k].push_back(config.units[k] - 1 - u);
     }
     events_.clear();
+    for (auto &queue : readyByKind_)
+        queue.clear();
+    marked_.assign(total, 0);
 
     hw::SimResult result;
     result.deltas.resize(programs_.size());
     if (config.recordTrace)
         result.trace.reserve(total);
 
+    // Per-kind issue queues (scheduler.hpp, protocol step 2): only a
+    // queue head is marked to the policy. A head displaced by an
+    // older arrival stays marked; marked_ keeps it from being marked
+    // twice when it becomes the head again.
+    auto markHead = [&](const std::vector<std::uint32_t> &queue) {
+        if (!queue.empty() && marked_[queue.front()] == 0) {
+            marked_[queue.front()] = 1;
+            scheduler.markReady(queue.front());
+        }
+    };
+    auto enqueue = [&](std::size_t g) {
+        auto &queue = readyByKind_[unitKind_[g]];
+        queue.push_back(static_cast<std::uint32_t>(g));
+        std::push_heap(queue.begin(), queue.end(), std::greater<>{});
+        markHead(queue);
+    };
+
     scheduler.reset(total);
     for (std::size_t g = 0; g < total; ++g)
         if (pending_[g] == 0)
-            scheduler.markReady(g);
+            enqueue(g);
 
     IssueView view(this, total);
     std::uint64_t now = 0;
@@ -217,6 +237,14 @@ ExecutionContext::run(const hw::AcceleratorConfig &config,
         if (issued_[g] != 0 || pending_[g] != 0 || pool.empty())
             throw std::logic_error(
                 "runtime: scheduler picked an unissuable instruction");
+        auto &queue = readyByKind_[unitKind_[g]];
+        if (queue.front() != g)
+            throw std::logic_error(
+                "runtime: scheduler picked an instruction younger "
+                "than its kind's oldest ready one");
+        std::pop_heap(queue.begin(), queue.end(), std::greater<>{});
+        queue.pop_back();
+        markHead(queue);
         assignedInstance_[g] = pool.back();
         pool.pop_back();
         issued_[g] = 1;
@@ -319,7 +347,7 @@ ExecutionContext::run(const hw::AcceleratorConfig &config,
              e < dependentsBegin_[g + 1]; ++e) {
             const std::uint32_t user = dependents_[e];
             if (--pending_[user] == 0)
-                scheduler.markReady(user);
+                enqueue(user);
         }
         scheduler.markCompleted(g);
     };

@@ -30,12 +30,18 @@ namespace orianna::runtime {
  *     the program's value table;
  *
  * while run() only touches preallocated scratch vectors (pending
- * counts, issue/done flags, unit pools, the completion-event heap), so
- * the steady-state frame loop performs no per-frame rebuild of any of
- * this. Executor slot arenas are kept warm between frames: compiled
- * programs write every slot before reading it (producers precede
- * consumers in the dependence graph), so stale values from the
- * previous frame are never observed.
+ * counts, issue/done flags, unit pools, the per-kind issue queues,
+ * the completion-event heap), so the steady-state frame loop performs
+ * no per-frame rebuild of any of this. Executor slot arenas are kept
+ * warm between frames: compiled programs write every slot before
+ * reading it (producers precede consumers in the dependence graph),
+ * so stale values from the previous frame are never observed, and
+ * matrix results are written into the slot's existing storage.
+ *
+ * The issue queues hold every data-ready, unissued instruction of one
+ * functional-unit kind, oldest first. Only queue heads are marked
+ * ready to the scheduling policy (scheduler.hpp, protocol step 2),
+ * and run() throws std::logic_error on a pick that is not a head.
  *
  * Values are rebound per frame (bindValues), which is what lets one
  * context serve successive Gauss-Newton iterations and successive
@@ -122,6 +128,11 @@ class ExecutionContext
     std::vector<std::uint8_t> issued_;
     std::vector<std::uint8_t> done_;
     std::vector<unsigned> assignedInstance_;
+    /** Data-ready, unissued instructions per kind (min-heaps by age). */
+    std::array<std::vector<std::uint32_t>, hw::kUnitKindCount>
+        readyByKind_;
+    /** Already passed to Scheduler::markReady this frame. */
+    std::vector<std::uint8_t> marked_;
     std::array<std::vector<unsigned>, hw::kUnitKindCount> freeInstances_;
     /** Per-(kind, instance) busy cycles, flushed to metrics. */
     std::array<std::vector<std::uint64_t>, hw::kUnitKindCount>

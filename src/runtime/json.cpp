@@ -245,4 +245,30 @@ numberToJson(double value)
     return buffer;
 }
 
+std::string
+compact(const std::string &document)
+{
+    std::string out;
+    out.reserve(document.size());
+    bool in_string = false;
+    bool escaped = false;
+    for (char c : document) {
+        if (in_string) {
+            out += c;
+            if (escaped)
+                escaped = false;
+            else if (c == '\\')
+                escaped = true;
+            else if (c == '"')
+                in_string = false;
+        } else if (c == '"') {
+            in_string = true;
+            out += c;
+        } else if (c != ' ' && c != '\n' && c != '\t' && c != '\r') {
+            out += c;
+        }
+    }
+    return out;
+}
+
 } // namespace orianna::runtime::json

@@ -56,4 +56,11 @@ std::string quote(const std::string &text);
  */
 std::string numberToJson(double value);
 
+/**
+ * @p document with every whitespace character outside strings
+ * removed: a pretty-printed document on one line, for line-delimited
+ * transports. Strings are copied verbatim (escapes included).
+ */
+std::string compact(const std::string &document);
+
 } // namespace orianna::runtime::json

@@ -41,12 +41,20 @@ class IssueContext
  *
  * Protocol, driven by the execution engine each frame:
  *   1. reset(total) once at frame start;
- *   2. markReady(g) whenever an instruction's last producer completes
- *      (and at frame start for instructions with no producers);
+ *   2. markReady(g) when g becomes the oldest data-ready, unissued
+ *      instruction of its functional-unit kind — the head of that
+ *      kind's issue queue. The engine keeps one age-ordered queue
+ *      per kind (the hardware's per-unit arbitration) and marks the
+ *      next instruction in a queue once its head issues. A head
+ *      displaced by an older arrival stays marked, and nothing is
+ *      marked twice;
  *   3. pick(ctx) repeatedly at each cycle until it returns
  *      kNoInstruction; every returned instruction is issued
- *      unconditionally, so a policy must only return g with
- *      ctx.dataReady(g) && ctx.unitFree(g);
+ *      unconditionally, so a policy must only return a marked g with
+ *      ctx.dataReady(g) && ctx.unitFree(g) that is still its kind's
+ *      oldest ready instruction (the engine throws std::logic_error
+ *      otherwise). Instances of one kind share a pool, so the oldest
+ *      issuable instruction is always such a head;
  *   4. markCompleted(g) when an instruction retires.
  */
 class Scheduler

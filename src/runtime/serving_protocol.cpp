@@ -187,7 +187,7 @@ ProtocolServer::dispatch(const std::string &line)
         }
         if (op == "metrics")
             return "{\"ok\":true,\"op\":\"metrics\",\"metrics\":" +
-                   Engine::metricsJson() +
+                   json::compact(Engine::metricsJson()) +
                    ",\"tenants\":" + tenantsJson() + "}";
         if (op == "health")
             return "{\"ok\":true,\"op\":\"health\",\"health\":" +

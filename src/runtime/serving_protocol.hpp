@@ -63,6 +63,8 @@ struct SubmittedGraph
  *   {"op":"apps"}                -> {"ok":true,"apps":[names]}
  *   {"op":"metrics"}             -> {"ok":true,"metrics":{registry},
  *                                    "tenants":{T:{counters}}}
+ *          (the registry document compacted onto the response line;
+ *          runtime_server --metrics still writes it pretty-printed)
  *   {"op":"health"}              -> {"ok":true,"health":{engine},
  *                                    "tenants":{T:{counters}}}
  *

@@ -65,6 +65,57 @@ frozenParams()
     return params;
 }
 
+/** Engine options pinned to @p precision whatever ORIANNA_PRECISION says. */
+runtime::EngineOptions
+pinnedPrecision(comp::Precision precision)
+{
+    runtime::EngineOptions options;
+    options.precision = precision;
+    return options;
+}
+
+/**
+ * Estimates of the frozen-linearization manhattan run, solved
+ * incrementally on-device and as one all-factors device batch at the
+ * same linearization point, on an engine of @p precision.
+ */
+struct IncrementalVsBatch
+{
+    fg::Values incremental;
+    fg::Values batch;
+    std::size_t acceleratedFrames = 0;
+};
+
+IncrementalVsBatch
+solveIncrementalAndBatch(comp::Precision precision)
+{
+    const PoseGraphScenario scenario =
+        apps::makeManhattanWorld(50, /*seed=*/3);
+
+    runtime::Engine engine(config(), pinnedPrecision(precision));
+    runtime::AcceleratedSmootherOptions options;
+    options.params = frozenParams();
+
+    // Incremental: one frame at a time, suffix updates on-device.
+    runtime::AcceleratedSmoother incremental(engine, options);
+    replay(incremental, scenario);
+
+    // Batch: everything in one update — a single relinearize-all
+    // frame on the batch reference rung, at the same linearization
+    // point (the shared scenario.initial guesses).
+    runtime::AcceleratedSmoother batch(engine, options);
+    for (const PoseGraphFrame &frame : scenario.frames)
+        batch.addVariable(frame.key,
+                          scenario.initial.pose(frame.key));
+    for (const PoseGraphFrame &frame : scenario.frames)
+        for (const fg::FactorPtr &factor : frame.factors)
+            batch.addFactor(factor);
+    batch.update();
+
+    return {incremental.estimate(), batch.estimate(),
+            incremental.stats().acceleratedFrames};
+}
+
 } // namespace
 
 // The accelerated smoother follows the CPU reference smoother within
@@ -96,31 +147,12 @@ TEST(AccelIncremental, TracksCpuSmootherOnManhattan)
 // the same Givens kernel — the results must agree bit for bit.
 TEST(AccelIncremental, IncrementalMatchesDeviceBatchBitIdentical)
 {
-    const PoseGraphScenario scenario =
-        apps::makeManhattanWorld(50, /*seed=*/3);
-
-    runtime::Engine engine(config());
-    runtime::AcceleratedSmootherOptions options;
-    options.params = frozenParams();
-
-    // Incremental: one frame at a time, suffix updates on-device.
-    runtime::AcceleratedSmoother incremental(engine, options);
-    replay(incremental, scenario);
-
-    // Batch: everything in one update — a single relinearize-all
-    // frame on the batch reference rung, at the same linearization
-    // point (the shared scenario.initial guesses).
-    runtime::AcceleratedSmoother batch(engine, options);
-    for (const PoseGraphFrame &frame : scenario.frames)
-        batch.addVariable(frame.key,
-                          scenario.initial.pose(frame.key));
-    for (const PoseGraphFrame &frame : scenario.frames)
-        for (const fg::FactorPtr &factor : frame.factors)
-            batch.addFactor(factor);
-    batch.update();
-
-    const fg::Values a = incremental.estimate();
-    const fg::Values b = batch.estimate();
+    // Pinned fp64: bit identity is the fp64 contract (the fp32
+    // counterpart below is a tolerance check).
+    const IncrementalVsBatch run =
+        solveIncrementalAndBatch(comp::Precision::Fp64);
+    const fg::Values &a = run.incremental;
+    const fg::Values &b = run.batch;
     ASSERT_EQ(a.keys(), b.keys());
     for (fg::Key key : a.keys()) {
         const lie::Pose &pa = a.pose(key);
@@ -130,7 +162,18 @@ TEST(AccelIncremental, IncrementalMatchesDeviceBatchBitIdentical)
         for (std::size_t i = 0; i < pa.t().size(); ++i)
             EXPECT_EQ(pa.t()[i], pb.t()[i]) << "pose " << key;
     }
-    EXPECT_GT(incremental.stats().acceleratedFrames, 0u);
+    EXPECT_GT(run.acceleratedFrames, 0u);
+}
+
+// The same scenario on the fp32 datapath: the device frames round
+// differently from the batch rung, so the two agree to a tolerance.
+TEST(AccelIncremental, Fp32IncrementalTracksDeviceBatch)
+{
+    const IncrementalVsBatch run =
+        solveIncrementalAndBatch(comp::Precision::Fp32);
+    ASSERT_EQ(run.incremental.keys(), run.batch.keys());
+    EXPECT_LT(maxTrajectoryDelta(run.incremental, run.batch), 1e-5);
+    EXPECT_GT(run.acceleratedFrames, 0u);
 }
 
 // Two identical accelerated runs are bit-identical (deterministic

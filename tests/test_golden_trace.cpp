@@ -7,11 +7,22 @@
 // cost model that moves the paper-facing schedule shows up here as a
 // digest diff instead of a silent drift.
 //
-// Regenerate the checked-in digest after an intentional change with:
+// The aggregate digest cannot see a reordering that keeps the
+// makespan and busy totals, so a second golden hashes every trace
+// event (op, unit, instance, start, end) in issue order. It covers
+// the 120-pose garage graph, whose ready lists run to hundreds of
+// entries, under both dispatch modes, plus the fig.13 config. A third
+// golden pins the garage values after five Gauss-Newton frames.
+//
+// Regenerate the checked-in digests after an intentional change with:
 //   ORIANNA_REGEN_GOLDEN=1 ./test_golden_trace
 
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,8 +30,11 @@
 #include <gtest/gtest.h>
 
 #include "apps/benchmark_apps.hpp"
+#include "apps/pose_graph.hpp"
+#include "fg/io_g2o.hpp"
 #include "hwgen/generator.hpp"
 #include "matrix/simd.hpp"
+#include "runtime/engine.hpp"
 #include "runtime/execution_context.hpp"
 #include "runtime/server_pool.hpp"
 
@@ -39,6 +53,103 @@ zc706Budget()
 
 const char *kGoldenPath =
     ORIANNA_GOLDEN_DIR "/mobile_robot_fig13.digest";
+const char *kEventsGoldenPath =
+    ORIANNA_GOLDEN_DIR "/schedule_events.digest";
+const char *kValuesGoldenPath =
+    ORIANNA_GOLDEN_DIR "/garage_values.digest";
+
+/**
+ * Compare @p digest against the checked-in file at @p path, or
+ * rewrite that file when ORIANNA_REGEN_GOLDEN is set.
+ */
+void
+expectGolden(const char *path, const std::string &digest)
+{
+    if (std::getenv("ORIANNA_REGEN_GOLDEN") != nullptr) {
+        std::ofstream out(path);
+        out << digest;
+        ASSERT_TRUE(out.good()) << "cannot write " << path;
+        GTEST_SKIP() << "regenerated " << path;
+    }
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "missing golden file " << path
+                           << " (regenerate with ORIANNA_REGEN_GOLDEN=1)";
+    std::stringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(digest, golden.str())
+        << path << " moved; if intentional, regenerate with "
+                   "ORIANNA_REGEN_GOLDEN=1 ./test_golden_trace";
+}
+
+/** 64-bit FNV-1a of @p bytes, continuing from @p hash. */
+std::uint64_t
+fnv1a(const std::string &bytes, std::uint64_t hash = 0xcbf29ce484222325ull)
+{
+    for (const unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+std::string
+hex(std::uint64_t value)
+{
+    char buffer[17];
+    std::snprintf(buffer, sizeof(buffer), "%016llx",
+                  static_cast<unsigned long long>(value));
+    return buffer;
+}
+
+/**
+ * One line per frame: event count, makespan and a hash of every
+ * trace event (op and shape, unit, instance, start, end) in issue
+ * order, so any reordering shows even when the aggregates hold.
+ */
+std::string
+eventDigest(const std::string &label,
+            const std::vector<hw::WorkItem> &work,
+            const hw::AcceleratorConfig &config)
+{
+    hw::AcceleratorConfig traced = config;
+    traced.recordTrace = true;
+    runtime::ExecutionContext context(work);
+    const hw::SimResult frame = context.run(traced);
+
+    std::uint64_t hash = fnv1a("");
+    for (const hw::TraceEvent &event : frame.trace)
+        hash = fnv1a(event.name + " " + hw::unitName(event.unit) + " " +
+                         std::to_string(event.instance) + " " +
+                         std::to_string(event.startCycle) + " " +
+                         std::to_string(event.endCycle) + "\n",
+                     hash);
+    return label + " events " + std::to_string(frame.trace.size()) +
+           " makespan_cycles " + std::to_string(frame.cycles) +
+           " fnv1a " + hex(hash) + "\n";
+}
+
+/** The committed 120-pose garage graph, compiled at fp64. */
+struct GarageSetup
+{
+    apps::PoseGraphScenario scenario;
+    std::shared_ptr<const comp::Program> program;
+};
+
+GarageSetup
+makeGarage()
+{
+    GarageSetup setup;
+    setup.scenario = apps::scenarioFromG2o(
+        fg::loadG2o(ORIANNA_G2O_DIR "/garage_lite.g2o"), "garage_lite");
+    // Pinned fp64: the fp32 datapath has its own latencies and values.
+    runtime::EngineOptions options;
+    options.precision = comp::Precision::Fp64;
+    runtime::Engine engine(hw::AcceleratorConfig::minimal(true),
+                           options);
+    setup.program = engine.program(setup.scenario.graph(),
+                                   setup.scenario.initial, 0, "garage");
+    return setup;
+}
 
 /**
  * Structural digest of one simulated frame's schedule: every number a
@@ -98,24 +209,7 @@ makeSetup()
 TEST(GoldenTrace, MobileRobotScheduleMatchesCheckedInDigest)
 {
     const GoldenSetup setup = makeSetup();
-    const std::string digest = scheduleDigest(setup.work, setup.config);
-
-    if (std::getenv("ORIANNA_REGEN_GOLDEN") != nullptr) {
-        std::ofstream out(kGoldenPath);
-        out << digest;
-        ASSERT_TRUE(out.good()) << "cannot write " << kGoldenPath;
-        GTEST_SKIP() << "regenerated " << kGoldenPath;
-    }
-
-    std::ifstream in(kGoldenPath);
-    ASSERT_TRUE(in.good())
-        << "missing golden file " << kGoldenPath
-        << " (regenerate with ORIANNA_REGEN_GOLDEN=1)";
-    std::stringstream golden;
-    golden << in.rdbuf();
-    EXPECT_EQ(digest, golden.str())
-        << "the mobile_robot schedule moved; if intentional, "
-           "regenerate with ORIANNA_REGEN_GOLDEN=1 ./test_golden_trace";
+    expectGolden(kGoldenPath, scheduleDigest(setup.work, setup.config));
 }
 
 TEST(GoldenTrace, ScalarKernelTierReproducesDigestByteIdentically)
@@ -163,6 +257,55 @@ TEST(GoldenTrace, DigestIsStableAcrossRunsAndThreadCounts)
             EXPECT_EQ(digest, reference)
                 << "thread count " << threads;
     }
+}
+
+TEST(GoldenTrace, EveryScheduleEventMatchesCheckedInDigest)
+{
+    const GarageSetup garage = makeGarage();
+    const std::vector<hw::WorkItem> garage_work{
+        {garage.program.get(), &garage.scenario.initial}};
+    const GoldenSetup fig13 = makeSetup();
+
+    const std::string digest =
+        eventDigest("garage_lite out-of-order", garage_work,
+                    hw::AcceleratorConfig::minimal(true)) +
+        eventDigest("garage_lite in-order", garage_work,
+                    hw::AcceleratorConfig::minimal(false)) +
+        eventDigest("mobile_robot fig13", fig13.work, fig13.config);
+    expectGolden(kEventsGoldenPath, digest);
+}
+
+TEST(GoldenTrace, GarageValuesAfterFiveFramesMatchCheckedInDigest)
+{
+    // Values are bit-exact only on the scalar reference tier, like
+    // the fig.13 digest above.
+    const mat::kernels::ScopedKernelTier pin(
+        mat::kernels::SimdTier::Scalar);
+    ASSERT_TRUE(pin.ok());
+
+    const GarageSetup garage = makeGarage();
+    runtime::Session session(garage.program, garage.scenario.initial,
+                             hw::AcceleratorConfig::minimal(true));
+    const fg::Values &values = session.iterate(5);
+
+    std::string bytes;
+    auto put = [&bytes](const mat::Vector &v) {
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            const double x = v[i];
+            char raw[sizeof x];
+            std::memcpy(raw, &x, sizeof raw);
+            bytes.append(raw, sizeof raw);
+        }
+    };
+    for (fg::Key key : values.keys()) {
+        bytes += std::to_string(key) + ":";
+        put(values.pose(key).phi());
+        put(values.pose(key).t());
+    }
+    expectGolden(kValuesGoldenPath,
+                 "garage_lite frames 5 poses " +
+                     std::to_string(values.size()) + " fnv1a " +
+                     hex(fnv1a(bytes)) + "\n");
 }
 
 } // namespace

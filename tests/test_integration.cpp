@@ -16,11 +16,20 @@ using namespace orianna;
 using apps::AppKind;
 using hw::AcceleratorConfig;
 
+// gtest names each instance after a byte dump of its parameter, so the
+// struct must have no implicit padding: uninitialized padding put stack
+// garbage into the test names and made them differ from run to run.
 struct Case
 {
+    Case(AppKind kind, unsigned seed) : kind(kind), seed(seed) {}
+
     AppKind kind;
+    std::uint8_t reserved[3] = {};
     unsigned seed;
 };
+static_assert(sizeof(Case) ==
+                  sizeof(AppKind) + 3 + sizeof(unsigned),
+              "Case must stay free of implicit padding");
 
 class CrossPath : public ::testing::TestWithParam<Case>
 {};

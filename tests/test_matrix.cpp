@@ -339,11 +339,18 @@ TEST_P(QrShapes, GivensMatchesHouseholderUpToRowSign)
     Vector b = randomVector(m, rng);
 
     QrResult hh = orianna::mat::householderQr(a, b);
-    QrResult gv = orianna::mat::givensQr(a, b);
-    EXPECT_TRUE(gv.r.isUpperTriangular(1e-9));
-    // R^T R is sign-invariant, so compare through the Gram matrix.
-    EXPECT_LT(maxDifference(gv.r.transpose() * gv.r,
-                            hh.r.transpose() * hh.r),
+    // Givens QR rotates the augmented [A | b] in place.
+    Matrix aug = a.hstack(b.asColumn());
+    orianna::mat::givensQr(aug);
+    const Matrix r = aug.block(0, 0, m, n);
+    const Vector rhs = aug.col(n);
+    EXPECT_TRUE(r.isUpperTriangular(1e-9));
+    // R^T R and R^T Q^T b are sign-invariant, so compare through the
+    // normal equations.
+    EXPECT_LT(maxDifference(r.transpose() * r, hh.r.transpose() * hh.r),
+              1e-8);
+    EXPECT_LT(maxDifference(r.transpose() * rhs,
+                            hh.r.transpose() * hh.rhs),
               1e-8);
 }
 
@@ -386,7 +393,9 @@ TEST(Qr, MismatchedShapesThrow)
     Matrix a(3, 2);
     Vector b(2);
     EXPECT_THROW(orianna::mat::householderQr(a, b), std::invalid_argument);
-    EXPECT_THROW(orianna::mat::givensQr(a, b), std::invalid_argument);
+    // An augmented system needs at least its rhs column.
+    Matrix no_rhs(3, 0);
+    EXPECT_THROW(orianna::mat::givensQr(no_rhs), std::invalid_argument);
 }
 
 // --- Block-sparse assembly ----------------------------------------------

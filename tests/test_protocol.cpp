@@ -308,6 +308,34 @@ TEST_F(ProtocolTest, MetricsAndHealthEmbedEngineState)
                   compiles_before + 1.0);
 }
 
+// The transport is line-delimited: a client reading one line per
+// request stays in step only if every response, error or success,
+// is a single line of valid JSON.
+TEST_F(ProtocolTest, EveryResponseIsOneLineOfJson)
+{
+    const JsonPtr submit =
+        roundTrip(R"({"op":"submit","app":"MobileRobot"})");
+    ASSERT_TRUE(submit->at("ok").boolean);
+    const std::string session = std::to_string(
+        static_cast<std::uint64_t>(numberField(*submit, "session")));
+    const std::vector<std::string> requests = {
+        R"({"op":"submit","app":"Quadrotor"})",
+        R"({"op":"step","session":)" + session + R"(,"frames":2})",
+        R"({"op":"values","session":)" + session + "}",
+        R"({"op":"apps"})",
+        R"({"op":"metrics"})",
+        R"({"op":"health"})",
+        R"({"op":"close","session":)" + session + "}",
+        R"({"op":"no_such_op"})",
+        "not json",
+    };
+    for (const std::string &request : requests) {
+        const std::string response = server_.handle(request);
+        EXPECT_EQ(response.find('\n'), std::string::npos) << request;
+        EXPECT_NO_THROW(parseJson(response)) << request;
+    }
+}
+
 TEST_F(ProtocolTest, SubmitReportsAndAssertsPrecision)
 {
     // The submit response always carries the engine's datapath.

@@ -20,6 +20,7 @@
 #include "fg/optimizer.hpp"
 #include "hw/fault_injection.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/execution_context.hpp"
 #include "runtime/server_pool.hpp"
 #include "test_json.hpp"
 
@@ -212,6 +213,56 @@ TEST(FaultInjection, RateBoundsAreExact)
             hw::UnitKind::MatMul;
         EXPECT_EQ(schedule[g].corrupt, is_matmul) << "g=" << g;
     }
+}
+
+// A long-lived context keeps every slot's storage between frames and
+// writes QR, GATHER and EXTRACT results into it. Poison every slot
+// (NaN) on a QR-only and then an all-units campaign: once disarmed,
+// the next frame must overwrite each reused slot before reading it,
+// matching a fresh context bit for bit.
+TEST(FaultInjection, PoisonedSlotsAreOverwrittenOnReuse)
+{
+    const auto truth = chainTruth();
+    const fg::FactorGraph graph = chainGraph(truth);
+    const fg::Values initial = chainInitial(truth);
+    runtime::EngineOptions fp64;
+    fp64.precision = comp::Precision::Fp64;
+    runtime::Engine engine(hw::AcceleratorConfig::minimal(true), fp64);
+    const auto program = engine.program(graph, initial);
+    const hw::AcceleratorConfig config =
+        hw::AcceleratorConfig::minimal(true);
+
+    auto anyNonFinite = [](const hw::SimResult &frame) {
+        for (const auto &[key, delta] : frame.deltas.at(0))
+            for (std::size_t i = 0; i < delta.size(); ++i)
+                if (!std::isfinite(delta[i]))
+                    return true;
+        return false;
+    };
+
+    runtime::ExecutionContext reused({{program.get(), &initial}});
+    const hw::FaultInjector qr(hw::FaultPlan::parse("corrupt:qr:1.0"));
+    const hw::FaultInjector all(hw::FaultPlan::parse("corrupt:all:1.0"));
+    for (const hw::FaultInjector *injector : {&qr, &all}) {
+        reused.armFaults(injector, 0, 0);
+        const hw::SimResult poisoned = reused.run(config);
+        EXPECT_GT(poisoned.faultsInjected, 0u);
+        EXPECT_TRUE(anyNonFinite(poisoned));
+    }
+    reused.armFaults(nullptr, 0, 0);
+    const hw::SimResult healed = reused.run(config);
+
+    runtime::ExecutionContext fresh({{program.get(), &initial}});
+    const hw::SimResult want = fresh.run(config);
+    ASSERT_EQ(healed.deltas.at(0).size(), want.deltas.at(0).size());
+    for (const auto &[key, delta] : want.deltas.at(0)) {
+        const mat::Vector &got = healed.deltas.at(0).at(key);
+        ASSERT_EQ(got.size(), delta.size());
+        for (std::size_t i = 0; i < delta.size(); ++i)
+            EXPECT_EQ(got[i], delta[i]) << "key " << key << " [" << i
+                                        << "]";
+    }
+    EXPECT_EQ(healed.cycles, want.cycles);
 }
 
 // ---------------------------------------------------------------

@@ -282,6 +282,42 @@ TEST(ExecutionContext, RejectsZeroUnitConfigs)
     EXPECT_THROW(context.run(config), std::invalid_argument);
 }
 
+// The engine marks only the head of each unit kind's issue queue and
+// rejects any pick that is not one: a policy that issues the
+// youngest data-ready instruction with a free unit must fail loudly,
+// and the context must serve correct frames afterwards.
+TEST(ExecutionContext, RejectsPicksYoungerThanTheirKindsOldest)
+{
+    struct YoungestFirst final : runtime::Scheduler
+    {
+        std::string_view name() const override { return "youngest"; }
+        void reset(std::size_t) override {}
+        void markReady(std::size_t) override {}
+        void markCompleted(std::size_t) override {}
+        std::size_t
+        pick(const runtime::IssueContext &ctx) override
+        {
+            for (std::size_t g = ctx.total(); g-- > 0;)
+                if (ctx.dataReady(g) && ctx.unitFree(g))
+                    return g;
+            return runtime::kNoInstruction;
+        }
+    };
+
+    apps::BenchmarkApp bench =
+        apps::buildApp(apps::AppKind::MobileRobot, /*seed=*/1);
+    bench.app.compile();
+    const core::Algorithm &algo = bench.app.algorithm(0);
+    runtime::ExecutionContext context({{&algo.program, &algo.values}});
+    const auto config = hw::AcceleratorConfig::minimal(true);
+    YoungestFirst rogue;
+    EXPECT_THROW(context.run(config, rogue), std::logic_error);
+
+    comp::Executor reference(algo.program);
+    expectSameDeltas(context.run(config).deltas.at(0),
+                     reference.run(algo.values));
+}
+
 TEST(ExecutionContext, RunWithoutBoundValuesIsDiagnosed)
 {
     apps::BenchmarkApp bench =
