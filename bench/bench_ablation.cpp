@@ -8,7 +8,7 @@
 
 #include "bench_common.hpp"
 #include "compiler/codegen.hpp"
-#include "compiler/optimize.hpp"
+#include "compiler/pass_manager.hpp"
 #include "fg/ordering.hpp"
 
 namespace {
@@ -94,6 +94,8 @@ main()
     // ---- (d) post-codegen optimization passes ---------------------
     std::printf("\n(d) compiler cleanup passes (constant dedup + DCE)\n");
     orianna::bench::rule();
+    const comp::PassManager cleanup =
+        comp::PassManager::parse("dedup,dce");
     for (std::size_t a = 0; a < app.size(); ++a) {
         const core::Algorithm &algo = app.algorithm(a);
         comp::CompileOptions options;
@@ -101,17 +103,19 @@ main()
         options.ordering = fg::ordering::minDegree(algo.graph);
         const comp::Program raw =
             comp::compileGraph(algo.graph, algo.values, options);
-        comp::OptimizeStats stats;
-        const comp::Program opt = comp::optimizeProgram(raw, &stats);
+        comp::Program opt = raw;
+        const std::vector<comp::PassStats> stats = cleanup.run(opt);
+        const comp::PassStats &dedup = stats[0];
+        const comp::PassStats &dce = stats[1];
         const auto t_raw =
             hw::simulate({{&raw, &algo.values}}, config).seconds();
         const auto t_opt =
             hw::simulate({{&opt, &algo.values}}, config).seconds();
         std::printf("  %-13s %4zu -> %4zu instructions (%zu consts "
                     "merged, %zu dead), %5.1f -> %5.1f us\n",
-                    algo.name.c_str(), stats.before, stats.after,
-                    stats.mergedConstants, stats.removedDead,
-                    t_raw * 1e6, t_opt * 1e6);
+                    algo.name.c_str(), dedup.before, dce.after,
+                    dedup.rewrites, dce.rewrites, t_raw * 1e6,
+                    t_opt * 1e6);
     }
 
     std::printf("\nthe Equ. 5 generator automates exactly this search "

@@ -1,38 +1,33 @@
-// Serving throughput of the parallel runtime, in three sections:
+// Serving throughput of the parallel runtime, in two sections:
 //
-// 1. Shared-Engine serving (the historical bench): one Engine under a
-//    ServerPool, many MobileRobot localization sessions with
-//    fingerprint churn. Reports sessions/s and frame latency per
-//    thread count and asserts every session's final values are
-//    byte-identical to a sequential (no pool) run.
+// 1. Batch serving: one Engine under a ServerPool's parallelFor, many
+//    MobileRobot localization sessions with fingerprint churn.
+//    Reports sessions/s and frame latency per thread count and
+//    asserts every session's final values are byte-identical to a
+//    sequential (no pool) run.
 //
-// 2. Affinity serving: the same missions through an EngineGroup +
-//    AdmissionController — sessions routed to the replica owning
-//    their fingerprint, opened and stepped inside pinned tasks.
-//    Asserts the replica-served digests equal the sequential
-//    reference bit for bit and reports the replica-local hit rate.
-//
-// 3. Paced (SLO) serving: the scaling-efficiency section. Sessions
-//    model a sensor-rate client — one frame per kPacedPeriodUs, the
-//    frame's compute a fraction of the period — routed round-robin
-//    over EDF-ordered pinned lanes with per-session deadlines. On
-//    this workload throughput must scale with workers (the compute
-//    fits the period's budget even on one core), so the bench
-//    computes speedup_4t and the 8-thread p99 inflation, and
+// 2. Paced (SLO) serving: the scaling-efficiency section, on the
+//    serving path — one shared Engine, sessions admitted round-robin
+//    into the FIFO pinned lanes of an AdmissionController. Sessions
+//    model a sensor-rate client: one frame per kPacedPeriodUs, the
+//    frame's compute a fraction of the period. On this workload
+//    throughput must scale with workers (the compute fits the
+//    period's budget even on one core), so the bench computes
+//    speedup_4t and the 8-thread p99 inflation, and
 //    `--gate-scaling X` turns them into a CI gate: fail when
 //    4-thread sessions/s < X * single-thread, or when the 8-thread
 //    step p99 exceeds kP99RatioLimit * the 1-thread p99.
 //
-// Emits BENCH_throughput.json (all three sections) for CI trending.
+// Emits BENCH_throughput.json (both sections) for CI trending.
 //
 // Per-unit utilization is reported once, at the top level, computed
 // from the sequential reference run: the simulator's cycle counts are
 // fully deterministic and every run serves the identical session set,
 // so the per-thread-count maps were always bit-identical by
 // construction — repeating them per run only suggested they could
-// differ. The registry is still reset at the start of every section
-// (serve/serveAffinity/servePaced) so the histogram and counter
-// numbers describe exactly one run.
+// differ. The registry is still reset at the start of every run
+// (serve/servePaced) so the histogram and counter numbers describe
+// exactly one run.
 
 #include <algorithm>
 #include <chrono>
@@ -48,7 +43,6 @@
 #include "matrix/simd.hpp"
 #include "runtime/admission.hpp"
 #include "runtime/engine.hpp"
-#include "runtime/engine_group.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/server_pool.hpp"
 
@@ -199,53 +193,7 @@ serve(const std::vector<Mission> &missions, runtime::ServerPool *pool)
     return out;
 }
 
-/** Section 2 result: affinity-routed EngineGroup serving. */
-struct AffinityOutcome
-{
-    std::vector<std::uint64_t> digests;
-    double elapsed_s = 0.0;
-    runtime::EngineGroup::Stats stats;
-    std::uint64_t rejected = 0;
-};
-
-AffinityOutcome
-serveAffinity(const std::vector<Mission> &missions, unsigned threads)
-{
-    runtime::MetricsRegistry::global().reset();
-    runtime::ServerPool pool(threads);
-    runtime::EngineGroup group(hw::AcceleratorConfig::minimal(true),
-                               threads);
-    runtime::AdmissionController admission(
-        pool, {/*queueCapacity=*/kSessions});
-
-    // Fingerprint each mission once; its owning replica doubles as
-    // the pinned worker (replicas == threads), so every session of a
-    // mission opens on the one worker where its program is warm.
-    std::vector<unsigned> owner(missions.size());
-    for (std::size_t m = 0; m < missions.size(); ++m)
-        owner[m] = group.route(missions[m].graph, missions[m].initial);
-
-    AffinityOutcome out;
-    out.digests.assign(kSessions, 0);
-    const auto start = Clock::now();
-    for (std::size_t i = 0; i < kSessions; ++i) {
-        const std::size_t m = i % missions.size();
-        const auto outcome = admission.submit(owner[m], [&, i, m] {
-            runtime::Session session = group.session(
-                owner[m], missions[m].graph, missions[m].initial);
-            session.iterate(kFrames);
-            out.digests[i] = valuesDigest(session.values());
-        });
-        if (!outcome.admitted())
-            ++out.rejected;
-    }
-    admission.drain();
-    out.elapsed_s = secondsSince(start);
-    out.stats = group.stats();
-    return out;
-}
-
-/** Section 3 result: one paced serving run. */
+/** Section 2 result: one paced serving run. */
 struct PacedOutcome
 {
     std::vector<std::uint64_t> digests;
@@ -267,19 +215,15 @@ percentile(std::vector<double> sorted, double p)
 /**
  * Paced serving: every session steps once per kPacedPeriodUs (a
  * sensor-rate client), so a worker's capacity is sessions-per-period,
- * not raw compute. Sessions are routed round-robin over EDF pinned
- * lanes with a deadline one period out per session — the SLO mode.
+ * not raw compute. Sessions are admitted round-robin into the
+ * workers' FIFO lanes and opened on one shared Engine.
  */
 PacedOutcome
 servePaced(const std::vector<Mission> &missions, unsigned threads)
 {
     runtime::MetricsRegistry::global().reset();
-    runtime::PoolOptions pool_options;
-    pool_options.threads = threads;
-    pool_options.edf = true;
-    runtime::ServerPool pool(pool_options);
-    runtime::EngineGroup group(hw::AcceleratorConfig::minimal(true),
-                               threads);
+    runtime::ServerPool pool(threads);
+    runtime::Engine engine(hw::AcceleratorConfig::minimal(true));
     runtime::AdmissionController admission(
         pool, {/*queueCapacity=*/kSessions});
 
@@ -288,28 +232,23 @@ servePaced(const std::vector<Mission> &missions, unsigned threads)
     std::vector<double> step_ms(kSessions * kPacedFrames, 0.0);
 
     const auto start = Clock::now();
-    const std::uint64_t now_us = runtime::MetricsRegistry::nowUs();
     for (std::size_t i = 0; i < kSessions; ++i) {
         const std::size_t m = i % missions.size();
         const unsigned worker =
             static_cast<unsigned>(i % threads); // Balanced routing.
-        admission.submit(
-            worker,
-            [&, i, m, worker] {
-                runtime::Session session = group.session(
-                    worker, missions[m].graph, missions[m].initial);
-                auto next = Clock::now();
-                for (std::size_t f = 0; f < kPacedFrames; ++f) {
-                    next += std::chrono::microseconds(kPacedPeriodUs);
-                    const auto t0 = Clock::now();
-                    session.step();
-                    step_ms[i * kPacedFrames + f] =
-                        secondsSince(t0) * 1e3;
-                    std::this_thread::sleep_until(next);
-                }
-                out.digests[i] = valuesDigest(session.values());
-            },
-            /*deadlineUs=*/now_us + (i + 1) * kPacedPeriodUs);
+        admission.submit(worker, [&, i, m] {
+            runtime::Session session =
+                engine.session(missions[m].graph, missions[m].initial);
+            auto next = Clock::now();
+            for (std::size_t f = 0; f < kPacedFrames; ++f) {
+                next += std::chrono::microseconds(kPacedPeriodUs);
+                const auto t0 = Clock::now();
+                session.step();
+                step_ms[i * kPacedFrames + f] = secondsSince(t0) * 1e3;
+                std::this_thread::sleep_until(next);
+            }
+            out.digests[i] = valuesDigest(session.values());
+        });
     }
     admission.drain();
     const double elapsed = secondsSince(start);
@@ -421,46 +360,12 @@ main(int argc, char **argv)
     }
     json << "\n  ],\n";
 
-    // --- Section 2: affinity-routed EngineGroup serving ------------
-    std::printf("\naffinity serving (EngineGroup replicas + admission "
-                "control):\n%8s %12s %10s %10s %9s\n", "threads",
-                "sessions/s", "local", "shared", "rejected");
-    json << "  \"affinity_runs\": [\n";
-    first = true;
-    for (unsigned threads : {1u, 2u, 4u, 8u}) {
-        const AffinityOutcome run = serveAffinity(missions, threads);
-        if (run.digests != reference.digests) {
-            std::fprintf(stderr,
-                         "FAIL: replica-served values diverge from "
-                         "the shared-Engine sequential run at %u "
-                         "threads\n", threads);
-            return 1;
-        }
-        const double sessions_per_s =
-            static_cast<double>(kSessions) / run.elapsed_s;
-        std::printf("%8u %12.1f %10zu %10zu %9llu\n", threads,
-                    sessions_per_s, run.stats.localHits,
-                    run.stats.sharedHits,
-                    static_cast<unsigned long long>(run.rejected));
-        json << (first ? "" : ",\n")
-             << "    {\"threads\": " << threads
-             << ", \"sessions_per_s\": " << sessions_per_s
-             << ", \"local_hits\": " << run.stats.localHits
-             << ", \"shared_hits\": " << run.stats.sharedHits
-             << ", \"compiles\": " << run.stats.compiles
-             << ", \"rejected\": " << run.rejected << "}";
-        first = false;
-    }
-    json << "\n  ],\n";
-    std::printf("replica-served results byte-identical to the "
-                "shared-Engine sequential run\n");
-
-    // --- Section 3: paced (SLO) serving — the scaling gate ----------
-    std::printf("\npaced serving (one frame per %.1f ms, EDF lanes):\n"
+    // --- Section 2: paced (SLO) serving — the scaling gate ----------
+    std::printf("\npaced serving (one frame per %.1f ms, FIFO lanes):\n"
                 "%8s %12s %10s %10s\n",
                 kPacedPeriodUs / 1000.0, "threads", "sessions/s",
                 "p50 ms", "p99 ms");
-    // The paced digests must also match: pacing and EDF ordering may
+    // The paced digests must also match: pacing and admission may
     // reorder *when* frames run, never what they compute. The
     // reference serves the same missions for kPacedFrames frames.
     std::vector<std::uint64_t> paced_reference(kSessions);

@@ -1,12 +1,11 @@
-// The runtime serving front-end.
-//
-// Default mode is the line-delimited JSON protocol of DESIGN.md §11:
-// one request object per stdin line, one response object per stdout
-// line (stdout carries ONLY JSON; diagnostics go to stderr). The four
-// Tbl. 4 benchmark applications are registered as submittable graph
-// sources, and the engine underneath optionally runs with the
-// persistent program store armed (--cache-dir), so a restarted server
-// re-serves every previously compiled program without compiling:
+// The runtime serving front-end: the line-delimited JSON protocol of
+// DESIGN.md §11 — one request object per stdin line, one response
+// object per stdout line (stdout carries ONLY JSON; diagnostics go to
+// stderr). The four Tbl. 4 benchmark applications and the pose-graph
+// corpus scenarios are registered as submittable graph sources, and
+// the engine underneath optionally runs with the persistent program
+// store armed (--cache-dir), so a restarted server re-serves every
+// previously compiled program without compiling:
 //
 //   $ echo '{"op":"submit","app":"MobileRobot"}' |
 //         runtime_server --cache-dir /tmp/orianna-cache
@@ -16,45 +15,22 @@
 // request was answered with an error response (the server itself
 // never tears down on a bad request), 2 on bad argv.
 //
-// --demo preserves the previous EngineGroup showcase: three
-// localization clients on a ServerPool behind an AdmissionController,
-// with affinity routing, optional fault injection (--inject-faults,
-// --fallback), metrics/trace export (--metrics, --trace) and the
-// per-worker admission lanes (--queue-cap, --edf). With --cache-dir
-// the demo also arms the persistent store; on a warm directory the
-// expected compile count is served from disk instead.
-//
 // Usage:
 //   runtime_server [--cache-dir DIR] [--no-store] [--simd TIER]
-//   runtime_server --demo [--threads N] [--replicas N] [--queue-cap N]
-//                  [--edf] [--metrics out.json] [--trace out.json]
-//                  [--inject-faults SPEC] [--fallback]
-//                  [--cache-dir DIR] [--no-store] [--simd TIER]
+//                  [--precision P]
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "apps/benchmark_apps.hpp"
 #include "apps/pose_graph.hpp"
-#include "fg/factors.hpp"
 #include "matrix/simd.hpp"
-#include "runtime/admission.hpp"
-#include "runtime/engine_group.hpp"
-#include "runtime/metrics.hpp"
 #include "runtime/program_store.hpp"
-#include "runtime/server_pool.hpp"
 #include "runtime/serving_protocol.hpp"
-#include "runtime/trace_sink.hpp"
 
 using namespace orianna;
-using lie::Pose;
-using mat::Vector;
 
 namespace {
 
@@ -65,71 +41,18 @@ usage(const char *argv0)
         stderr,
         "usage: %s [--cache-dir DIR] [--no-store] [--simd TIER] "
         "[--precision P]\n"
-        "       %s --demo [--threads N] [--replicas N] "
-        "[--queue-cap N] [--edf] [--metrics out.json] "
-        "[--trace out.json] [--inject-faults SPEC] [--fallback] "
-        "[--cache-dir DIR] [--no-store] [--simd TIER] "
-        "[--precision P]\n"
-        "  (default)          serve the line-delimited JSON protocol "
-        "on stdin/stdout\n"
+        "  serves the line-delimited JSON protocol on stdin/stdout\n"
         "  --cache-dir DIR    arm the persistent program store in "
         "DIR (created if absent)\n"
         "  --no-store         ignore --cache-dir; serve memory-only\n"
-        "  --demo             run the EngineGroup/ServerPool "
-        "showcase instead\n"
-        "  --threads N        worker threads, N >= 1 "
-        "(default: hardware concurrency)\n"
-        "  --replicas N       engine replicas, N >= 1 "
-        "(default: one per worker)\n"
-        "  --queue-cap N      per-worker admission queue bound, "
-        "N >= 1 (default: 64)\n"
-        "  --edf              earliest-deadline-first task ordering "
-        "(default: FIFO)\n"
-        "  --metrics F        write the metrics registry JSON to F "
-        "after serving\n"
-        "  --trace F          write the unified Perfetto trace JSON "
-        "to F\n"
-        "  --inject-faults S  arm the fault injector, S = "
-        "[SEED@]kind:unit:rate[:cycles],...\n"
-        "  --fallback         degrade faulty frames to the reference "
-        "program instead of failing\n"
         "  --simd TIER        kernel tier: scalar, avx2, neon or "
         "auto (overrides ORIANNA_SIMD)\n"
         "  --precision P      accelerator datapath: fp64 or fp32 "
         "(default: ORIANNA_PRECISION, else fp64); fp32 provisions "
         "the fp64 reference fallback\n",
-        argv0, argv0);
+        argv0);
     return 2;
 }
-
-/** Parse a strictly positive integer; returns 0 on any malformation. */
-unsigned
-parsePositive(const char *text)
-{
-    char *end = nullptr;
-    const long value = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || value <= 0)
-        return 0;
-    return static_cast<unsigned>(value);
-}
-
-/** Everything argv can say, for both modes. */
-struct ServerArgs
-{
-    bool demo = false;
-    std::string cacheDir;
-    bool noStore = false;
-    unsigned threads = 0;  // 0: hardware_concurrency.
-    unsigned replicas = 0; // 0: one per worker.
-    unsigned queueCap = 64;
-    bool edf = false;
-    std::string metricsPath;
-    std::string tracePath;
-    std::string faultSpec;
-    bool fallback = false;
-    /** Unset: the Engine resolves ORIANNA_PRECISION, else fp64. */
-    std::optional<comp::Precision> precision;
-};
 
 /**
  * Register the four Tbl. 4 applications on @p server. Each submit
@@ -210,14 +133,10 @@ registerPoseGraphApps(runtime::ProtocolServer &server)
     }
 }
 
-/** The JSON protocol loop: the default server mode. */
+/** The JSON protocol loop over one engine built from @p options. */
 int
-runProtocol(const ServerArgs &args)
+serve(runtime::EngineOptions options)
 {
-    runtime::EngineOptions options;
-    if (!args.noStore)
-        options.storeDir = args.cacheDir;
-    options.precision = args.precision;
     runtime::Engine engine(hw::AcceleratorConfig::minimal(true),
                            std::move(options));
 
@@ -253,258 +172,20 @@ runProtocol(const ServerArgs &args)
     return server.errors() > 0 ? 3 : 0;
 }
 
-/** A small odometry chain with a loop closure and an anchored start. */
-fg::FactorGraph
-buildGraph(const std::vector<Pose> &truth)
-{
-    fg::FactorGraph graph;
-    graph.emplace<fg::PriorFactor>(1, truth[0],
-                                   fg::isotropicSigmas(6, 0.01));
-    for (std::size_t i = 1; i < truth.size(); ++i)
-        graph.emplace<fg::IMUFactor>(
-            i, i + 1, truth[i].ominus(truth[i - 1]),
-            fg::isotropicSigmas(6, 0.05));
-    graph.emplace<fg::LiDARFactor>(
-        1, truth.size(), truth.back().ominus(truth.front()),
-        fg::isotropicSigmas(6, 0.02));
-    return graph;
-}
-
-/** The legacy EngineGroup/ServerPool showcase (--demo). */
-int
-runDemo(const ServerArgs &args, const char *argv0)
-{
-    if (!args.tracePath.empty())
-        runtime::TraceCollector::setEnabled(true);
-    std::printf("simd: %s\n",
-                mat::kernels::simdCapabilityString().c_str());
-
-    std::vector<Pose> truth;
-    for (int i = 0; i < 6; ++i)
-        truth.emplace_back(Vector{0.1 * i, 0.02 * i, 0.05 * i},
-                           Vector{0.5 * i, 0.05 * i, 0.0});
-    const fg::FactorGraph graph = buildGraph(truth);
-
-    runtime::EngineOptions options;
-    if (!args.faultSpec.empty()) {
-        try {
-            options.faultPlan = hw::FaultPlan::parse(args.faultSpec);
-        } catch (const std::exception &error) {
-            std::fprintf(stderr, "error: bad --inject-faults: %s\n",
-                         error.what());
-            return usage(argv0);
-        }
-    }
-    options.degradation.fallback = args.fallback;
-    if (!args.noStore)
-        options.storeDir = args.cacheDir;
-    options.precision = args.precision;
-
-    runtime::PoolOptions pool_options;
-    pool_options.threads = args.threads;
-    pool_options.edf = args.edf;
-    runtime::ServerPool pool(pool_options);
-    unsigned replicas = args.replicas;
-    if (replicas == 0)
-        replicas = pool.threads();
-    runtime::EngineGroup group(hw::AcceleratorConfig::minimal(true),
-                               std::move(options), replicas);
-    runtime::AdmissionController admission(
-        pool, {/*queueCapacity=*/args.queueCap});
-
-    // Three hypotheses: perturb the initial guess differently per
-    // client. The graphs (and their measurements) are identical, so
-    // all three route to one replica — the group compiles one program
-    // there and the later sessions are lock-free local hits.
-    const unsigned replica = group.route(graph, [&truth] {
-        fg::Values shapes;
-        for (std::size_t i = 0; i < truth.size(); ++i)
-            shapes.insert(i + 1, truth[i]);
-        return shapes;
-    }());
-    const unsigned worker = replica % pool.threads();
-    std::printf("routing: fingerprint -> replica %u of %u, worker %u "
-                "of %u (queue cap %u, %s order)\n",
-                replica, group.replicas(), worker, pool.threads(),
-                args.queueCap, pool.edf() ? "EDF" : "FIFO");
-
-    // Serve the clients concurrently: each client is one admitted
-    // task pinned to the owning replica's worker, which opens the
-    // session on the replica and steps its own private state over the
-    // shared program. A frame that exhausts the degradation ladder
-    // (faults injected without --fallback) fails only its own client.
-    constexpr std::size_t kClients = 3;
-    std::vector<std::unique_ptr<runtime::Session>> sessions(kClients);
-    std::vector<std::string> client_errors(kClients);
-    const std::uint64_t now_us = runtime::MetricsRegistry::nowUs();
-    for (std::size_t c = 0; c < kClients; ++c) {
-        fg::Values initial;
-        for (std::size_t i = 0; i < truth.size(); ++i) {
-            const double p = 0.02 * (c + 1);
-            initial.insert(i + 1,
-                           truth[i].retract(Vector{p, -p, p, -p, p, -p}));
-        }
-        const auto outcome = admission.submit(
-            worker,
-            [&, c, initial = std::move(initial)]() mutable {
-                try {
-                    auto session = std::make_unique<runtime::Session>(
-                        group.session(replica, graph,
-                                      std::move(initial),
-                                      /*step_scale=*/1.0));
-                    session->iterate(4);
-                    sessions[c] = std::move(session);
-                } catch (const std::exception &error) {
-                    client_errors[c] = error.what();
-                }
-            },
-            // Staggered deadlines: under --edf the earliest client
-            // drains first; under FIFO they are recorded but ignored.
-            /*deadlineUs=*/now_us + (c + 1) * 1000);
-        if (!outcome.admitted())
-            client_errors[c] = "rejected by admission control (lane " +
-                               std::to_string(outcome.worker) +
-                               " at depth " +
-                               std::to_string(outcome.depth) + "/" +
-                               std::to_string(outcome.capacity) + ")";
-    }
-    admission.drain();
-
-    const auto stats = group.stats();
-    const auto engine_stats = group.sharedEngine().stats();
-    std::printf("group: %zu compile(s), %zu store hit(s), %zu shared "
-                "hit(s), %zu replica-local hit(s); admission: %llu "
-                "admitted, %llu rejected\n",
-                stats.compiles, engine_stats.storeHits,
-                stats.sharedHits, stats.localHits,
-                static_cast<unsigned long long>(admission.admitted()),
-                static_cast<unsigned long long>(admission.rejected()));
-
-    const auto totals = pool.tasksExecuted();
-    std::printf("pool: %u thread(s), %llu steal(s)", pool.threads(),
-                static_cast<unsigned long long>(pool.steals()));
-    for (std::size_t w = 0; w < totals.size(); ++w)
-        std::printf("%s thread %zu ran %llu", w == 0 ? "," : ";", w,
-                    static_cast<unsigned long long>(totals[w]));
-    std::printf("\n");
-
-    bool clients_ok = true;
-    for (std::size_t c = 0; c < kClients; ++c) {
-        if (!client_errors[c].empty() || sessions[c] == nullptr) {
-            std::printf("client %zu: FAILED: %s\n", c,
-                        client_errors[c].empty()
-                            ? "no session"
-                            : client_errors[c].c_str());
-            clients_ok = false;
-            continue;
-        }
-        const runtime::Session &session = *sessions[c];
-        const double err = graph.totalError(session.values());
-        std::printf("client %zu: %zu frames, %llu cycles total, "
-                    "final objective %.3e",
-                    c, session.frames(),
-                    static_cast<unsigned long long>(
-                        session.totals().cycles),
-                    err);
-        if (session.totals().faultsInjected > 0 ||
-            session.fallbacks() > 0)
-            std::printf(" (%llu fault(s) injected, %llu retr%s, "
-                        "%llu fallback frame(s))",
-                        static_cast<unsigned long long>(
-                            session.totals().faultsInjected),
-                        static_cast<unsigned long long>(
-                            session.retries()),
-                        session.retries() == 1 ? "y" : "ies",
-                        static_cast<unsigned long long>(
-                            session.fallbacks()));
-        std::printf("\n");
-    }
-    std::printf("health: %s\n", group.healthJson().c_str());
-
-    // One artifact acquisition, two replica-local hits — per
-    // artifact: with a provisioned fallback the replica also fetches
-    // the reference program once (a second acquisition), and the
-    // later clients hit the replica's fallback cache. With the store
-    // armed an acquisition may be a disk load instead of a compile,
-    // so the invariant is on their sum.
-    const bool fallback_armed =
-        args.fallback &&
-        (!args.faultSpec.empty() ||
-         group.sharedEngine().precision() == comp::Precision::Fp32);
-    const auto expect_compiles =
-        static_cast<std::size_t>(fallback_armed ? 2 : 1);
-    const bool cache_ok =
-        stats.compiles + engine_stats.storeHits == expect_compiles &&
-        stats.localHits == 2 && stats.sharedHits == 0;
-    if (!cache_ok)
-        std::fprintf(stderr,
-                     "unexpected cache traffic: %zu compiles + %zu "
-                     "store hits (want %zu), %zu local hits (want 2), "
-                     "%zu shared hits (want 0)\n",
-                     stats.compiles, engine_stats.storeHits,
-                     expect_compiles, stats.localHits,
-                     stats.sharedHits);
-
-    // Close the sessions before exporting: each destructor reports
-    // its enclosing "session" span to the unified trace.
-    sessions.clear();
-
-    try {
-        if (!args.metricsPath.empty()) {
-            std::ofstream out(args.metricsPath);
-            out << runtime::Engine::metricsJson();
-            if (!out)
-                throw std::runtime_error("cannot write " +
-                                         args.metricsPath);
-            std::printf("wrote %s\n", args.metricsPath.c_str());
-        }
-        if (!args.tracePath.empty()) {
-            runtime::TraceCollector::global().write(args.tracePath);
-            std::printf("wrote %s\n", args.tracePath.c_str());
-        }
-    } catch (const std::exception &error) {
-        std::fprintf(stderr, "error: %s\n", error.what());
-        return 1;
-    }
-    return cache_ok && clients_ok ? 0 : 1;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    ServerArgs args;
+    runtime::EngineOptions options;
+    std::string cache_dir;
+    bool no_store = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--demo") {
-            args.demo = true;
-        } else if (arg == "--cache-dir" && i + 1 < argc) {
-            args.cacheDir = argv[++i];
+        if (arg == "--cache-dir" && i + 1 < argc) {
+            cache_dir = argv[++i];
         } else if (arg == "--no-store") {
-            args.noStore = true;
-        } else if (arg == "--threads" && i + 1 < argc) {
-            args.threads = parsePositive(argv[++i]);
-            if (args.threads == 0)
-                return usage(argv[0]);
-        } else if (arg == "--replicas" && i + 1 < argc) {
-            args.replicas = parsePositive(argv[++i]);
-            if (args.replicas == 0)
-                return usage(argv[0]);
-        } else if (arg == "--queue-cap" && i + 1 < argc) {
-            args.queueCap = parsePositive(argv[++i]);
-            if (args.queueCap == 0)
-                return usage(argv[0]);
-        } else if (arg == "--edf") {
-            args.edf = true;
-        } else if (arg == "--metrics" && i + 1 < argc) {
-            args.metricsPath = argv[++i];
-        } else if (arg == "--trace" && i + 1 < argc) {
-            args.tracePath = argv[++i];
-        } else if (arg == "--inject-faults" && i + 1 < argc) {
-            args.faultSpec = argv[++i];
-        } else if (arg == "--fallback") {
-            args.fallback = true;
+            no_store = true;
         } else if (arg == "--simd" && i + 1 < argc) {
             const auto selection =
                 mat::kernels::selectTierFromSpec(argv[++i]);
@@ -525,10 +206,12 @@ main(int argc, char **argv)
                              argv[i]);
                 return usage(argv[0]);
             }
-            args.precision = parsed;
+            options.precision = parsed;
         } else {
             return usage(argv[0]);
         }
     }
-    return args.demo ? runDemo(args, argv[0]) : runProtocol(args);
+    if (!no_store)
+        options.storeDir = cache_dir;
+    return serve(std::move(options));
 }

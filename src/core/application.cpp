@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "fg/optimizer.hpp"
-#include "compiler/optimize.hpp"
 #include "fg/ordering.hpp"
 #include "runtime/engine.hpp"
 
@@ -72,11 +71,11 @@ Application::compile(comp::Precision precision)
             optimize.run(algo.program, pass_options);
         algo.passStats.insert(algo.passStats.end(),
                               opt_stats.begin(), opt_stats.end());
-        // The VANILLA-HLS baseline stays on the historical cleanup
-        // pair too: it models a dense flow without ORIANNA's
-        // optimizing pipeline.
-        algo.denseProgram = comp::optimizeProgram(
-            comp::compileDenseGraph(algo.graph, algo.values, options));
+        // The VANILLA-HLS baseline stays on the cleanup pair too: it
+        // models a dense flow without ORIANNA's optimizing pipeline.
+        algo.denseProgram =
+            comp::compileDenseGraph(algo.graph, algo.values, options);
+        cleanup.run(algo.denseProgram);
     }
     compiled_ = true;
 }

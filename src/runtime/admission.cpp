@@ -31,8 +31,7 @@ AdmissionController::~AdmissionController()
 
 AdmissionController::Outcome
 AdmissionController::submit(unsigned worker,
-                            std::function<void()> task,
-                            std::uint64_t deadlineUs)
+                            std::function<void()> task)
 {
     Lane &lane = *lanes_.at(worker);
     Outcome outcome;
@@ -66,22 +65,18 @@ AdmissionController::submit(unsigned worker,
             .max(static_cast<std::int64_t>(depth));
     }
 
-    pool_.submitPinned(
-        worker,
-        [this, &lane, fn = std::move(task)] {
-            // The queue slot frees when the task *starts*: depth
-            // counts waiting work, which is what the shedding bound
-            // is about.
-            lane.depth.fetch_sub(1, std::memory_order_relaxed);
-            std::exception_ptr error;
-            try {
-                fn();
-            } catch (...) {
-                error = std::current_exception();
-            }
-            finishOne(std::move(error));
-        },
-        deadlineUs);
+    pool_.submitPinned(worker, [this, &lane, fn = std::move(task)] {
+        // The queue slot frees when the task *starts*: depth counts
+        // waiting work, which is what the shedding bound is about.
+        lane.depth.fetch_sub(1, std::memory_order_relaxed);
+        std::exception_ptr error;
+        try {
+            fn();
+        } catch (...) {
+            error = std::current_exception();
+        }
+        finishOne(std::move(error));
+    });
 
     outcome.status = Status::Admitted;
     outcome.depth = depth;

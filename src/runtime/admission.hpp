@@ -30,10 +30,9 @@ struct AdmissionOptions
  * Admission control / backpressure in front of a ServerPool's pinned
  * lanes: the overload valve of the serving stack (DESIGN.md §5).
  *
- * Callers route work to a worker (typically the EngineGroup replica
- * owner chosen by fingerprint affinity) through submit(), which
- * either admits the task into that worker's bounded lane or rejects
- * it outright. Overload therefore degrades into explicit, cheap
+ * Callers route work to a worker through submit(), which either
+ * admits the task into that worker's bounded FIFO lane or rejects it
+ * outright. Overload therefore degrades into explicit, cheap
  * rejections the client can retry elsewhere — never into an
  * ever-deeper queue — and an admitted task's queueing delay is
  * bounded by queueCapacity predecessors.
@@ -86,13 +85,12 @@ class AdmissionController
 
     /**
      * Admit @p task into @p worker's lane or reject it. On admission
-     * the task is pinned to that worker (never stolen) with the given
-     * EDF deadline; on rejection the task is dropped untouched — it
-     * never runs, so whatever state it would have mutated stays
-     * exactly as it was.
+     * the task is pinned to that worker (never stolen) behind the
+     * lane's earlier tasks; on rejection the task is dropped
+     * untouched — it never runs, so whatever state it would have
+     * mutated stays exactly as it was.
      */
-    Outcome submit(unsigned worker, std::function<void()> task,
-                   std::uint64_t deadlineUs = ServerPool::kNoDeadline);
+    Outcome submit(unsigned worker, std::function<void()> task);
 
     /**
      * Block until every admitted task has completed, then rethrow the

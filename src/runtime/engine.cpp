@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "compiler/optimize.hpp"
 #include "fg/factor.hpp"
 #include "fg/ordering.hpp"
 #include "matrix/simd.hpp"

@@ -173,8 +173,6 @@ struct EngineOptions
 
 class ProgramStore;
 
-class EngineGroup;
-
 class Engine
 {
   public:
@@ -238,9 +236,9 @@ class Engine
      * (DESIGN.md §13): the suffix re-elimination + back-substitution
      * of one affected-clique shape, with every numeric payload
      * streamed per frame. Keyed by updateFingerprint(spec) with the
-     * same precision salting as program(), so the in-memory cache,
-     * the ProgramStore and replica caches all amortize update
-     * compiles across frames and across restarts. @p probe must bind
+     * same precision salting as program(), so the in-memory cache
+     * and the ProgramStore both amortize update compiles across
+     * frames and across restarts. @p probe must bind
      * every input key of comp::updateLayout(spec) (any frame's
      * streamed values do); it seeds the per-pass equivalence
      * verifier when that is armed.
@@ -362,9 +360,6 @@ class Engine
     std::vector<CompileRecord> compileLog() const;
 
   private:
-    /** Builds SessionOptions from the engine's private state. */
-    friend class EngineGroup;
-
     /**
      * Cache entries hold a future so racing requesters of one
      * fingerprint share a single in-flight compile.

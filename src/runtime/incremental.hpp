@@ -54,10 +54,10 @@ struct AcceleratedSmootherStats
  * compiled update programs through the Engine. The smoother owns the
  * bookkeeping and the schedule; this class translates each
  * SuffixSchedule into a shape-only comp::UpdateSpec, compiles it at
- * most once per shape (the Engine's cache, ProgramStore and replica
- * caches all key on comp::updateFingerprint), streams the frame's
- * numbers through LOADV bindings, and unpacks the device results
- * back into the smoother's SuffixSolution.
+ * most once per shape (the Engine's cache and ProgramStore both key
+ * on comp::updateFingerprint), streams the frame's numbers through
+ * LOADV bindings, and unpacks the device results back into the
+ * smoother's SuffixSolution.
  *
  * Rungs: relinearize-all frames (schedule.start == 0) run on the
  * cleanup-only fp64 batch reference program; incremental frames run

@@ -234,12 +234,6 @@ MetricsRegistry::toJson() const
         if (auto it = counters_.find("engine.cache_hits");
             it != counters_.end())
             hits = it->second->value();
-        // Replica-local serves (EngineGroup) are cache hits of the
-        // serving stack even though they never touch the shared
-        // engine's counters.
-        if (auto it = counters_.find("engine_group.local_hits");
-            it != counters_.end())
-            hits += it->second->value();
         if (auto it = counters_.find("engine.compiles");
             it != counters_.end())
             compiles = it->second->value();

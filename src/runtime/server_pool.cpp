@@ -39,9 +39,8 @@ struct ServerPool::Batch
     }
 };
 
-ServerPool::ServerPool(const PoolOptions &options) : edf_(options.edf)
+ServerPool::ServerPool(unsigned threads)
 {
-    unsigned threads = options.threads;
     if (threads == 0)
         threads = std::max(1u, std::thread::hardware_concurrency());
     workers_.reserve(threads);
@@ -69,32 +68,6 @@ ServerPool::currentWorker()
     return tls_worker;
 }
 
-namespace {
-
-/**
- * Index of the EDF pick in @p queue: smallest deadline, ties broken
- * by submission order. Linear scan — tasks are coarse (whole frames
- * or sessions), queues are short, and the per-worker mutex is
- * already held.
- */
-template <class Deque>
-std::size_t
-edfIndex(const Deque &queue)
-{
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < queue.size(); ++i) {
-        const auto &candidate = queue[i];
-        const auto &leader = queue[best];
-        if (candidate.deadlineUs < leader.deadlineUs ||
-            (candidate.deadlineUs == leader.deadlineUs &&
-             candidate.seq < leader.seq))
-            best = i;
-    }
-    return best;
-}
-
-} // namespace
-
 bool
 ServerPool::popPinned(unsigned self, Task &task)
 {
@@ -102,15 +75,8 @@ ServerPool::popPinned(unsigned self, Task &task)
     std::lock_guard lock(worker.mutex);
     if (worker.pinned.empty())
         return false;
-    if (edf_) {
-        const std::size_t pick = edfIndex(worker.pinned);
-        task = std::move(worker.pinned[pick]);
-        worker.pinned.erase(worker.pinned.begin() +
-                            static_cast<std::ptrdiff_t>(pick));
-    } else {
-        task = std::move(worker.pinned.front());
-        worker.pinned.pop_front();
-    }
+    task = std::move(worker.pinned.front());
+    worker.pinned.pop_front();
     ++worker.executed;
     if (MetricsRegistry::enabled()) {
         auto &metrics = MetricsRegistry::global();
@@ -127,15 +93,8 @@ ServerPool::popLocal(unsigned self, Task &task)
     std::lock_guard lock(worker.mutex);
     if (worker.queue.empty())
         return false;
-    if (edf_) {
-        const std::size_t pick = edfIndex(worker.queue);
-        task = std::move(worker.queue[pick]);
-        worker.queue.erase(worker.queue.begin() +
-                           static_cast<std::ptrdiff_t>(pick));
-    } else {
-        task = std::move(worker.queue.back());
-        worker.queue.pop_back();
-    }
+    task = std::move(worker.queue.back());
+    worker.queue.pop_back();
     ++worker.executed;
     if (MetricsRegistry::enabled())
         MetricsRegistry::global().counter("pool.tasks").add();
@@ -172,19 +131,11 @@ ServerPool::steal(unsigned self, Task &task)
             std::lock_guard lock(victim.mutex);
             if (victim.queue.empty())
                 continue;
-            if (edf_) {
-                const std::size_t pick = edfIndex(victim.queue);
-                task = std::move(victim.queue[pick]);
-                victim.queue.erase(
-                    victim.queue.begin() +
-                    static_cast<std::ptrdiff_t>(pick));
-            } else {
-                // Steal the oldest task: it is the farthest from the
-                // victim's working set and the largest remaining
-                // chunk of the batch.
-                task = std::move(victim.queue.front());
-                victim.queue.pop_front();
-            }
+            // Steal the oldest task: it is the farthest from the
+            // victim's working set and the largest remaining chunk of
+            // the batch.
+            task = std::move(victim.queue.front());
+            victim.queue.pop_front();
         }
         // Book the theft under the thief's own mutex — the victim's
         // lock guards the victim's counters, not ours.
@@ -249,9 +200,9 @@ ServerPool::workerLoop(unsigned self)
     tls_pool = this;
     Task task;
     while (true) {
-        // Pinned (affinity) work first: it is latency-sensitive
-        // client traffic routed specifically to this worker, and
-        // nobody else can run it.
+        // Pinned work first: it is latency-sensitive client traffic
+        // routed specifically to this worker, and nobody else can
+        // run it.
         if (popPinned(self, task) || popLocal(self, task) ||
             steal(self, task)) {
             task.fn();
@@ -283,14 +234,6 @@ void
 ServerPool::parallelFor(std::size_t count,
                         const std::function<void(std::size_t)> &body)
 {
-    parallelFor(count, body, kNoDeadline);
-}
-
-void
-ServerPool::parallelFor(std::size_t count,
-                        const std::function<void(std::size_t)> &body,
-                        std::uint64_t deadlineUs)
-{
     if (count == 0)
         return;
     Batch batch(count);
@@ -314,8 +257,6 @@ ServerPool::parallelFor(std::size_t count,
             batch.finishOne(std::move(error));
         };
         task.batch = &batch;
-        task.deadlineUs = deadlineUs;
-        task.seq = seq_.fetch_add(1, std::memory_order_relaxed);
         std::lock_guard lock(worker.mutex);
         worker.queue.push_back(std::move(task));
         deepest = std::max(deepest, worker.queue.size());
@@ -381,14 +322,10 @@ ServerPool::parallelFor(std::size_t count,
 }
 
 void
-ServerPool::submitPinned(unsigned worker, std::function<void()> task,
-                         std::uint64_t deadlineUs)
+ServerPool::submitPinned(unsigned worker, std::function<void()> task)
 {
     Task pinned;
     pinned.fn = std::move(task);
-    pinned.batch = nullptr;
-    pinned.deadlineUs = deadlineUs;
-    pinned.seq = seq_.fetch_add(1, std::memory_order_relaxed);
     {
         Worker &lane = *workers_.at(worker);
         std::lock_guard lock(lane.mutex);

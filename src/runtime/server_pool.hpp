@@ -1,32 +1,15 @@
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace orianna::runtime {
-
-/** Construction-time knobs of a ServerPool. */
-struct PoolOptions
-{
-    /** Worker threads; 0 picks hardware_concurrency (at least 1). */
-    unsigned threads = 0;
-
-    /**
-     * Earliest-deadline-first task ordering (opt-in). Off, the pool
-     * keeps its historical discipline — LIFO local pop, FIFO steal,
-     * FIFO pinned lanes — so existing schedules and digests are
-     * untouched. On, every dequeue (local, steal, pinned) picks the
-     * queued task with the smallest deadline, ties broken by
-     * submission order; tasks without a deadline sort last.
-     */
-    bool edf = false;
-};
 
 /**
  * Work-stealing thread pool for the serving runtime: drives many
@@ -40,12 +23,10 @@ struct PoolOptions
  * whole frames, sessions or candidate simulations, microseconds to
  * milliseconds each, so queue operations are not the bottleneck).
  *
- * Besides the batch deque every worker owns a *pinned* lane
- * (submitPinned): tasks routed to a specific worker — the affinity
- * traffic of the EngineGroup serving path — which are never stolen,
- * so worker-local state (engine replicas, warm contexts) stays
- * single-owner without locks. A worker drains its pinned lane before
- * touching batch work.
+ * Besides the batch deque every worker owns a FIFO *pinned* lane
+ * (submitPinned): tasks routed to a specific worker — the admitted
+ * client sessions of AdmissionController — which are never stolen.
+ * A worker drains its pinned lane before touching batch work.
  *
  * Worker identity is exposed through currentWorker() so callers can
  * keep per-worker state — warm ExecutionContexts above all — without
@@ -63,19 +44,11 @@ struct PoolOptions
 class ServerPool
 {
   public:
-    /** Deadline value meaning "no deadline" (sorts last under EDF). */
-    static constexpr std::uint64_t kNoDeadline = ~std::uint64_t{0};
-
     /**
      * Start @p threads workers; 0 picks
      * std::thread::hardware_concurrency() (at least 1).
      */
-    explicit ServerPool(unsigned threads = 0)
-        : ServerPool(PoolOptions{threads, false})
-    {
-    }
-
-    explicit ServerPool(const PoolOptions &options);
+    explicit ServerPool(unsigned threads = 0);
 
     ~ServerPool();
 
@@ -87,9 +60,6 @@ class ServerPool
     {
         return static_cast<unsigned>(workers_.size());
     }
-
-    /** True when earliest-deadline-first ordering is on. */
-    bool edf() const { return edf_; }
 
     /**
      * Worker id of the calling thread: 0..threads()-1 on a pool
@@ -117,26 +87,14 @@ class ServerPool
                      const std::function<void(std::size_t)> &body);
 
     /**
-     * parallelFor with a batch deadline (absolute, on the
-     * MetricsRegistry::nowUs timebase). Under an EDF pool the batch's
-     * tasks are ordered against other queued work by this deadline;
-     * on a FIFO pool the deadline is recorded but ignored.
+     * Enqueue one task at the back of @p worker's pinned lane. Pinned
+     * tasks are never stolen, run in submission order, and are
+     * drained before the worker's batch deque. Returns immediately;
+     * completion tracking (and exception containment — a pinned task
+     * has no batch waiter to rethrow into, so it must not throw) is
+     * the caller's job: AdmissionController wraps both.
      */
-    void parallelFor(std::size_t count,
-                     const std::function<void(std::size_t)> &body,
-                     std::uint64_t deadlineUs);
-
-    /**
-     * Enqueue one task pinned to @p worker's lane. Pinned tasks are
-     * never stolen and are drained before the worker's batch deque,
-     * which is what gives EngineGroup replicas their single-owner
-     * guarantee. Returns immediately; completion tracking (and
-     * exception containment — a pinned task has no batch waiter to
-     * rethrow into, so it must not throw) is the caller's job:
-     * AdmissionController wraps both.
-     */
-    void submitPinned(unsigned worker, std::function<void()> task,
-                      std::uint64_t deadlineUs = kNoDeadline);
+    void submitPinned(unsigned worker, std::function<void()> task);
 
     /**
      * Tasks executed per worker since construction (the per-thread
@@ -156,13 +114,11 @@ class ServerPool
   private:
     struct Batch;
 
-    /** One queued unit of work plus its scheduling keys. */
+    /** One queued unit of work. */
     struct Task
     {
         std::function<void()> fn;
         const Batch *batch = nullptr; //!< Owning batch (null: pinned).
-        std::uint64_t deadlineUs = kNoDeadline; //!< EDF key.
-        std::uint64_t seq = 0; //!< Submission order, EDF tiebreak.
     };
 
     /**
@@ -176,7 +132,7 @@ class ServerPool
     {
         mutable std::mutex mutex;
         std::deque<Task> queue;  //!< Batch tasks: stealable.
-        std::deque<Task> pinned; //!< Affinity tasks: never stolen.
+        std::deque<Task> pinned; //!< Admitted tasks: never stolen.
         std::uint64_t executed = 0; //!< Guarded by mutex.
         std::uint64_t stolen = 0;   //!< Guarded by mutex.
     };
@@ -192,8 +148,6 @@ class ServerPool
 
     std::vector<std::unique_ptr<Worker>> workers_;
     std::vector<std::thread> threads_;
-    bool edf_ = false;
-    std::atomic<std::uint64_t> seq_{0};
 
     std::mutex wakeMutex_;
     std::condition_variable wake_;

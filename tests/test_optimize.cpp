@@ -1,12 +1,13 @@
-// Tests for the post-codegen optimization passes: constant
-// deduplication and dead-code elimination.
+// Tests for the post-codegen cleanup passes: constant deduplication
+// and dead-code elimination, run as the "dedup,dce" PassManager
+// pipeline core::Application compiles with.
 
 #include <gtest/gtest.h>
 
 #include "compiler/codegen.hpp"
 #include "compiler/executor.hpp"
-#include "compiler/optimize.hpp"
 #include "compiler/pass.hpp"
+#include "compiler/pass_manager.hpp"
 #include "fg/factors.hpp"
 #include "test_fg_common.hpp"
 
@@ -21,6 +22,26 @@ using fg::FactorGraph;
 using fg::Values;
 using lie::Pose;
 using mat::Vector;
+
+/** Index of each pass's PassStats in a cleanup() run. */
+constexpr std::size_t kDedup = 0;
+constexpr std::size_t kDce = 1;
+
+/**
+ * Run the cleanup pipeline ("dedup,dce") over a copy of @p program;
+ * @p stats, when given, receives one PassStats per pass.
+ */
+Program
+cleanup(const Program &program,
+        std::vector<comp::PassStats> *stats = nullptr)
+{
+    Program out = program;
+    std::vector<comp::PassStats> ran =
+        comp::PassManager::parse("dedup,dce").run(out);
+    if (stats != nullptr)
+        *stats = std::move(ran);
+    return out;
+}
 
 /** A chain graph with plenty of repeated constants (identity seeds). */
 FactorGraph
@@ -49,14 +70,14 @@ TEST(Optimize, MergesConstantsAndShrinksProgram)
     FactorGraph graph = chainGraph(6, values, rng);
     const Program original = comp::compileGraph(graph, values);
 
-    comp::OptimizeStats stats;
-    const Program optimized = comp::optimizeProgram(original, &stats);
+    std::vector<comp::PassStats> stats;
+    const Program optimized = cleanup(original, &stats);
 
-    EXPECT_EQ(stats.before, original.instructions.size());
-    EXPECT_EQ(stats.after, optimized.instructions.size());
-    EXPECT_LT(stats.after, stats.before);
+    EXPECT_EQ(stats[kDedup].before, original.instructions.size());
+    EXPECT_EQ(stats[kDce].after, optimized.instructions.size());
+    EXPECT_LT(stats[kDce].after, stats[kDedup].before);
     // Between factors share identity-seed constants across factors.
-    EXPECT_GT(stats.mergedConstants, 3u);
+    EXPECT_GT(stats[kDedup].rewrites, 3u);
     EXPECT_LE(optimized.valueSlots, original.valueSlots);
 
     // Dependences stay well formed.
@@ -71,7 +92,7 @@ TEST(Optimize, PreservesSemantics)
     Values values;
     FactorGraph graph = chainGraph(7, values, rng);
     const Program original = comp::compileGraph(graph, values);
-    const Program optimized = comp::optimizeProgram(original);
+    const Program optimized = cleanup(original);
 
     comp::Executor exec_a(original);
     comp::Executor exec_b(optimized);
@@ -122,9 +143,9 @@ TEST(Optimize, RemovesUnreachableWork)
     program.instructions.push_back(store);
     program.deltas.push_back({7, 2});
 
-    comp::OptimizeStats stats;
-    const Program optimized = comp::optimizeProgram(program, &stats);
-    EXPECT_EQ(stats.removedDead, 1u);
+    std::vector<comp::PassStats> stats;
+    const Program optimized = cleanup(program, &stats);
+    EXPECT_EQ(stats[kDce].rewrites, 1u);
     EXPECT_EQ(optimized.instructions.size(), 3u);
 
     fg::Values values;
@@ -139,14 +160,14 @@ TEST(Optimize, EmptyProgramIsANoOp)
     Program program;
     program.name = "empty";
 
-    comp::OptimizeStats stats;
-    const Program optimized = comp::optimizeProgram(program, &stats);
+    std::vector<comp::PassStats> stats;
+    const Program optimized = cleanup(program, &stats);
     EXPECT_EQ(optimized.instructions.size(), 0u);
     EXPECT_EQ(optimized.valueSlots, 0u);
-    EXPECT_EQ(stats.before, 0u);
-    EXPECT_EQ(stats.after, 0u);
-    EXPECT_EQ(stats.mergedConstants, 0u);
-    EXPECT_EQ(stats.removedDead, 0u);
+    EXPECT_EQ(stats[kDedup].before, 0u);
+    EXPECT_EQ(stats[kDce].after, 0u);
+    EXPECT_EQ(stats[kDedup].rewrites, 0u);
+    EXPECT_EQ(stats[kDce].rewrites, 0u);
 }
 
 TEST(Optimize, ProgramWithoutStoresIsEntirelyDead)
@@ -174,11 +195,11 @@ TEST(Optimize, ProgramWithoutStoresIsEntirelyDead)
     neg.cols = 1;
     program.instructions.push_back(neg);
 
-    comp::OptimizeStats stats;
-    const Program optimized = comp::optimizeProgram(program, &stats);
+    std::vector<comp::PassStats> stats;
+    const Program optimized = cleanup(program, &stats);
     EXPECT_EQ(optimized.instructions.size(), 0u);
     EXPECT_EQ(optimized.valueSlots, 0u);
-    EXPECT_EQ(stats.removedDead, 2u);
+    EXPECT_EQ(stats[kDce].rewrites, 2u);
 }
 
 TEST(Optimize, MergesLoadsThatDifferOnlyInSlot)
@@ -216,9 +237,9 @@ TEST(Optimize, MergesLoadsThatDifferOnlyInSlot)
     program.instructions.push_back(store);
     program.deltas.push_back({3, 2});
 
-    comp::OptimizeStats stats;
-    const Program optimized = comp::optimizeProgram(program, &stats);
-    EXPECT_EQ(stats.mergedConstants, 1u);
+    std::vector<comp::PassStats> stats;
+    const Program optimized = cleanup(program, &stats);
+    EXPECT_EQ(stats[kDedup].rewrites, 1u);
     EXPECT_EQ(optimized.instructions.size(), 3u);
 
     fg::Values values;
@@ -264,7 +285,7 @@ TEST(Optimize, AcceleratesOnTheSimulatedHardware)
     Values values;
     FactorGraph graph = chainGraph(8, values, rng);
     const Program original = comp::compileGraph(graph, values);
-    const Program optimized = comp::optimizeProgram(original);
+    const Program optimized = cleanup(original);
 
     // (Include hw only through the executor-equivalent check here;
     // the cycle comparison lives in the ablation bench.)

@@ -1,26 +1,22 @@
-// The sharded serving stack (DESIGN.md §5): EngineGroup replica
-// caches with fingerprint-affinity routing, AdmissionController
-// bounded lanes, and the ServerPool's pinned/EDF disciplines.
+// The serving stack (DESIGN.md §5): AdmissionController bounded FIFO
+// lanes in front of one shared Engine, and the ServerPool's pinned
+// lanes and help-while-wait discipline.
 //
 // The invariants under test are the serving-layer contract:
-//   - routing is a pure function of the fingerprint (deterministic);
-//   - replica-served sessions are bit-identical to shared-Engine
-//     sessions on all four benchmark applications;
-//   - racing replicas dedup through the group's single-flight table
-//     (one compile, N-1 shared hits, then lock-free local hits);
+//   - admitted sessions on one shared Engine are bit-identical to
+//     sequentially served ones;
 //   - admission rejection under saturation is typed and leaves the
 //     rejected client's state untouched;
-//   - EDF ordering drains pinned lanes by deadline but never changes
-//     what sessions compute (digest-stable vs FIFO);
+//   - a pinned lane drains in submission order;
 //   - a worker waiting in parallelFor drains its own batch before
 //     unrelated work, so nested-batch latency is bounded.
 
 #include <atomic>
 #include <chrono>
-#include <cstdint>
 #include <cstring>
 #include <future>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -29,8 +25,6 @@
 #include "apps/benchmark_apps.hpp"
 #include "runtime/admission.hpp"
 #include "runtime/engine.hpp"
-#include "runtime/engine_group.hpp"
-#include "runtime/metrics.hpp"
 #include "runtime/server_pool.hpp"
 
 namespace {
@@ -78,119 +72,6 @@ bitIdentical(const fg::Values &a, const fg::Values &b)
         }
     }
     return true;
-}
-
-TEST(EngineGroupTest, AffinityRoutingIsDeterministic)
-{
-    apps::BenchmarkApp bench =
-        apps::buildApp(apps::AppKind::MobileRobot, 7);
-    const core::Algorithm &loc = bench.app.algorithm(0);
-    const std::uint64_t fingerprint =
-        runtime::graphFingerprint(loc.graph, loc.values);
-
-    runtime::EngineGroup group(hw::AcceleratorConfig::minimal(true),
-                               /*replicas=*/5);
-    EXPECT_EQ(group.replicaOf(fingerprint), fingerprint % 5u);
-    EXPECT_EQ(group.route(loc.graph, loc.values),
-              group.replicaOf(fingerprint));
-    // Routing must survive the graph being rebuilt: an identical
-    // mission (same seed, same measurements) lands on the same
-    // replica forever.
-    apps::BenchmarkApp again =
-        apps::buildApp(apps::AppKind::MobileRobot, 7);
-    const core::Algorithm &loc2 = again.app.algorithm(0);
-    EXPECT_EQ(runtime::graphFingerprint(loc2.graph, loc2.values),
-              fingerprint);
-    EXPECT_EQ(group.route(loc2.graph, loc2.values),
-              group.replicaOf(fingerprint));
-    // A different mission may route elsewhere, but equally stably.
-    apps::BenchmarkApp other =
-        apps::buildApp(apps::AppKind::MobileRobot, 8);
-    const core::Algorithm &loc3 = other.app.algorithm(0);
-    EXPECT_EQ(group.route(loc3.graph, loc3.values),
-              group.route(loc3.graph, loc3.values));
-}
-
-TEST(EngineGroupTest, ReplicaSessionsMatchSharedEngineOnAllApps)
-{
-    constexpr std::size_t kSteps = 3;
-    for (const apps::AppKind kind :
-         {apps::AppKind::MobileRobot, apps::AppKind::Manipulator,
-          apps::AppKind::AutoVehicle, apps::AppKind::Quadrotor}) {
-        apps::BenchmarkApp bench = apps::buildApp(kind, 3);
-        for (std::size_t a = 0; a < bench.app.size(); ++a) {
-            const core::Algorithm &alg = bench.app.algorithm(a);
-
-            runtime::Engine engine(
-                hw::AcceleratorConfig::minimal(true));
-            runtime::Session shared =
-                engine.session(alg.graph, alg.values);
-            shared.iterate(kSteps);
-
-            runtime::EngineGroup group(
-                hw::AcceleratorConfig::minimal(true), /*replicas=*/3);
-            const unsigned replica =
-                group.route(alg.graph, alg.values);
-            runtime::Session replicated =
-                group.session(replica, alg.graph, alg.values);
-            replicated.iterate(kSteps);
-
-            EXPECT_TRUE(
-                bitIdentical(shared.values(), replicated.values()))
-                << "app " << static_cast<int>(kind) << " algorithm "
-                << a;
-        }
-    }
-}
-
-TEST(EngineGroupTest, SingleFlightDedupAcrossReplicas)
-{
-    apps::BenchmarkApp bench =
-        apps::buildApp(apps::AppKind::MobileRobot, 11);
-    const core::Algorithm &loc = bench.app.algorithm(0);
-
-    constexpr unsigned kReplicas = 4;
-    runtime::ServerPool pool(kReplicas);
-    // Pinned fp64: exact compile counts — an fp32 group would also
-    // compile each session's reference fallback.
-    runtime::EngineOptions fp64;
-    fp64.precision = comp::Precision::Fp64;
-    runtime::EngineGroup group(hw::AcceleratorConfig::minimal(true),
-                               fp64, kReplicas);
-    runtime::AdmissionController admission(pool, {});
-
-    // Every replica opens the same graph at once: the group's shared
-    // single-flight table must compile exactly once, the losers take
-    // shared hits, and nothing is cached locally yet anywhere else.
-    for (unsigned r = 0; r < kReplicas; ++r)
-        admission.submit(r, [&group, &loc, r] {
-            runtime::Session session =
-                group.session(r, loc.graph, loc.values);
-            session.step();
-        });
-    admission.drain();
-
-    runtime::EngineGroup::Stats stats = group.stats();
-    EXPECT_EQ(stats.compiles, 1u);
-    EXPECT_EQ(stats.sharedHits, kReplicas - 1);
-    EXPECT_EQ(stats.localHits, 0u);
-
-    // Steady state: reopening on each replica is a lock-free local
-    // hit — the shared engine is never consulted again.
-    for (unsigned r = 0; r < kReplicas; ++r)
-        admission.submit(r, [&group, &loc, r] {
-            runtime::Session session =
-                group.session(r, loc.graph, loc.values);
-            session.step();
-        });
-    admission.drain();
-
-    stats = group.stats();
-    EXPECT_EQ(stats.compiles, 1u);
-    EXPECT_EQ(stats.sharedHits, kReplicas - 1);
-    EXPECT_EQ(stats.localHits, kReplicas);
-    for (unsigned r = 0; r < kReplicas; ++r)
-        EXPECT_EQ(group.cachedPrograms(r), 1u) << "replica " << r;
 }
 
 TEST(AdmissionTest, RejectsWhenSaturatedAndLeavesValuesUntouched)
@@ -270,84 +151,46 @@ TEST(AdmissionTest, DrainRethrowsTheFirstTaskError)
     EXPECT_TRUE(ran.load());
 }
 
-TEST(ServerPoolEdfTest, PinnedLaneDrainsByDeadline)
+TEST(ServerPoolPinnedTest, LaneDrainsInSubmissionOrder)
 {
-    const auto runOrder = [](bool edf) {
-        runtime::PoolOptions options;
-        options.threads = 1;
-        options.edf = edf;
-        runtime::ServerPool pool(options);
+    runtime::ServerPool pool(1);
 
-        // Hold the worker so the lane fills before anything drains;
-        // the blocker's deadline 0 keeps it first under EDF too.
-        std::promise<void> started;
-        std::promise<void> release;
-        std::shared_future<void> gate = release.get_future().share();
-        pool.submitPinned(
-            0,
-            [&started, gate] {
-                started.set_value();
-                gate.wait();
-            },
-            /*deadlineUs=*/0);
-        started.get_future().wait();
+    // Hold the worker so the lane fills before anything drains.
+    std::promise<void> started;
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    pool.submitPinned(0, [&started, gate] {
+        started.set_value();
+        gate.wait();
+    });
+    started.get_future().wait();
 
-        std::vector<int> order;
-        std::mutex order_mutex;
-        const std::uint64_t deadlines[] = {50, 10, 30, 10};
-        std::promise<void> done;
-        for (int id = 0; id < 4; ++id)
-            pool.submitPinned(
-                0,
-                [id, &order, &order_mutex, &done] {
-                    std::lock_guard lock(order_mutex);
-                    order.push_back(id);
-                    if (order.size() == 4)
-                        done.set_value();
-                },
-                deadlines[id]);
-        release.set_value();
-        done.get_future().wait();
-        return order;
-    };
+    std::vector<int> order;
+    std::mutex order_mutex;
+    std::promise<void> done;
+    for (int id = 0; id < 4; ++id)
+        pool.submitPinned(0, [id, &order, &order_mutex, &done] {
+            std::lock_guard lock(order_mutex);
+            order.push_back(id);
+            if (order.size() == 4)
+                done.set_value();
+        });
+    release.set_value();
+    done.get_future().wait();
 
-    // EDF: smallest deadline first, FIFO among equals (ids 1 and 3
-    // share deadline 10; submission order breaks the tie).
-    EXPECT_EQ(runOrder(true), (std::vector<int>{1, 3, 2, 0}));
-    // FIFO default: strict submission order, deadlines ignored.
-    EXPECT_EQ(runOrder(false), (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST(ServerPoolEdfTest, EdfAndFifoServeIdenticalValues)
+TEST(AdmissionTest, AdmittedSessionsMatchSequentialValues)
 {
-    // Scheduling policy may reorder *when* sessions run, never what
-    // they compute: both disciplines must reproduce the sequential
-    // digests bit for bit.
+    // The serving path — sessions admitted into pinned FIFO lanes and
+    // opened on one shared Engine — may change *when* sessions run,
+    // never what they compute: every served session must reproduce
+    // the sequential values bit for bit.
     std::vector<apps::BenchmarkApp> missions;
     for (unsigned seed = 1; seed <= 3; ++seed)
         missions.push_back(
             apps::buildApp(apps::AppKind::MobileRobot, seed));
-
-    const auto serveAll = [&missions](bool edf) {
-        runtime::PoolOptions options;
-        options.threads = 2;
-        options.edf = edf;
-        runtime::ServerPool pool(options);
-        runtime::Engine engine(hw::AcceleratorConfig::minimal(true));
-        std::vector<fg::Values> finals(missions.size());
-        pool.parallelFor(
-            missions.size(),
-            [&](std::size_t i) {
-                const core::Algorithm &alg =
-                    missions[i].app.algorithm(0);
-                runtime::Session session =
-                    engine.session(alg.graph, alg.values);
-                session.iterate(3);
-                finals[i] = session.values();
-            },
-            /*deadlineUs=*/runtime::MetricsRegistry::nowUs() + 1000);
-        return finals;
-    };
 
     std::vector<fg::Values> sequential;
     {
@@ -361,14 +204,26 @@ TEST(ServerPoolEdfTest, EdfAndFifoServeIdenticalValues)
         }
     }
 
-    const std::vector<fg::Values> fifo = serveAll(false);
-    const std::vector<fg::Values> edf = serveAll(true);
-    ASSERT_EQ(fifo.size(), sequential.size());
-    ASSERT_EQ(edf.size(), sequential.size());
-    for (std::size_t i = 0; i < sequential.size(); ++i) {
-        EXPECT_TRUE(bitIdentical(fifo[i], sequential[i])) << i;
-        EXPECT_TRUE(bitIdentical(edf[i], sequential[i])) << i;
+    runtime::ServerPool pool(2);
+    runtime::Engine engine(hw::AcceleratorConfig::minimal(true));
+    runtime::AdmissionController admission(pool, {});
+    std::vector<fg::Values> served(missions.size());
+    for (std::size_t i = 0; i < missions.size(); ++i) {
+        const auto outcome = admission.submit(
+            static_cast<unsigned>(i % pool.threads()), [&, i] {
+                const core::Algorithm &alg =
+                    missions[i].app.algorithm(0);
+                runtime::Session session =
+                    engine.session(alg.graph, alg.values);
+                session.iterate(3);
+                served[i] = session.values();
+            });
+        EXPECT_TRUE(outcome.admitted()) << i;
     }
+    admission.drain();
+
+    for (std::size_t i = 0; i < sequential.size(); ++i)
+        EXPECT_TRUE(bitIdentical(served[i], sequential[i])) << i;
 }
 
 TEST(ServerPoolHelpTest, WaiterPrefersItsOwnBatchOverUnrelatedWork)
@@ -413,11 +268,11 @@ TEST(ServerPoolHelpTest, WaiterPrefersItsOwnBatchOverUnrelatedWork)
 
 TEST(ServerPoolHelpTest, PinnedTasksNeverGateBatchCompletion)
 {
-    // A pinned (affinity) task is long-running client work; a worker
-    // helping its nested batch to completion must skip it. The outer
-    // task queues a 50 ms pinned task on its own lane, then waits on
-    // a trivial nested batch: if helping picked the pinned task up,
-    // the nested wait would include those 50 ms.
+    // A pinned task is long-running client work; a worker helping
+    // its nested batch to completion must skip it. The outer task
+    // queues a 50 ms pinned task on its own lane, then waits on a
+    // trivial nested batch: if helping picked the pinned task up, the
+    // nested wait would include those 50 ms.
     runtime::ServerPool pool(1);
     std::atomic<bool> pinned_ran{false};
     std::atomic<double> nested_ms{-1.0};
@@ -440,11 +295,8 @@ TEST(ServerPoolHelpTest, PinnedTasksNeverGateBatchCompletion)
     EXPECT_TRUE(pinned_ran.load());
 }
 
-TEST(EngineGroupTest, RejectsZeroReplicasAndZeroCapacity)
+TEST(AdmissionTest, RejectsZeroCapacity)
 {
-    EXPECT_THROW(runtime::EngineGroup(
-                     hw::AcceleratorConfig::minimal(true), 0),
-                 std::invalid_argument);
     runtime::ServerPool pool(1);
     EXPECT_THROW(runtime::AdmissionController(
                      pool, {/*queueCapacity=*/0}),

@@ -1,11 +1,11 @@
 // End-to-end tests of the command-line tools: runs the real
 // runtime_server and orianna_compile binaries (paths injected by
-// CMake) and checks their exported artifacts — the metrics registry
-// JSON and the unified Perfetto trace — plus the JSON serving
-// protocol over real pipes (responses, exit codes, warm restart from
-// a --cache-dir) and the argument-validation error paths (bad values
-// and unknown flags must print usage and exit nonzero without doing
-// work).
+// CMake) and checks orianna_compile's exported artifacts — the
+// metrics registry JSON and the unified Perfetto trace — plus the
+// JSON serving protocol over real pipes (responses, exit codes, warm
+// restart from a --cache-dir) and the argument-validation error paths
+// (bad values and unknown flags must print usage and exit nonzero
+// without doing work).
 
 #include <cstdio>
 #include <cstdlib>
@@ -117,127 +117,20 @@ writeTinyG2o()
 
 // --- runtime_server -------------------------------------------------
 
-TEST(RuntimeServerTool, ServesAndExportsMetricsAndTrace)
-{
-    const std::string metrics_path = tmpPath("server_metrics.json");
-    const std::string trace_path = tmpPath("server_trace.json");
-    ASSERT_EQ(run(std::string(ORIANNA_RUNTIME_SERVER) +
-                  " --demo --threads 4 --metrics " + metrics_path +
-                  " --trace " + trace_path),
-              0);
-
-    // Metrics: the acceptance-criteria quantities must all be there.
-    // The export self-reports whether instrumentation was compiled in
-    // (ORIANNA_METRICS=OFF still emits a valid, empty registry).
-    const JsonPtr metrics = parseJsonFile(metrics_path);
-    if (metrics->at("compiled").boolean) {
-        const auto &counters = metrics->at("counters");
-        EXPECT_EQ(counters.at("engine.compiles").asNumber(), 1.0);
-        // The clients share one fingerprint, so after the first
-        // compile the later sessions are replica-local hits; the
-        // shared engine's cache is never consulted again.
-        EXPECT_EQ(counters.at("engine_group.local_hits").asNumber(),
-                  2.0);
-        EXPECT_NEAR(
-            metrics->at("derived").at("cache_hit_rate").asNumber(),
-            2.0 / 3.0, 1e-6); // Serialized to 6 digits.
-        // Every client passed admission control into a pinned lane.
-        EXPECT_EQ(counters.at("admission.admitted").asNumber(), 3.0);
-        EXPECT_EQ(counters.at("pool.pinned_tasks").asNumber(), 3.0);
-        // 3 clients x 4 frames each.
-        EXPECT_EQ(counters.at("frame.count").asNumber(), 12.0);
-        const auto &simulate =
-            metrics->at("histograms").at("frame.simulate_us");
-        EXPECT_EQ(simulate.at("count").asNumber(), 12.0);
-        EXPECT_GT(simulate.at("p50_us").asNumber(), 0.0);
-        EXPECT_GE(simulate.at("p99_us").asNumber(),
-                  simulate.at("p50_us").asNumber());
-        const auto &utilization =
-            metrics->at("derived").at("utilization").asObject();
-        EXPECT_FALSE(utilization.empty());
-        for (const auto &[unit, share] : utilization) {
-            EXPECT_GT(share->asNumber(), 0.0) << unit;
-            EXPECT_LE(share->asNumber(), 1.0) << unit;
-        }
-    } else {
-        EXPECT_TRUE(
-            metrics->at("derived").at("cache_hit_rate").isNull());
-    }
-
-    // Trace: one runtime process with per-session tracks; session ->
-    // frame -> stage spans nested by time; hardware rows below.
-    const JsonPtr trace = parseJsonFile(trace_path);
-    std::size_t sessions = 0;
-    std::size_t frames = 0;
-    std::size_t stages = 0;
-    std::size_t hw_events = 0;
-    for (const JsonPtr &event : trace->asArray()) {
-        if (event->at("ph").asString() == "M")
-            continue;
-        EXPECT_EQ(event->at("ph").asString(), "X");
-        const double pid = event->at("pid").asNumber();
-        if (pid >= 1000) {
-            ++hw_events;
-            continue;
-        }
-        const std::string &category = event->at("cat").asString();
-        if (category == "session")
-            ++sessions;
-        else if (category == "frame")
-            ++frames;
-        else if (category == "stage")
-            ++stages;
-    }
-    EXPECT_EQ(sessions, 3u);
-    EXPECT_EQ(frames, 12u);
-    EXPECT_EQ(stages, 24u); // simulate + update per frame.
-    EXPECT_GT(hw_events, 0u);
-}
-
-TEST(RuntimeServerTool, RejectsBadThreadCounts)
-{
-    const std::string tool = ORIANNA_RUNTIME_SERVER;
-    EXPECT_EQ(run(tool + " --threads 0"), 2);
-    EXPECT_EQ(run(tool + " --threads -3"), 2);
-    EXPECT_EQ(run(tool + " --threads banana"), 2);
-    EXPECT_EQ(run(tool + " --threads"), 2); // Missing value.
-}
-
-TEST(RuntimeServerTool, RejectsBadServingFlags)
-{
-    const std::string tool = ORIANNA_RUNTIME_SERVER;
-    EXPECT_EQ(run(tool + " --replicas 0"), 2);
-    EXPECT_EQ(run(tool + " --replicas -1"), 2);
-    EXPECT_EQ(run(tool + " --replicas banana"), 2);
-    EXPECT_EQ(run(tool + " --replicas"), 2); // Missing value.
-    EXPECT_EQ(run(tool + " --queue-cap 0"), 2);
-    EXPECT_EQ(run(tool + " --queue-cap -7"), 2);
-    EXPECT_EQ(run(tool + " --queue-cap"), 2);
-}
-
-TEST(RuntimeServerTool, ServesWithExplicitShardingFlags)
-{
-    // Replicas decoupled from workers, a tight (but sufficient)
-    // queue bound, and EDF ordering: the cache expectations are
-    // identical because all three clients share one fingerprint.
-    EXPECT_EQ(run(std::string(ORIANNA_RUNTIME_SERVER) +
-                  " --demo --threads 2 --replicas 4 --queue-cap 3"
-                  " --edf"),
-              0);
-}
-
 TEST(RuntimeServerTool, RejectsUnknownFlags)
 {
-    EXPECT_EQ(run(std::string(ORIANNA_RUNTIME_SERVER) + " --bogus"),
-              2);
-    EXPECT_EQ(run(std::string(ORIANNA_RUNTIME_SERVER) + " extra"), 2);
-}
-
-TEST(RuntimeServerTool, FailsOnUnwritableExportPath)
-{
-    EXPECT_EQ(run(std::string(ORIANNA_RUNTIME_SERVER) +
-                  " --demo --metrics /nonexistent-dir-orianna/m.json"),
-              1);
+    const std::string tool = ORIANNA_RUNTIME_SERVER;
+    EXPECT_EQ(run(tool + " --bogus"), 2);
+    EXPECT_EQ(run(tool + " extra"), 2);
+    // The server is protocol-only: every flag of the retired serving
+    // showcase is an unknown flag now, with or without a value.
+    const std::vector<std::string> retired = {
+        "demo", "threads 2", "threads 0", "threads", "replicas 2",
+        "queue-cap 3", "edf", "metrics " + tmpPath("server_m.json"),
+        "trace " + tmpPath("server_t.json"),
+        "inject-faults 7@corrupt:all:0.05", "fallback"};
+    for (const std::string &flag : retired)
+        EXPECT_EQ(run(tool + " --" + flag), 2) << flag;
 }
 
 // --- runtime_server: JSON protocol over real pipes ------------------
@@ -413,31 +306,70 @@ TEST(CompileTool, CompilesAndExportsUnifiedTrace)
                   " --metrics " + metrics_path),
               0);
 
+    // Metrics: the acceptance-criteria quantities must all be there.
+    // The export self-reports whether instrumentation was compiled in
+    // (ORIANNA_METRICS=OFF still emits a valid, empty registry).
     const JsonPtr metrics = parseJsonFile(metrics_path);
     if (metrics->at("compiled").boolean) {
-        // Three sequential frames plus the served sessions' frames.
-        EXPECT_GE(metrics->at("counters").at("frame.count").asNumber(),
-                  3.0);
-        EXPECT_GT(metrics->at("histograms")
-                      .at("frame.simulate_us")
-                      .at("count")
-                      .asNumber(),
-                  0.0);
+        const auto &counters = metrics->at("counters");
+        // Three sequential frames plus 2 served sessions x 3 frames.
+        EXPECT_EQ(counters.at("frame.count").asNumber(), 9.0);
+        const auto &simulate =
+            metrics->at("histograms").at("frame.simulate_us");
+        EXPECT_EQ(simulate.at("count").asNumber(), 9.0);
+        EXPECT_GT(simulate.at("p50_us").asNumber(), 0.0);
+        EXPECT_GE(simulate.at("p99_us").asNumber(),
+                  simulate.at("p50_us").asNumber());
+        // The served sessions share one fingerprint: the shared
+        // engine compiles once and serves the other from its cache.
+        EXPECT_EQ(counters.at("engine.compiles").asNumber(), 1.0);
+        EXPECT_EQ(counters.at("engine.cache_hits").asNumber(), 1.0);
+        EXPECT_NEAR(
+            metrics->at("derived").at("cache_hit_rate").asNumber(),
+            0.5, 1e-6);
+        // Every served session passed admission control into a
+        // pinned lane.
+        EXPECT_EQ(counters.at("admission.admitted").asNumber(), 2.0);
+        EXPECT_EQ(counters.at("pool.pinned_tasks").asNumber(), 2.0);
+        const auto &utilization =
+            metrics->at("derived").at("utilization").asObject();
+        EXPECT_FALSE(utilization.empty());
+        for (const auto &[unit, share] : utilization) {
+            EXPECT_GT(share->asNumber(), 0.0) << unit;
+            EXPECT_LE(share->asNumber(), 1.0) << unit;
+        }
+    } else {
+        EXPECT_TRUE(
+            metrics->at("derived").at("cache_hit_rate").isNull());
     }
 
+    // Trace: one runtime process with per-session tracks; session ->
+    // frame -> stage spans nested by time; hardware rows below.
     const JsonPtr trace = parseJsonFile(trace_path);
     std::size_t sessions = 0;
+    std::size_t frames = 0;
+    std::size_t stages = 0;
     std::size_t hw_events = 0;
     for (const JsonPtr &event : trace->asArray()) {
-        if (event->at("ph").asString() != "X")
+        if (event->at("ph").asString() == "M")
             continue;
-        if (event->at("pid").asNumber() >= 1000)
+        EXPECT_EQ(event->at("ph").asString(), "X");
+        if (event->at("pid").asNumber() >= 1000) {
             ++hw_events;
-        else if (event->at("cat").asString() == "session")
+            continue;
+        }
+        const std::string &category = event->at("cat").asString();
+        if (category == "session")
             ++sessions;
+        else if (category == "frame")
+            ++frames;
+        else if (category == "stage")
+            ++stages;
     }
     // The sequential session plus the two served sessions.
     EXPECT_EQ(sessions, 3u);
+    EXPECT_EQ(frames, 9u);
+    EXPECT_EQ(stages, 18u); // simulate + update per frame.
     EXPECT_GT(hw_events, 0u);
 }
 
@@ -480,6 +412,8 @@ TEST(CompileTool, RejectsBadArguments)
     EXPECT_EQ(run(tool + " " + input + " --iterate -5"), 2);
     EXPECT_EQ(run(tool + " " + input + " --threads 0"), 2);
     EXPECT_EQ(run(tool + " " + input + " --threads x"), 2);
+    // UINT_MAX + 2: must not wrap around to one thread.
+    EXPECT_EQ(run(tool + " " + input + " --threads 4294967297"), 2);
     EXPECT_EQ(run(tool + " " + input + " --bogus"), 2);
     EXPECT_EQ(run(tool + " " + input + " second.g2o"), 2);
     EXPECT_EQ(run(tool + " " + input + " --simd bogus"), 2);
@@ -502,14 +436,21 @@ TEST(CompileTool, SimdTierSelection)
 TEST(RuntimeServerTool, SimdTierSelection)
 {
     const std::string tool = ORIANNA_RUNTIME_SERVER;
-    EXPECT_EQ(run(tool + " --demo --threads 2 --simd scalar"), 0);
-    EXPECT_EQ(run(tool + " --threads 2 --simd bogus"), 2);
+    EXPECT_EQ(run(tool + " --simd scalar"), 0);
+    EXPECT_EQ(run(tool + " --simd bogus"), 2);
 }
 
 TEST(CompileTool, FailsCleanlyOnMissingInput)
 {
     EXPECT_EQ(run(std::string(ORIANNA_COMPILE) +
                   " /nonexistent-dir-orianna/missing.g2o"),
+              1);
+}
+
+TEST(CompileTool, FailsOnUnwritableExportPath)
+{
+    EXPECT_EQ(run(std::string(ORIANNA_COMPILE) + " " + writeTinyG2o() +
+                  " --metrics /nonexistent-dir-orianna/m.json"),
               1);
 }
 

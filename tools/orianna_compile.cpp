@@ -5,12 +5,11 @@
 // passes), report the instruction mix, optionally run Gauss-Newton
 // steps on the simulated accelerator, and save the binary program.
 //
-// With --threads, the tool also demonstrates the parallel serving
-// path: one EngineGroup with a replica per worker, one session pinned
-// to each replica's worker, all sessions stepped concurrently on a
-// ServerPool behind admission control and asserted byte-identical to
-// the sequential session (one compile, deduped by the group's shared
-// single-flight table).
+// With --threads N, the tool also runs the serving path: one shared
+// Engine, N sessions admitted into the pinned lanes of an N-worker
+// ServerPool by an AdmissionController, all stepped concurrently and
+// asserted byte-identical to the sequential session (one compile; the
+// engine's single-flight cache serves the other sessions).
 //
 // Usage:
 //   orianna_compile <input.g2o> [-o out.oprog] [--simulate]
@@ -36,8 +35,10 @@
 // --verify-passes runs the per-pass equivalence check; --dump-ir
 // writes PREFIX.{before,after}.ir listings and matching .dot
 // instruction-dependence graphs. --iterate and --threads reject zero
-// or negative counts; unknown flags print usage and exit nonzero.
+// or negative counts (and --threads anything above UINT_MAX); unknown
+// flags print usage and exit nonzero.
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -57,7 +58,6 @@
 #include "matrix/simd.hpp"
 #include "runtime/admission.hpp"
 #include "runtime/engine.hpp"
-#include "runtime/engine_group.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/program_store.hpp"
 #include "runtime/server_pool.hpp"
@@ -190,9 +190,10 @@ main(int argc, char **argv)
         } else if (arg == "--threads" && i + 1 < argc) {
             simulate = true;
             serve = true;
-            threads = static_cast<unsigned>(parsePositive(argv[++i]));
-            if (threads == 0)
+            const unsigned long parsed = parsePositive(argv[++i]);
+            if (parsed == 0 || parsed > UINT_MAX)
                 return usage(argv[0]);
+            threads = static_cast<unsigned>(parsed);
         } else if (arg == "--trace" && i + 1 < argc) {
             trace_path = argv[++i];
         } else if (arg == "--metrics" && i + 1 < argc) {
@@ -441,12 +442,10 @@ main(int argc, char **argv)
                 sequential_values = session.values();
             }
             if (serve) {
-                // Parallel serving demo: an EngineGroup with one
-                // replica per worker, one session pinned to each
-                // replica's owning worker via admission control. The
-                // graphs are identical, so the group's shared
-                // single-flight table compiles once and every other
-                // replica takes a shared hit; sessions step
+                // The serving path: one shared Engine, one session
+                // admitted into each worker's pinned lane. The graphs
+                // are identical, so the engine compiles once and the
+                // other sessions are cache hits; sessions step
                 // concurrently and must land on exactly the
                 // sequential session's values.
                 runtime::ServerPool pool(threads);
@@ -459,9 +458,9 @@ main(int argc, char **argv)
                 engine_options.precision = precision;
                 if (!no_store)
                     engine_options.storeDir = cache_dir;
-                runtime::EngineGroup group(
+                runtime::Engine engine(
                     hw::AcceleratorConfig::minimal(true),
-                    std::move(engine_options), n);
+                    std::move(engine_options));
                 runtime::AdmissionController admission(pool, {});
                 std::vector<std::unique_ptr<runtime::Session>>
                     sessions(n);
@@ -469,10 +468,11 @@ main(int argc, char **argv)
                 for (unsigned c = 0; c < n; ++c)
                     admission.submit(/*worker=*/c, [&, c] {
                         try {
-                            auto session = std::make_unique<
-                                runtime::Session>(group.session(
-                                /*replica=*/c, data.graph,
-                                data.initial, 1.0, 0, input));
+                            auto session =
+                                std::make_unique<runtime::Session>(
+                                    engine.session(data.graph,
+                                                   data.initial, 1.0,
+                                                   0, input));
                             session->iterate(iterations);
                             sessions[c] = std::move(session);
                         } catch (const std::exception &error) {
@@ -495,13 +495,11 @@ main(int argc, char **argv)
                                 identicalValues(sequential_values,
                                                 sessions[c]->values());
                 }
-                const auto stats = group.stats();
+                const auto stats = engine.stats();
                 std::printf("served %u concurrent session(s) on %u "
-                            "thread(s) via %u replica(s): %zu "
-                            "compile(s), %zu shared hit(s), %zu "
-                            "local hit(s), results %s\n",
-                            n, n, group.replicas(), stats.compiles,
-                            stats.sharedHits, stats.localHits,
+                            "thread(s): %zu compile(s), %zu cache "
+                            "hit(s), results %s\n",
+                            n, n, stats.compiles, stats.cacheHits,
                             identical
                                 ? "identical to the sequential session"
                                 : "DIVERGED");
@@ -512,7 +510,7 @@ main(int argc, char **argv)
                                     totals[w]));
                 if (!fault_spec.empty())
                     std::printf("health: %s\n",
-                                group.healthJson().c_str());
+                                engine.healthJson().c_str());
                 if (!identical)
                     return 1;
             }
