@@ -18,7 +18,6 @@
 //   ORIANNA_REGEN_GOLDEN=1 ./test_golden_trace
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -37,10 +36,14 @@
 #include "runtime/engine.hpp"
 #include "runtime/execution_context.hpp"
 #include "runtime/server_pool.hpp"
+#include "test_golden.hpp"
 
 namespace {
 
 using namespace orianna;
+using orianna::test::expectGolden;
+using orianna::test::fnv1a;
+using orianna::test::hex;
 
 /** Seed and budget of the latency benches (bench/bench_common.hpp). */
 constexpr unsigned kBenchSeed = 5;
@@ -57,49 +60,6 @@ const char *kEventsGoldenPath =
     ORIANNA_GOLDEN_DIR "/schedule_events.digest";
 const char *kValuesGoldenPath =
     ORIANNA_GOLDEN_DIR "/garage_values.digest";
-
-/**
- * Compare @p digest against the checked-in file at @p path, or
- * rewrite that file when ORIANNA_REGEN_GOLDEN is set.
- */
-void
-expectGolden(const char *path, const std::string &digest)
-{
-    if (std::getenv("ORIANNA_REGEN_GOLDEN") != nullptr) {
-        std::ofstream out(path);
-        out << digest;
-        ASSERT_TRUE(out.good()) << "cannot write " << path;
-        GTEST_SKIP() << "regenerated " << path;
-    }
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << "missing golden file " << path
-                           << " (regenerate with ORIANNA_REGEN_GOLDEN=1)";
-    std::stringstream golden;
-    golden << in.rdbuf();
-    EXPECT_EQ(digest, golden.str())
-        << path << " moved; if intentional, regenerate with "
-                   "ORIANNA_REGEN_GOLDEN=1 ./test_golden_trace";
-}
-
-/** 64-bit FNV-1a of @p bytes, continuing from @p hash. */
-std::uint64_t
-fnv1a(const std::string &bytes, std::uint64_t hash = 0xcbf29ce484222325ull)
-{
-    for (const unsigned char c : bytes) {
-        hash ^= c;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-std::string
-hex(std::uint64_t value)
-{
-    char buffer[17];
-    std::snprintf(buffer, sizeof(buffer), "%016llx",
-                  static_cast<unsigned long long>(value));
-    return buffer;
-}
 
 /**
  * One line per frame: event count, makespan and a hash of every
