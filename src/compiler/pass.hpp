@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -60,20 +59,26 @@ class Pass
 /**
  * Shared rewrite engine for instruction-dropping passes.
  *
- * Rebuilds @p program keeping instruction order: instructions with
- * @p drop set are removed, every operand (srcs, gather placements,
- * delta bindings) is first redirected through @p slot_remap (old dst
- * slot -> replacement dst slot, for merge-style passes), value slots
- * are renumbered compactly in definition order, and deps are rebuilt
- * from the surviving producers.
+ * Compacts @p program in place, keeping instruction order:
+ * instructions with @p drop set are removed and the survivors moved
+ * down (never copied), every operand (srcs, gather placements, delta
+ * bindings) is first redirected through @p slot_remap (indexed by
+ * slot: old dst slot -> replacement dst slot, for merge-style passes;
+ * identity for unmerged slots, or empty when nothing merges), value
+ * slots are renumbered compactly in definition order, and deps are
+ * rebuilt from the surviving producers. @p drop has one entry per
+ * instruction; slots are compact, so every slot is below valueSlots.
+ *
+ * Every operand and delta binding is checked before anything
+ * changes, so a throw leaves @p program untouched.
  *
  * @throws std::logic_error when a surviving instruction (or delta
  *         binding) reads a slot with no surviving producer — the
  *         use-of-undefined-slot detection the pipeline relies on to
- *         reject a broken pass immediately.
+ *         reject a broken pass immediately — or when a surviving
+ *         STORE has no source.
  */
-Program rewriteProgram(
-    const Program &program, const std::vector<bool> &drop,
-    const std::map<std::uint32_t, std::uint32_t> &slot_remap);
+void rewriteProgram(Program &program, const std::vector<bool> &drop,
+                    const std::vector<std::uint32_t> &slot_remap);
 
 } // namespace orianna::comp

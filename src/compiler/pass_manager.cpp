@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -204,6 +205,9 @@ PassManager::run(Program &program, const RunOptions &options) const
         }
         stats.push_back(std::move(entry));
     }
+    // Codegen's growth slack survives in-place compaction; drop it so
+    // cached programs hold exactly their instructions.
+    program.instructions.shrink_to_fit();
     return stats;
 }
 

@@ -1,5 +1,8 @@
 #include "compiler/passes/passes.hpp"
 
+#include <numeric>
+#include <unordered_map>
+
 namespace orianna::comp::passes {
 
 namespace {
@@ -51,8 +54,11 @@ class ConstantDedupPass final : public Pass
         const std::size_t n = instrs.size();
 
         std::vector<bool> drop(n, false);
-        std::map<std::uint32_t, std::uint32_t> slot_remap;
-        std::map<std::string, std::uint32_t> seen;
+        std::vector<std::uint32_t> slot_remap(program.valueSlots);
+        std::iota(slot_remap.begin(), slot_remap.end(), 0u);
+        // First occurrence wins: later duplicates read its slot.
+        std::unordered_map<std::string, std::uint32_t> seen;
+        seen.reserve(n);
         std::size_t merged = 0;
         for (std::size_t i = 0; i < n; ++i) {
             if (instrs[i].op != IsaOp::LOADC)
@@ -66,7 +72,7 @@ class ConstantDedupPass final : public Pass
             }
         }
         if (merged > 0)
-            program = rewriteProgram(program, drop, slot_remap);
+            rewriteProgram(program, drop, slot_remap);
         return merged;
     }
 };

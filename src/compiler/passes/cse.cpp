@@ -1,5 +1,8 @@
 #include "compiler/passes/passes.hpp"
 
+#include <numeric>
+#include <unordered_map>
+
 namespace orianna::comp::passes {
 
 namespace {
@@ -45,7 +48,10 @@ class KeyBuilder
                 value(m(i, j));
     }
 
-    std::string take() { return std::move(key_); }
+    /** Start the next key, keeping the buffer's capacity. */
+    void clear() { key_.clear(); }
+
+    const std::string &key() const { return key_; }
 
   private:
     std::string key_;
@@ -70,13 +76,16 @@ class CsePass final : public Pass
         const std::size_t n = instrs.size();
 
         std::vector<bool> drop(n, false);
-        std::map<std::uint32_t, std::uint32_t> slot_remap;
+        std::vector<std::uint32_t> slot_remap(program.valueSlots);
+        std::iota(slot_remap.begin(), slot_remap.end(), 0u);
         auto resolve = [&](std::uint32_t slot) {
-            auto it = slot_remap.find(slot);
-            return it == slot_remap.end() ? slot : it->second;
+            return slot_remap[slot];
         };
 
-        std::map<std::string, std::uint32_t> seen;
+        // First occurrence wins: later duplicates read its slot.
+        std::unordered_map<std::string, std::uint32_t> seen;
+        seen.reserve(n);
+        KeyBuilder kb;
         std::size_t merged = 0;
         for (std::size_t i = 0; i < n; ++i) {
             const Instruction &inst = instrs[i];
@@ -85,7 +94,7 @@ class CsePass final : public Pass
 
             // Keys use remap-resolved operands so chains of duplicate
             // instructions collapse transitively in one forward walk.
-            KeyBuilder kb;
+            kb.clear();
             kb.value(static_cast<std::uint8_t>(inst.op));
             kb.value(static_cast<std::uint32_t>(inst.srcs.size()));
             for (std::uint32_t src : inst.srcs)
@@ -117,7 +126,8 @@ class CsePass final : public Pass
                 kb.value(static_cast<std::uint8_t>(p.isRhs));
             }
 
-            auto [it, inserted] = seen.emplace(kb.take(), inst.dst);
+            // Copies the key only when it is new.
+            auto [it, inserted] = seen.try_emplace(kb.key(), inst.dst);
             if (!inserted) {
                 slot_remap[inst.dst] = it->second;
                 drop[i] = true;
@@ -125,7 +135,7 @@ class CsePass final : public Pass
             }
         }
         if (merged > 0)
-            program = rewriteProgram(program, drop, slot_remap);
+            rewriteProgram(program, drop, slot_remap);
         return merged;
     }
 };

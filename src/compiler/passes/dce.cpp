@@ -61,7 +61,7 @@ class DeadCodeEliminationPass final : public Pass
             }
         }
         if (removed > 0)
-            program = rewriteProgram(program, drop, {});
+            rewriteProgram(program, drop, {});
         return removed;
     }
 };

@@ -1,5 +1,7 @@
 #include "compiler/passes/passes.hpp"
 
+#include <utility>
+
 namespace orianna::comp::passes {
 
 namespace {
@@ -64,12 +66,13 @@ class PeepholeFusionPass final : public Pass
                 const std::size_t p = producer[src];
                 if (p == SIZE_MAX || drop[p] || uses[src] != 1)
                     continue;
-                const Instruction &gather = instrs[p];
+                Instruction &gather = instrs[p];
                 if (gather.op != IsaOp::GATHER)
                     continue;
+                // The GATHER is dropped: its layout moves, not copies.
                 inst.op = IsaOp::GSCALE;
-                inst.srcs = gather.srcs;
-                inst.placements = gather.placements;
+                inst.srcs = std::move(gather.srcs);
+                inst.placements = std::move(gather.placements);
                 drop[p] = true;
                 ++fused;
             } else if (inst.op == IsaOp::VSUB) {
@@ -88,7 +91,7 @@ class PeepholeFusionPass final : public Pass
             }
         }
         if (fused > 0)
-            program = rewriteProgram(program, drop, {});
+            rewriteProgram(program, drop, {});
         return fused;
     }
 };

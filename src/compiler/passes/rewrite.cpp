@@ -1,67 +1,109 @@
 #include "compiler/pass.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 namespace orianna::comp {
 
-Program
-rewriteProgram(const Program &program, const std::vector<bool> &drop,
-               const std::map<std::uint32_t, std::uint32_t> &slot_remap)
+// Compaction moves the survivors down, and PassManager's final
+// shrink_to_fit reallocates; both must move instructions, never copy.
+static_assert(std::is_nothrow_move_constructible_v<Instruction> &&
+                  std::is_nothrow_move_assignable_v<Instruction>,
+              "Instruction moves must not throw");
+
+void
+rewriteProgram(Program &program, const std::vector<bool> &drop,
+               const std::vector<std::uint32_t> &slot_remap)
 {
-    const auto &instrs = program.instructions;
+    auto &instrs = program.instructions;
     const std::size_t n = instrs.size();
+    const std::size_t slots = program.valueSlots;
+    if (drop.size() != n)
+        throw std::logic_error("rewriteProgram: drop mask size");
+    if (!slot_remap.empty() && slot_remap.size() != slots)
+        throw std::logic_error("rewriteProgram: slot remap size");
 
-    auto remap = [&](std::uint32_t slot) {
-        auto it = slot_remap.find(slot);
-        return it == slot_remap.end() ? slot : it->second;
-    };
+    // Validate first: number the surviving definitions and check every
+    // operand against them without touching the program, so a broken
+    // rewrite throws and leaves its input intact.
+    constexpr std::uint32_t kUndefined =
+        std::numeric_limits<std::uint32_t>::max();
+    std::vector<std::uint32_t> new_slot(slots, kUndefined);
 
-    Program out;
-    out.name = program.name;
-    out.algorithm = program.algorithm;
-    out.precision = program.precision;
-
-    std::map<std::uint32_t, std::uint32_t> new_slot;
-    std::map<std::uint32_t, std::uint32_t> producer_index;
-    std::uint32_t next_slot = 0;
-
-    auto finalSlot = [&](std::uint32_t old_slot) {
-        auto it = new_slot.find(remap(old_slot));
-        if (it == new_slot.end())
+    auto finalSlot = [&](std::uint32_t slot) {
+        if (slot < slots && !slot_remap.empty())
+            slot = slot_remap[slot];
+        if (slot >= slots || new_slot[slot] == kUndefined)
             throw std::logic_error(
                 "rewriteProgram: use of undefined slot");
-        return it->second;
+        return new_slot[slot];
     };
 
+    std::uint32_t defined = 0;
     for (std::size_t i = 0; i < n; ++i) {
         if (drop[i])
             continue;
-        Instruction inst = instrs[i];
+        const Instruction &inst = instrs[i];
+        for (std::uint32_t src : inst.srcs)
+            finalSlot(src);
+        for (const GatherPlacement &p : inst.placements)
+            finalSlot(p.src);
+        if (inst.op == IsaOp::STORE) {
+            if (inst.srcs.empty())
+                throw std::logic_error(
+                    "rewriteProgram: STORE without a source");
+        } else {
+            if (inst.dst >= slots)
+                throw std::logic_error(
+                    "rewriteProgram: definition of an out-of-range "
+                    "slot");
+            new_slot[inst.dst] = defined++;
+        }
+    }
+    for (const DeltaBinding &binding : program.deltas)
+        finalSlot(binding.slot);
+
+    // Compact in place, renumbering in the same definition order (so
+    // finalSlot() resolves exactly as it did above and cannot throw):
+    // operands through the remap onto the compact numbering, deps from
+    // the surviving producers, survivors moved down over the dropped
+    // instructions.
+    std::fill(new_slot.begin(), new_slot.end(), kUndefined);
+    // producer[new slot] = index of its defining instruction after
+    // compaction.
+    std::vector<std::uint32_t> producer;
+    producer.reserve(defined);
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (drop[i])
+            continue;
+        Instruction &inst = instrs[i];
         inst.deps.clear();
-        for (std::uint32_t &src : inst.srcs)
+        for (std::uint32_t &src : inst.srcs) {
             src = finalSlot(src);
+            inst.deps.push_back(producer[src]);
+        }
         for (GatherPlacement &p : inst.placements)
             p.src = finalSlot(p.src);
-        for (std::uint32_t src : inst.srcs) {
-            auto it = producer_index.find(src);
-            if (it != producer_index.end())
-                inst.deps.push_back(it->second);
-        }
         if (inst.op == IsaOp::STORE) {
             inst.dst = inst.srcs[0];
         } else {
-            new_slot[inst.dst] = next_slot;
-            inst.dst = next_slot;
-            producer_index[next_slot] = static_cast<std::uint32_t>(
-                out.instructions.size());
-            ++next_slot;
+            const auto slot = static_cast<std::uint32_t>(producer.size());
+            producer.push_back(static_cast<std::uint32_t>(out));
+            new_slot[inst.dst] = slot;
+            inst.dst = slot;
         }
-        out.instructions.push_back(std::move(inst));
+        if (out != i)
+            instrs[out] = std::move(inst);
+        ++out;
     }
-    out.valueSlots = next_slot;
-    for (const DeltaBinding &binding : program.deltas)
-        out.deltas.push_back({binding.key, finalSlot(binding.slot)});
-    return out;
+    instrs.erase(instrs.begin() + static_cast<std::ptrdiff_t>(out),
+                 instrs.end());
+    program.valueSlots = producer.size();
+    for (DeltaBinding &binding : program.deltas)
+        binding.slot = finalSlot(binding.slot);
 }
 
 } // namespace orianna::comp

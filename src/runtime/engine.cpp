@@ -333,6 +333,7 @@ Engine::compileCached(std::uint64_t key, const std::string &name,
     try {
         const StageTimer compile_timer;
         auto compiled = std::make_shared<comp::Program>(build());
+        const std::uint64_t codegen_us = compile_timer.elapsedUs();
 
         // The codegen output runs through the engine's pass pipeline;
         // the caller's probe values double as the verification input
@@ -350,6 +351,7 @@ Engine::compileCached(std::uint64_t key, const std::string &name,
             metrics.counter("engine.compiles").add();
             metrics.histogram("engine.compile_us")
                 .observe(compile_timer.elapsedUs());
+            metrics.histogram("engine.codegen_us").observe(codegen_us);
             for (const comp::PassStats &stat : pass_stats) {
                 metrics.counter("pass." + stat.pass + ".runs").add();
                 metrics.counter("pass." + stat.pass + ".rewrites")
@@ -365,7 +367,7 @@ Engine::compileCached(std::uint64_t key, const std::string &name,
         {
             std::lock_guard lock(logMutex_);
             log_.push_back({name, key, compiled->instructions.size(),
-                            pass_stats});
+                            codegen_us, pass_stats});
         }
         // Publish the fresh compile to the persistent tier so a
         // restarted process (or a sibling on the same directory)

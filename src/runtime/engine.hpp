@@ -349,6 +349,11 @@ class Engine
         std::string name;          //!< Caller-supplied program name.
         std::uint64_t fingerprint; //!< Cache key that missed.
         std::size_t instructions;  //!< Post-pipeline program size.
+        /**
+         * Wall time of codegen, before the pass pipeline (0 when
+         * metrics are disabled, like the engine.codegen_us histogram).
+         */
+        std::uint64_t codegenUs = 0;
         /** What each pipeline pass did on this compile, in order. */
         std::vector<comp::PassStats> passes;
 

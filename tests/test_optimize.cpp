@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "compiler/codegen.hpp"
+#include "compiler/encoding.hpp"
 #include "compiler/executor.hpp"
 #include "compiler/pass.hpp"
 #include "compiler/pass_manager.hpp"
@@ -249,6 +250,45 @@ TEST(Optimize, MergesLoadsThatDifferOnlyInSlot)
               1e-15);
 }
 
+/** A one-element LOADC defining @p slot. */
+comp::Instruction
+loadConstant(std::uint32_t slot, double value)
+{
+    comp::Instruction load;
+    load.op = IsaOp::LOADC;
+    load.constVec = Vector{value};
+    load.dst = slot;
+    load.rows = 1;
+    load.cols = 1;
+    return load;
+}
+
+/** A STORE of @p slot. */
+comp::Instruction
+storeSlot(std::uint32_t slot)
+{
+    comp::Instruction store;
+    store.op = IsaOp::STORE;
+    store.srcs = {slot};
+    store.dst = slot;
+    return store;
+}
+
+/**
+ * rewriteProgram() must reject @p drop with std::logic_error and leave
+ * @p program byte-identical: it validates every operand before it
+ * compacts anything in place.
+ */
+void
+expectRejectedUntouched(Program program, const std::vector<bool> &drop,
+                        const std::vector<std::uint32_t> &remap = {})
+{
+    const std::vector<std::uint8_t> before = comp::encodeProgram(program);
+    EXPECT_THROW(comp::rewriteProgram(program, drop, remap),
+                 std::logic_error);
+    EXPECT_EQ(comp::encodeProgram(program), before);
+}
+
 TEST(Optimize, RewriteDetectsUseOfUndefinedSlot)
 {
     // Dropping a producer whose result is still read must be rejected
@@ -256,26 +296,41 @@ TEST(Optimize, RewriteDetectsUseOfUndefinedSlot)
     Program program;
     program.name = "undefined-slot";
     program.valueSlots = 2;
+    program.instructions.push_back(loadConstant(0, 1.0));
+    program.instructions.push_back(storeSlot(0));
+    program.deltas.push_back({1, 0});
+    expectRejectedUntouched(program, {true, false}); // The only producer.
 
-    comp::Instruction load;
-    load.op = IsaOp::LOADC;
-    load.constVec = Vector{1.0};
-    load.dst = 0;
-    load.rows = 1;
-    load.cols = 1;
-    program.instructions.push_back(load);
+    // Only a delta binding reads the dropped slot; the instructions
+    // before it would compact cleanly.
+    Program delta_only;
+    delta_only.name = "undefined-delta";
+    delta_only.valueSlots = 2;
+    delta_only.instructions.push_back(loadConstant(0, 1.0));
+    delta_only.instructions.push_back(loadConstant(1, 2.0));
+    delta_only.instructions.push_back(storeSlot(1));
+    delta_only.deltas.push_back({1, 1});
+    delta_only.deltas.push_back({2, 0});
+    expectRejectedUntouched(delta_only, {true, false, false});
 
+    // A STORE with no source names no result to stream back.
+    Program sourceless;
+    sourceless.name = "sourceless-store";
+    sourceless.valueSlots = 1;
+    sourceless.instructions.push_back(loadConstant(0, 1.0));
     comp::Instruction store;
     store.op = IsaOp::STORE;
-    store.srcs = {0};
-    store.dst = 0;
-    store.deps = {0};
-    program.instructions.push_back(store);
-    program.deltas.push_back({1, 0});
+    sourceless.instructions.push_back(store);
+    expectRejectedUntouched(sourceless, {false, false});
 
-    std::vector<bool> drop = {true, false}; // Drop the only producer.
-    EXPECT_THROW(comp::rewriteProgram(program, drop, {}),
-                 std::logic_error);
+    // Slot-indexed inputs must fit the program: a drop mask or remap
+    // sized for another program, or a definition beyond valueSlots.
+    expectRejectedUntouched(delta_only, {false, false});
+    expectRejectedUntouched(delta_only, {false, false, false}, {0});
+    Program out_of_range;
+    out_of_range.valueSlots = 1;
+    out_of_range.instructions.push_back(loadConstant(1, 1.0));
+    expectRejectedUntouched(out_of_range, {false});
 }
 
 TEST(Optimize, AcceleratesOnTheSimulatedHardware)

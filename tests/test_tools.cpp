@@ -102,11 +102,19 @@ runCapture(const std::string &command, const std::string &input,
     return result;
 }
 
-/** A two-vertex pose graph in g2o text form. */
+/**
+ * A two-vertex pose graph in g2o text form, in a file of the calling
+ * test's own: ctest runs these tests as concurrent processes, and a
+ * shared file would be truncated under another test's reader.
+ */
 std::string
 writeTinyG2o()
 {
-    const std::string path = tmpPath("tiny.g2o");
+    const std::string path = tmpPath(
+        std::string(testing::UnitTest::GetInstance()
+                        ->current_test_info()
+                        ->name()) +
+        "_tiny.g2o");
     std::ofstream out(path);
     out << "VERTEX_SE2 0 0 0 0\n"
         << "VERTEX_SE2 1 1 0 0.1\n"
