@@ -136,6 +136,15 @@ IncrementalSmoother::relinearizeAll()
 {
     // Move the linearization point to the current estimate.
     if (!delta_.empty()) {
+        // A marginal prior row J delta = r was taken at the old point;
+        // at the new one, delta' = delta - delta_ gives
+        // J delta' = r - sum_k J_k delta_k.
+        for (LinearRow &prior : marginalPriors_)
+            for (const auto &[key, block] : prior.blocks) {
+                const auto it = delta_.find(key);
+                if (it != delta_.end())
+                    prior.rhs = prior.rhs - block * it->second;
+            }
         Values moved = estimate();
         linPoint_ = std::move(moved);
         delta_.clear();

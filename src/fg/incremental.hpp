@@ -162,8 +162,9 @@ class IncrementalSmoother
      * Fixed-lag smoothing: marginalize out the first @p count
      * variables of the elimination ordering (the oldest states). The
      * information they carried is preserved exactly as linear prior
-     * rows on the remaining variables (at the linearization point in
-     * effect when they were eliminated), and factors fully absorbed
+     * rows on the remaining variables (taken at the linearization
+     * point in effect when they were eliminated, and re-expressed at
+     * each later one by relinearization), and factors fully absorbed
      * into the marginal become inactive for future relinearization -
      * the standard fixed-lag trade-off.
      *

@@ -131,8 +131,9 @@ struct SimResult
  * configurations issue strictly in program order (work items
  * concatenated), stalling on the oldest unissued instruction.
  *
- * The numerics run through comp::Executor at issue time, so the
- * simulation also produces the actual Gauss-Newton updates.
+ * The numerics run through comp::Executor in the schedule's issue
+ * order, so the simulation also produces the actual Gauss-Newton
+ * updates.
  *
  * This is a convenience wrapper kept for API compatibility: it
  * builds a fresh runtime::ExecutionContext and runs one frame.

@@ -163,15 +163,19 @@ axpyNegStrided(T *y, std::size_t stride_y, T alpha, const T *x,
         y[i * stride_y] -= alpha * x[i];
 }
 
-/** In-place Givens rotation of two row segments: (rj, ri) <- G(c,s). */
+/**
+ * givensRotate through an already-loaded @p table, uncounted: returns
+ * whether the call dispatched, for the caller to count in bulk
+ * (countKernelCalls). Rotation loops load the table once per call.
+ */
 template <typename T>
-inline void
-givensRotate(T *rj, T *ri, T c, T s, std::size_t n)
+inline bool
+givensRotateWith(const KernelTableT<T> &table, T *rj, T *ri, T c, T s,
+                 std::size_t n)
 {
     if (n >= kMicroDispatchCutoff) {
-        countKernelCall(KernelOp::GivensRotate);
-        activeKernelsT<T>().givensRotate(rj, ri, c, s, n);
-        return;
+        table.givensRotate(rj, ri, c, s, n);
+        return true;
     }
     for (std::size_t i = 0; i < n; ++i) {
         const T a = rj[i];
@@ -179,6 +183,16 @@ givensRotate(T *rj, T *ri, T c, T s, std::size_t n)
         rj[i] = c * a + s * b;
         ri[i] = -s * a + c * b;
     }
+    return false;
+}
+
+/** In-place Givens rotation of two row segments: (rj, ri) <- G(c,s). */
+template <typename T>
+inline void
+givensRotate(T *rj, T *ri, T c, T s, std::size_t n)
+{
+    if (givensRotateWith(activeKernelsT<T>(), rj, ri, c, s, n))
+        countKernelCall(KernelOp::GivensRotate);
 }
 
 } // namespace orianna::mat::kernels

@@ -75,6 +75,11 @@ givensQr(MatrixT<T> &aug)
     const std::size_t stride = aug.cols();
     T *p = m > 0 ? &aug(0, 0) : nullptr;
 
+    // One table load per call; dispatched rotations and MACs are
+    // tallied locally and counted once at the end.
+    const kernels::KernelTableT<T> &table = kernels::activeKernelsT<T>();
+    std::uint64_t dispatched = 0;
+    std::uint64_t macs = 0;
     for (std::size_t j = 0; j < n; ++j) {
         for (std::size_t i = m; i-- > j + 1;) {
             const T x = aug(j, j);
@@ -84,17 +89,19 @@ givensQr(MatrixT<T> &aug)
             const T hyp = std::hypot(x, y);
             const T c = x / hyp;
             const T s = y / hyp;
-            kernels::givensRotate(p + j * stride + j, p + i * stride + j,
-                                  c, s, n - j);
-            MacCounter::add(4 * (n - j));
+            dispatched += kernels::givensRotateWith(
+                table, p + j * stride + j, p + i * stride + j, c, s,
+                n - j);
             const T tj = aug(j, n);
             const T ti = aug(i, n);
             aug(j, n) = c * tj + s * ti;
             aug(i, n) = -s * tj + c * ti;
-            MacCounter::add(4);
+            macs += 4 * (n - j) + 4;
             aug(i, j) = T(0);
         }
     }
+    kernels::countKernelCalls(kernels::KernelOp::GivensRotate, dispatched);
+    MacCounter::add(macs);
 }
 
 template <typename T>

@@ -285,11 +285,21 @@ std::size_t callCell();
 
 } // namespace detail
 
+/**
+ * Count @p n dispatched calls of @p op at once: a hot loop that loads
+ * the table itself tallies its dispatches and reports them here, once.
+ */
+inline void
+countKernelCalls(KernelOp op, std::uint64_t n)
+{
+    detail::gKernelCalls[static_cast<std::size_t>(op)][detail::callCell()]
+        .value.fetch_add(n, std::memory_order_relaxed);
+}
+
 inline void
 countKernelCall(KernelOp op)
 {
-    detail::gKernelCalls[static_cast<std::size_t>(op)][detail::callCell()]
-        .value.fetch_add(1, std::memory_order_relaxed);
+    countKernelCalls(op, 1);
 }
 
 /** Dispatched calls of @p op since start (or the last reset). */

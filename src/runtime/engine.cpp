@@ -318,6 +318,7 @@ Engine::compileCached(std::uint64_t key, const std::string &name,
                 MetricsRegistry::global()
                     .counter("engine.store_hits")
                     .add();
+            addPlanSlot(stored);
             promise.set_value(stored);
             return stored;
         }
@@ -380,6 +381,7 @@ Engine::compileCached(std::uint64_t key, const std::string &name,
                     .counter("engine.store_writes")
                     .add();
         }
+        addPlanSlot(compiled);
         promise.set_value(compiled);
         return compiled;
     } catch (...) {
@@ -390,6 +392,38 @@ Engine::compileCached(std::uint64_t key, const std::string &name,
         s.cache.erase(key);
         throw;
     }
+}
+
+void
+Engine::addPlanSlot(const std::shared_ptr<const comp::Program> &program)
+{
+    std::lock_guard lock(plansMutex_);
+    plans_.try_emplace(program, std::make_shared<PlanSlot>());
+}
+
+std::shared_ptr<const FramePlan>
+Engine::plan(const std::shared_ptr<const comp::Program> &program)
+{
+    // A zero-unit config has no schedule; its frames fail in step().
+    for (unsigned count : config_.units)
+        if (count == 0)
+            return nullptr;
+    std::shared_ptr<PlanSlot> slot;
+    {
+        std::lock_guard lock(plansMutex_);
+        const auto it = plans_.find(program);
+        if (it == plans_.end())
+            return nullptr;
+        slot = it->second;
+    }
+    std::lock_guard build(slot->mutex);
+    if (slot->plan == nullptr) {
+        slot->plan = ExecutionContext::schedule({program.get()}, config_);
+        plansBuilt_.fetch_add(1, std::memory_order_relaxed);
+        if (MetricsRegistry::enabled())
+            MetricsRegistry::global().counter("engine.plans_built").add();
+    }
+    return slot->plan;
 }
 
 std::size_t
@@ -512,6 +546,9 @@ Engine::session(const fg::FactorGraph &graph, fg::Values initial,
     if (options_.degradation.fallback && can_fault)
         opts.fallback =
             referenceProgram(graph, initial, algorithm_tag, name);
+    opts.plan = plan(compiled);
+    if (opts.fallback != nullptr)
+        opts.fallbackPlan = plan(opts.fallback);
 
     if (MetricsRegistry::enabled())
         MetricsRegistry::global()
@@ -540,6 +577,9 @@ Engine::openSession(std::shared_ptr<const comp::Program> program,
     opts.retract = retract;
     if (options_.degradation.fallback)
         opts.fallback = std::move(fallback);
+    opts.plan = plan(program);
+    if (opts.fallback != nullptr)
+        opts.fallbackPlan = plan(opts.fallback);
     if (MetricsRegistry::enabled())
         MetricsRegistry::global()
             .counter(std::string("engine.sessions.") +
@@ -612,13 +652,14 @@ Session::Session(std::shared_ptr<const comp::Program> program,
       fallbackProgram_(std::move(options.fallback)),
       injector_(std::move(options.injector)),
       health_(std::move(options.health)),
-      context_(std::vector<const comp::Program *>{program_.get()}),
+      context_(std::vector<const comp::Program *>{program_.get()},
+               std::move(options.plan)),
       trace_(openSessionTrack())
 {
     if (fallbackProgram_ != nullptr)
         fallbackContext_ = std::make_unique<ExecutionContext>(
-            std::vector<const comp::Program *>{
-                fallbackProgram_.get()});
+            std::vector<const comp::Program *>{fallbackProgram_.get()},
+            std::move(options.fallbackPlan));
 }
 
 std::int64_t
@@ -717,6 +758,24 @@ Session::step()
                 attempt_start,
                 MetricsRegistry::nowUs() - attempt_start);
     };
+    // Until a frame is delivered, leaving step() — through the
+    // exhausted ladder below or an exception from a frame's numerics
+    // — counts a failure and restores the caller's trace flag.
+    struct FailureGuard
+    {
+        Session *session;
+        bool callerTrace;
+
+        ~FailureGuard()
+        {
+            if (session == nullptr)
+                return;
+            session->config_.recordTrace = callerTrace;
+            if (session->health_ != nullptr)
+                session->health_->failures.fetch_add(
+                    1, std::memory_order_relaxed);
+        }
+    } failure{this, caller_trace};
     // Without an injector a rerun is bit-identical, so retrying is
     // pointless; go straight to the fallback rung.
     const std::size_t attempts =
@@ -772,17 +831,15 @@ Session::step()
                 trace_->track, "fallback", "fault", fb_start,
                 MetricsRegistry::nowUs() - fb_start);
     }
-    config_.recordTrace = caller_trace;
-    if (!healthy) {
-        if (health_ != nullptr)
-            health_->failures.fetch_add(1, std::memory_order_relaxed);
+    if (!healthy)
         throw std::runtime_error(
             "Session: frame " + std::to_string(frames_) +
             " failed (" + (symptom != nullptr ? symptom : "fault") +
             ") after " + std::to_string(attempts - 1) + " retries" +
             (fallbackContext_ != nullptr ? " and reference fallback"
                                          : ""));
-    }
+    failure.session = nullptr;
+    config_.recordTrace = caller_trace;
     lastFrameDegraded_ = degraded;
     frame.faultsInjected += faults_discarded;
     for (std::size_t k = 0; k < faults_discarded_kind.size(); ++k)

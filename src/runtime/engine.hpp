@@ -106,8 +106,9 @@ struct EngineHealth
  * The long-lived serving half of the runtime: owns an accelerator
  * configuration and a cache of compiled Programs keyed by graph
  * fingerprint. Sessions opened against the engine share cached
- * programs; each session holds only its private mutable Values and a
- * reusable ExecutionContext, which is the shape needed to serve many
+ * programs and each program's frame plan (its schedule, built once);
+ * each session holds only its private mutable Values and a reusable
+ * ExecutionContext, which is the shape needed to serve many
  * concurrent robot streams from one compiled artifact set.
  *
  * Thread safety: every public method may be called from any number of
@@ -117,7 +118,8 @@ struct EngineHealth
  * never contend — and compilation is single-flight: N clients
  * requesting the same fingerprint at once trigger exactly one
  * compile, with the others blocking on the shared future until the
- * program lands. Stats are atomic counters.
+ * program lands. Plans are single-flight the same way, per program.
+ * Stats are atomic counters.
  */
 /** Compile-side knobs of an Engine (the pass pipeline). */
 struct EngineOptions
@@ -275,6 +277,17 @@ class Engine
                             nullptr,
                         double step_scale = 1.0, bool retract = true);
 
+    /**
+     * The shared frame plan of @p program under this engine's config:
+     * scheduled once, single-flight, on the first request, then handed
+     * to every session and fallback context opened on the program.
+     * Only programs this engine compiled or loaded have one; others
+     * (and configs with a zero-unit kind) get nullptr, and their
+     * contexts schedule their own first frame.
+     */
+    std::shared_ptr<const FramePlan>
+    plan(const std::shared_ptr<const comp::Program> &program);
+
     /** The engine's fault injector, or nullptr when faults are off. */
     const hw::FaultInjector *injector() const
     {
@@ -315,6 +328,7 @@ class Engine
         std::size_t storeHits = 0;   //!< Compiles avoided via disk.
         std::size_t storeMisses = 0; //!< Store consults that compiled.
         std::size_t storeWrites = 0; //!< Artifacts published to disk.
+        std::size_t plansBuilt = 0;  //!< Frame plans scheduled.
     };
 
     Stats
@@ -326,6 +340,7 @@ class Engine
         s.storeHits = storeHits_.load(std::memory_order_relaxed);
         s.storeMisses = storeMisses_.load(std::memory_order_relaxed);
         s.storeWrites = storeWrites_.load(std::memory_order_relaxed);
+        s.plansBuilt = plansBuilt_.load(std::memory_order_relaxed);
         return s;
     }
 
@@ -393,6 +408,16 @@ class Engine
 
     Shard &shard(std::uint64_t key) { return shards_[key % kShards]; }
 
+    /** One published program's plan, built under its own lock. */
+    struct PlanSlot
+    {
+        std::mutex mutex;
+        std::shared_ptr<const FramePlan> plan;
+    };
+
+    /** Give a freshly published program its (empty) plan slot. */
+    void addPlanSlot(const std::shared_ptr<const comp::Program> &program);
+
     /**
      * Shared compile-or-fetch path of every program entry point:
      * sharded single-flight cache, persistent-store consult, then
@@ -419,6 +444,16 @@ class Engine
     std::atomic<std::size_t> storeHits_{0};
     std::atomic<std::size_t> storeMisses_{0};
     std::atomic<std::size_t> storeWrites_{0};
+    std::atomic<std::size_t> plansBuilt_{0};
+    /**
+     * Plan slots keyed by program ownership (the shared_ptr control
+     * block), never by address: the cache keeps every published
+     * program alive, so a key cannot be reused while its slot exists.
+     */
+    std::mutex plansMutex_;
+    std::map<std::weak_ptr<const comp::Program>, std::shared_ptr<PlanSlot>,
+             std::owner_less<>>
+        plans_;
     mutable std::mutex logMutex_;
     std::vector<CompileRecord> log_;
 };
@@ -434,6 +469,9 @@ struct SessionOptions
     std::shared_ptr<const hw::FaultInjector> injector;
     /** Engine-wide health counters (null = session-local only). */
     std::shared_ptr<EngineHealth> health;
+    /** Shared plans of the program and the fallback (null = none). */
+    std::shared_ptr<const FramePlan> plan;
+    std::shared_ptr<const FramePlan> fallbackPlan;
     /**
      * Retract each frame's deltas into the session values (the
      * Gauss-Newton serving mode). False opens a compute-only
@@ -447,7 +485,8 @@ struct SessionOptions
 /**
  * One client's optimization stream: a shared compiled program plus
  * private mutable Values, executed frame after frame through one
- * reusable ExecutionContext (no per-frame rebuild of schedule state).
+ * reusable ExecutionContext. Clean frames replay the program's shared
+ * FramePlan (SessionOptions::plan) and run only the numerics.
  *
  * Fault tolerance: every frame's deltas are checked for non-finite
  * entries (and the frame's cycle count against the policy deadline);

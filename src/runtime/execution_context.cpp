@@ -13,55 +13,411 @@ using comp::Instruction;
 using hw::CostModel;
 using hw::UnitKind;
 
-/** Adapter exposing engine state to the scheduling policy. */
-struct ExecutionContext::IssueView final : IssueContext
-{
-    const ExecutionContext *ctx;
-    std::size_t count;
+namespace {
 
-    IssueView(const ExecutionContext *c, std::size_t n)
-        : ctx(c), count(n)
+void
+checkUnits(const hw::AcceleratorConfig &config)
+{
+    for (unsigned count : config.units)
+        if (count == 0)
+            throw std::invalid_argument(
+                "runtime: every unit kind needs at least one instance");
+}
+
+/** First global index per program, plus the total at the end. */
+std::vector<std::size_t>
+globalBases(const std::vector<const comp::Program *> &programs)
+{
+    std::vector<std::size_t> base{0};
+    for (const comp::Program *program : programs) {
+        if (program == nullptr)
+            throw std::invalid_argument(
+                "ExecutionContext: null program");
+        base.push_back(base.back() + program->instructions.size());
+    }
+    return base;
+}
+
+} // namespace
+
+/**
+ * The schedule step: the static tables of a program set plus the
+ * issue loop's scratch, reset in place every live frame.
+ */
+struct ExecutionContext::Live
+{
+    struct View;
+
+    Live(std::vector<const comp::Program *> programs,
+         std::vector<std::size_t> base);
+
+    Scheduler &
+    builtIn(bool out_of_order)
     {
+        return out_of_order ? *outOfOrder : *inOrder;
     }
 
-    std::size_t total() const override { return count; }
+    /**
+     * Run the issue loop under @p config and @p scheduler, rolling
+     * @p faults (may be null) per issue, and write the frame's
+     * schedule into @p plan (its storage is reused).
+     */
+    void schedule(const hw::AcceleratorConfig &config,
+                  Scheduler &scheduler, const hw::FaultInjector *faults,
+                  std::uint64_t frame, std::uint64_t attempt,
+                  FramePlan &plan);
+
+    // --- Static tables (per program set) -----------------------------
+    std::vector<const comp::Program *> programs;
+    std::vector<std::size_t> base;
+    /** Global index -> (work item, local instruction index). */
+    std::vector<std::uint32_t> orderWork;
+    std::vector<std::uint32_t> orderIndex;
+    std::vector<std::uint32_t> depCount; //!< Static producer counts.
+    /** CSR dependents adjacency over global indices. */
+    std::vector<std::uint32_t> dependentsBegin;
+    std::vector<std::uint32_t> dependents;
+    std::vector<std::uint8_t> unitKind;
+    std::vector<std::uint64_t> latency;
+    std::vector<double> dynamicNj;
+    std::vector<std::uint64_t> words;
+    /** Per-work-item memory-energy scale (0.5 for fp32 programs). */
+    std::vector<double> wordEnergyScale;
+    std::unique_ptr<Scheduler> outOfOrder = makeScheduler(true);
+    std::unique_ptr<Scheduler> inOrder = makeScheduler(false);
+
+    // --- Per-frame scratch, reset in place by schedule() -------------
+    std::vector<std::uint32_t> pending;
+    std::vector<std::uint64_t> finishCycle;
+    std::vector<std::uint8_t> issued;
+    std::vector<std::uint8_t> done;
+    std::vector<unsigned> assignedInstance;
+    /** Data-ready, unissued instructions per kind (min-heaps by age). */
+    std::array<std::vector<std::uint32_t>, hw::kUnitKindCount>
+        readyByKind;
+    /** Already passed to Scheduler::markReady this frame. */
+    std::vector<std::uint8_t> marked;
+    std::array<std::vector<unsigned>, hw::kUnitKindCount> freeInstances;
+    /** Min-heap of (finish cycle, global index) completions. */
+    std::vector<std::pair<std::uint64_t, std::size_t>> events;
+};
+
+/** Adapter exposing schedule-step state to the scheduling policy. */
+struct ExecutionContext::Live::View final : IssueContext
+{
+    const Live *live;
+
+    explicit View(const Live *l) : live(l) {}
+
+    std::size_t total() const override { return live->base.back(); }
 
     bool
     dataReady(std::size_t g) const override
     {
-        return ctx->pending_[g] == 0 && ctx->issued_[g] == 0;
+        return live->pending[g] == 0 && live->issued[g] == 0;
     }
 
     bool
     unitFree(std::size_t g) const override
     {
-        return !ctx->freeInstances_[ctx->unitKind_[g]].empty();
+        return !live->freeInstances[live->unitKind[g]].empty();
     }
 
     bool
     completed(std::size_t g) const override
     {
-        return ctx->done_[g] != 0;
+        return live->done[g] != 0;
     }
 };
 
-ExecutionContext::ExecutionContext(const std::vector<hw::WorkItem> &work)
+ExecutionContext::Live::Live(std::vector<const comp::Program *> programs_in,
+                             std::vector<std::size_t> base_in)
+    : programs(std::move(programs_in)), base(std::move(base_in))
 {
-    programs_.reserve(work.size());
-    values_.reserve(work.size());
-    for (const hw::WorkItem &item : work) {
-        programs_.push_back(item.program);
-        values_.push_back(item.values);
+    const std::size_t total = base.back();
+    orderWork.resize(total);
+    orderIndex.resize(total);
+    depCount.resize(total);
+    unitKind.resize(total);
+    latency.resize(total);
+    dynamicNj.resize(total);
+    words.resize(total);
+    wordEnergyScale.resize(programs.size());
+    for (std::size_t w = 0; w < programs.size(); ++w) {
+        const comp::Precision precision = programs[w]->precision;
+        wordEnergyScale[w] = CostModel::wordEnergyScale(precision);
+        const auto &instrs = programs[w]->instructions;
+        for (std::size_t i = 0; i < instrs.size(); ++i) {
+            const std::size_t g = base[w] + i;
+            const Instruction &inst = instrs[i];
+            orderWork[g] = static_cast<std::uint32_t>(w);
+            orderIndex[g] = static_cast<std::uint32_t>(i);
+            depCount[g] = static_cast<std::uint32_t>(inst.deps.size());
+            unitKind[g] = static_cast<std::uint8_t>(hw::unitFor(inst.op));
+            latency[g] = CostModel::latency(inst, precision);
+            dynamicNj[g] = CostModel::dynamicEnergyNj(inst, precision);
+            words[g] = hw::instructionWords(inst);
+        }
     }
-    buildStatic();
+
+    // Dependents adjacency in CSR form (deps are intra-program).
+    dependentsBegin.assign(total + 1, 0);
+    for (std::size_t g = 0; g < total; ++g) {
+        const Instruction &inst =
+            programs[orderWork[g]]->instructions[orderIndex[g]];
+        for (std::uint32_t dep : inst.deps)
+            ++dependentsBegin[base[orderWork[g]] + dep + 1];
+    }
+    for (std::size_t g = 0; g < total; ++g)
+        dependentsBegin[g + 1] += dependentsBegin[g];
+    dependents.resize(dependentsBegin[total]);
+    std::vector<std::uint32_t> fill(dependentsBegin.begin(),
+                                    dependentsBegin.end() - 1);
+    for (std::size_t g = 0; g < total; ++g) {
+        const Instruction &inst =
+            programs[orderWork[g]]->instructions[orderIndex[g]];
+        for (std::uint32_t dep : inst.deps)
+            dependents[fill[base[orderWork[g]] + dep]++] =
+                static_cast<std::uint32_t>(g);
+    }
+}
+
+void
+ExecutionContext::Live::schedule(const hw::AcceleratorConfig &config,
+                                 Scheduler &scheduler,
+                                 const hw::FaultInjector *faults,
+                                 std::uint64_t frame,
+                                 std::uint64_t attempt, FramePlan &plan)
+{
+    const std::size_t total = base.back();
+
+    // Reset per-frame scratch in place: every container below keeps
+    // its heap allocation from the previous frame.
+    pending.assign(depCount.begin(), depCount.end());
+    finishCycle.assign(total, 0);
+    issued.assign(total, 0);
+    done.assign(total, 0);
+    assignedInstance.assign(total, 0);
+    for (std::size_t k = 0; k < hw::kUnitKindCount; ++k) {
+        freeInstances[k].clear();
+        for (unsigned u = 0; u < config.units[k]; ++u)
+            freeInstances[k].push_back(config.units[k] - 1 - u);
+        plan.instanceBusy[k].assign(config.units[k], 0);
+    }
+    events.clear();
+    for (auto &queue : readyByKind)
+        queue.clear();
+    marked.assign(total, 0);
+
+    plan.units = config.units;
+    plan.outOfOrder = config.outOfOrder;
+    plan.issues.clear();
+    plan.issues.reserve(total);
+    plan.faults.clear();
+    plan.totals = hw::SimResult();
+    hw::SimResult &result = plan.totals;
+
+    // Per-kind issue queues (scheduler.hpp, protocol step 2): only a
+    // queue head is marked to the policy. A head displaced by an
+    // older arrival stays marked; marked keeps it from being marked
+    // twice when it becomes the head again.
+    auto markHead = [&](const std::vector<std::uint32_t> &queue) {
+        if (!queue.empty() && marked[queue.front()] == 0) {
+            marked[queue.front()] = 1;
+            scheduler.markReady(queue.front());
+        }
+    };
+    auto enqueue = [&](std::size_t g) {
+        auto &queue = readyByKind[unitKind[g]];
+        queue.push_back(static_cast<std::uint32_t>(g));
+        std::push_heap(queue.begin(), queue.end(), std::greater<>{});
+        markHead(queue);
+    };
+
+    scheduler.reset(total);
+    for (std::size_t g = 0; g < total; ++g)
+        if (pending[g] == 0)
+            enqueue(g);
+
+    View view(this);
+    std::uint64_t now = 0;
+    std::size_t issuedCount = 0;
+    const double dram = CostModel::dramEnergyPerWordNj * 1e-9;
+    const double buffer = CostModel::bufferEnergyPerWordNj * 1e-9;
+
+    auto issue = [&](std::size_t g) {
+        auto &pool = freeInstances[unitKind[g]];
+        if (issued[g] != 0 || pending[g] != 0 || pool.empty())
+            throw std::logic_error(
+                "runtime: scheduler picked an unissuable instruction");
+        auto &queue = readyByKind[unitKind[g]];
+        if (queue.front() != g)
+            throw std::logic_error(
+                "runtime: scheduler picked an instruction younger "
+                "than its kind's oldest ready one");
+        std::pop_heap(queue.begin(), queue.end(), std::greater<>{});
+        queue.pop_back();
+        markHead(queue);
+        assignedInstance[g] = pool.back();
+        pool.pop_back();
+        issued[g] = 1;
+        ++issuedCount;
+        plan.issues.push_back({static_cast<std::uint32_t>(g),
+                               assignedInstance[g], now});
+        plan.instanceBusy[unitKind[g]][assignedInstance[g]] +=
+            latency[g];
+
+        const std::uint32_t w = orderWork[g];
+        const Instruction &inst =
+            programs[w]->instructions[orderIndex[g]];
+        std::uint64_t cycles = latency[g];
+        if (faults != nullptr) {
+            const hw::FaultDecision fault = faults->decide(
+                frame, attempt, g, static_cast<UnitKind>(unitKind[g]));
+            if (fault.any()) {
+                cycles += fault.extraCycles;
+                // A STORE writes no slot — a corrupted store garbles
+                // what the host reads back, its source.
+                const std::uint32_t victim =
+                    inst.op == comp::IsaOp::STORE && !inst.srcs.empty()
+                        ? inst.srcs[0]
+                        : inst.dst;
+                plan.faults.push_back(
+                    {static_cast<std::uint32_t>(plan.issues.size() - 1),
+                     victim, fault.corrupt, fault.extraCycles});
+                for (std::size_t k = 0; k < result.faultsByKind.size();
+                     ++k) {
+                    result.faultsByKind[k] += fault.fired[k];
+                    result.faultsInjected += fault.fired[k];
+                }
+            }
+        }
+        finishCycle[g] = now + cycles;
+        events.emplace_back(finishCycle[g], g);
+        std::push_heap(events.begin(), events.end(), std::greater<>{});
+
+        result.unitBusyCycles[unitKind[g]] += cycles;
+        result.phaseBusyCycles[std::min<std::size_t>(inst.phase, 2)] +=
+            cycles;
+        result.dynamicEnergyJ += dynamicNj[g] * 1e-9;
+
+        // Memory energy. The OoO scoreboard captures every operand in
+        // the on-chip buffer. The in-order controller forwards only
+        // within a short program window (local register file); any
+        // operand produced farther back is re-read from DRAM, and the
+        // result of an instruction with such a distant consumer is
+        // written back - the "data stored on-chip and reused" effect
+        // of Sec. 7.3. Host DMA is off-chip in either mode.
+        // fp32 work items move half the bytes per word
+        // (wordEnergyScale); deps are intra-program, so the
+        // producer's scale is the same item's.
+        result.memoryEnergyJ +=
+            wordEnergyScale[w] * static_cast<double>(words[g]) *
+            (static_cast<UnitKind>(unitKind[g]) == UnitKind::Dma
+                 ? dram
+                 : buffer);
+        for (std::uint32_t dep : inst.deps) {
+            const std::size_t producer = base[w] + dep;
+            const bool spilled =
+                !config.outOfOrder &&
+                g - producer > CostModel::inOrderForwardWindow;
+            result.memoryEnergyJ +=
+                wordEnergyScale[w] *
+                static_cast<double>(words[producer]) *
+                (spilled ? 2.0 * dram : buffer);
+        }
+    };
+
+    auto complete = [&](std::size_t g) {
+        done[g] = 1;
+        freeInstances[unitKind[g]].push_back(assignedInstance[g]);
+        for (std::uint32_t e = dependentsBegin[g];
+             e < dependentsBegin[g + 1]; ++e) {
+            const std::uint32_t user = dependents[e];
+            if (--pending[user] == 0)
+                enqueue(user);
+        }
+        scheduler.markCompleted(g);
+    };
+
+    auto popEvent = [&]() {
+        std::pop_heap(events.begin(), events.end(), std::greater<>{});
+        const auto event = events.back();
+        events.pop_back();
+        return event;
+    };
+
+    while (issuedCount < total || !events.empty()) {
+        // Issue as much as the policy allows at the current cycle.
+        for (std::size_t g = scheduler.pick(view); g != kNoInstruction;
+             g = scheduler.pick(view))
+            issue(g);
+
+        if (events.empty()) {
+            if (issuedCount < total)
+                throw std::logic_error(
+                    "runtime: deadlock (circular dependences?)");
+            break;
+        }
+
+        // Advance to the next completion and drain every completion
+        // at that same cycle.
+        const auto [when, first] = popEvent();
+        now = std::max(now, when);
+        complete(first);
+        while (!events.empty() && events.front().first == when)
+            complete(popEvent().second);
+    }
+
+    result.cycles = now;
+    for (std::size_t g = 0; g < total; ++g) {
+        const Instruction &inst =
+            programs[orderWork[g]]->instructions[orderIndex[g]];
+        auto &finish = result.algorithmFinishCycle[inst.algorithm];
+        finish = std::max(finish, finishCycle[g]);
+    }
+    result.staticEnergyJ = CostModel::staticPowerW * result.seconds();
+}
+
+ExecutionContext::ExecutionContext(const std::vector<hw::WorkItem> &work,
+                                   std::shared_ptr<const FramePlan> plan)
+    : ExecutionContext(
+          [&work] {
+              std::vector<const comp::Program *> programs;
+              for (const hw::WorkItem &item : work)
+                  programs.push_back(item.program);
+              return programs;
+          }(),
+          std::move(plan))
+{
+    for (std::size_t w = 0; w < work.size(); ++w)
+        values_[w] = work[w].values;
 }
 
 ExecutionContext::ExecutionContext(
-    std::vector<const comp::Program *> programs)
-    : programs_(std::move(programs)), values_(programs_.size(), nullptr)
+    std::vector<const comp::Program *> programs,
+    std::shared_ptr<const FramePlan> plan)
+    : programs_(std::move(programs)), values_(programs_.size(), nullptr),
+      base_(globalBases(programs_)), plan_(std::move(plan))
 {
-    buildStatic();
+    if (plan_ != nullptr && plan_->issues.size() != instructionCount())
+        throw std::invalid_argument(
+            "ExecutionContext: plan is for another program set");
+    executors_.reserve(programs_.size());
+    for (const comp::Program *program : programs_) {
+        if (program->precision == comp::Precision::Fp32)
+            executors_.emplace_back(
+                std::in_place_type<comp::Executor32>, *program);
+        else
+            executors_.emplace_back(
+                std::in_place_type<comp::Executor>, *program);
+    }
 }
+
+ExecutionContext::~ExecutionContext() = default;
+ExecutionContext::ExecutionContext(ExecutionContext &&) noexcept = default;
+ExecutionContext &
+ExecutionContext::operator=(ExecutionContext &&) noexcept = default;
 
 void
 ExecutionContext::bindValues(std::size_t item, const fg::Values *values)
@@ -80,330 +436,155 @@ ExecutionContext::armFaults(const hw::FaultInjector *injector,
     faultAttempt_ = attempt;
 }
 
-void
-ExecutionContext::buildStatic()
+ExecutionContext::Live &
+ExecutionContext::live()
 {
-    for (const comp::Program *program : programs_)
-        if (program == nullptr)
-            throw std::invalid_argument(
-                "ExecutionContext: null program");
+    if (live_ == nullptr)
+        live_ = std::make_unique<Live>(programs_, base_);
+    return *live_;
+}
 
-    base_.resize(programs_.size());
-    std::size_t total = 0;
-    for (std::size_t w = 0; w < programs_.size(); ++w) {
-        base_[w] = total;
-        total += programs_[w]->instructions.size();
-    }
-
-    orderWork_.resize(total);
-    orderIndex_.resize(total);
-    depCount_.resize(total);
-    unitKind_.resize(total);
-    latency_.resize(total);
-    dynamicNj_.resize(total);
-    words_.resize(total);
-    wordEnergyScale_.resize(programs_.size());
-    for (std::size_t w = 0; w < programs_.size(); ++w) {
-        const comp::Precision precision = programs_[w]->precision;
-        wordEnergyScale_[w] = CostModel::wordEnergyScale(precision);
-        const auto &instrs = programs_[w]->instructions;
-        for (std::size_t i = 0; i < instrs.size(); ++i) {
-            const std::size_t g = base_[w] + i;
-            const Instruction &inst = instrs[i];
-            orderWork_[g] = static_cast<std::uint32_t>(w);
-            orderIndex_[g] = static_cast<std::uint32_t>(i);
-            depCount_[g] = static_cast<std::uint32_t>(inst.deps.size());
-            unitKind_[g] =
-                static_cast<std::uint8_t>(hw::unitFor(inst.op));
-            latency_[g] = CostModel::latency(inst, precision);
-            dynamicNj_[g] = CostModel::dynamicEnergyNj(inst, precision);
-            words_[g] = hw::instructionWords(inst);
-        }
-    }
-
-    // Dependents adjacency in CSR form (deps are intra-program).
-    dependentsBegin_.assign(total + 1, 0);
-    for (std::size_t g = 0; g < total; ++g) {
-        const Instruction &inst =
-            programs_[orderWork_[g]]->instructions[orderIndex_[g]];
-        for (std::uint32_t dep : inst.deps)
-            ++dependentsBegin_[base_[orderWork_[g]] + dep + 1];
-    }
-    for (std::size_t g = 0; g < total; ++g)
-        dependentsBegin_[g + 1] += dependentsBegin_[g];
-    dependents_.resize(dependentsBegin_[total]);
-    {
-        std::vector<std::uint32_t> fill(dependentsBegin_.begin(),
-                                        dependentsBegin_.end() - 1);
-        for (std::size_t g = 0; g < total; ++g) {
-            const Instruction &inst =
-                programs_[orderWork_[g]]->instructions[orderIndex_[g]];
-            for (std::uint32_t dep : inst.deps) {
-                const std::size_t producer =
-                    base_[orderWork_[g]] + dep;
-                dependents_[fill[producer]++] =
-                    static_cast<std::uint32_t>(g);
-            }
-        }
-    }
-
-    executors_.reserve(programs_.size());
-    for (const comp::Program *program : programs_) {
-        if (program->precision == comp::Precision::Fp32)
-            executors_.emplace_back(
-                std::in_place_type<comp::Executor32>, *program);
-        else
-            executors_.emplace_back(
-                std::in_place_type<comp::Executor>, *program);
-    }
-
-    outOfOrder_ = makeScheduler(true);
-    inOrder_ = makeScheduler(false);
+std::shared_ptr<const FramePlan>
+ExecutionContext::schedule(std::vector<const comp::Program *> programs,
+                           const hw::AcceleratorConfig &config)
+{
+    checkUnits(config);
+    std::vector<std::size_t> base = globalBases(programs);
+    Live state(std::move(programs), std::move(base));
+    auto plan = std::make_shared<FramePlan>();
+    state.schedule(config, state.builtIn(config.outOfOrder), nullptr, 0,
+                   0, *plan);
+    return plan;
 }
 
 hw::SimResult
 ExecutionContext::run(const hw::AcceleratorConfig &config)
 {
-    return run(config, config.outOfOrder ? *outOfOrder_ : *inOrder_);
+    return frame(config, nullptr);
 }
 
 hw::SimResult
 ExecutionContext::run(const hw::AcceleratorConfig &config,
                       Scheduler &scheduler)
 {
-    for (unsigned count : config.units)
-        if (count == 0)
-            throw std::invalid_argument(
-                "runtime: every unit kind needs at least one instance");
+    return frame(config, &scheduler);
+}
+
+hw::SimResult
+ExecutionContext::frame(const hw::AcceleratorConfig &config,
+                        Scheduler *scheduler)
+{
+    checkUnits(config);
     for (const fg::Values *values : values_)
         if (values == nullptr)
             throw std::logic_error(
                 "ExecutionContext: bindValues before run");
 
-    const std::size_t total = orderWork_.size();
-
-    // Reset per-frame scratch in place: every container below keeps
-    // its heap allocation from the previous frame.
-    pending_.assign(depCount_.begin(), depCount_.end());
-    finishCycle_.assign(total, 0);
-    issued_.assign(total, 0);
-    done_.assign(total, 0);
-    assignedInstance_.assign(total, 0);
-    for (std::size_t k = 0; k < hw::kUnitKindCount; ++k) {
-        freeInstances_[k].clear();
-        for (unsigned u = 0; u < config.units[k]; ++u)
-            freeInstances_[k].push_back(config.units[k] - 1 - u);
+    // A clean frame under the built-in scheduler replays the plan.
+    const bool clean = scheduler == nullptr && faults_ == nullptr;
+    if (clean && plan_ != nullptr && plan_->matches(config)) {
+        numerics(*plan_);
+        return finish(*plan_, config, /*replayed=*/true);
     }
-    events_.clear();
-    for (auto &queue : readyByKind_)
-        queue.clear();
-    marked_.assign(total, 0);
 
-    hw::SimResult result;
-    result.deltas.resize(programs_.size());
-    if (config.recordTrace)
-        result.trace.reserve(total);
+    Live &state = live();
+    state.schedule(config,
+                   scheduler != nullptr ? *scheduler
+                                        : state.builtIn(config.outOfOrder),
+                   faults_, faultFrame_, faultAttempt_, scratch_);
+    if (!clean) {
+        numerics(scratch_);
+        return finish(scratch_, config, /*replayed=*/false);
+    }
+    // The schedule holds for every later clean frame under this config.
+    plan_ = std::make_shared<const FramePlan>(std::move(scratch_));
+    numerics(*plan_);
+    return finish(*plan_, config, /*replayed=*/false);
+}
 
-    // Per-kind issue queues (scheduler.hpp, protocol step 2): only a
-    // queue head is marked to the policy. A head displaced by an
-    // older arrival stays marked; marked_ keeps it from being marked
-    // twice when it becomes the head again.
-    auto markHead = [&](const std::vector<std::uint32_t> &queue) {
-        if (!queue.empty() && marked_[queue.front()] == 0) {
-            marked_[queue.front()] = 1;
-            scheduler.markReady(queue.front());
-        }
-    };
-    auto enqueue = [&](std::size_t g) {
-        auto &queue = readyByKind_[unitKind_[g]];
-        queue.push_back(static_cast<std::uint32_t>(g));
-        std::push_heap(queue.begin(), queue.end(), std::greater<>{});
-        markHead(queue);
-    };
-
-    scheduler.reset(total);
-    for (std::size_t g = 0; g < total; ++g)
-        if (pending_[g] == 0)
-            enqueue(g);
-
-    IssueView view(this, total);
-    std::uint64_t now = 0;
-    std::size_t issuedCount = 0;
-    const double dram = CostModel::dramEnergyPerWordNj * 1e-9;
-    const double buffer = CostModel::bufferEnergyPerWordNj * 1e-9;
-
-    auto issue = [&](std::size_t g) {
-        auto &pool = freeInstances_[unitKind_[g]];
-        if (issued_[g] != 0 || pending_[g] != 0 || pool.empty())
-            throw std::logic_error(
-                "runtime: scheduler picked an unissuable instruction");
-        auto &queue = readyByKind_[unitKind_[g]];
-        if (queue.front() != g)
-            throw std::logic_error(
-                "runtime: scheduler picked an instruction younger "
-                "than its kind's oldest ready one");
-        std::pop_heap(queue.begin(), queue.end(), std::greater<>{});
-        queue.pop_back();
-        markHead(queue);
-        assignedInstance_[g] = pool.back();
-        pool.pop_back();
-        issued_[g] = 1;
-        ++issuedCount;
-
-        // Functional execution happens at issue: operands are final
-        // because all producers completed.
-        const std::uint32_t w = orderWork_[g];
+void
+ExecutionContext::numerics(const FramePlan &plan)
+{
+    const FramePlan::Issue *issues = plan.issues.data();
+    const std::size_t count = plan.issues.size();
+    auto fault = plan.faults.begin();
+    std::size_t p = 0;
+    while (p < count) {
+        // Run the stretch of consecutive issues of one work item
+        // through that item's interpreter.
+        std::size_t w = 0;
+        while (issues[p].g >= base_[w + 1])
+            ++w;
+        const std::size_t lo = base_[w];
+        const std::size_t hi = base_[w + 1];
+        const fg::Values &values = *values_[w];
         std::visit(
             [&](auto &executor) {
-                executor.step(orderIndex_[g], *values_[w]);
+                for (; p < count && issues[p].g >= lo && issues[p].g < hi;
+                     ++p) {
+                    executor.step(issues[p].g - lo, values);
+                    if (fault != plan.faults.end() &&
+                        fault->position == p) {
+                        if (fault->corrupt)
+                            executor.corruptSlot(fault->victim);
+                        ++fault;
+                    }
+                }
             },
             executors_[w]);
-
-        const Instruction &inst =
-            programs_[w]->instructions[orderIndex_[g]];
-        std::uint64_t latency = latency_[g];
-        if (faults_ != nullptr) {
-            const hw::FaultDecision fault = faults_->decide(
-                faultFrame_, faultAttempt_, g,
-                static_cast<UnitKind>(unitKind_[g]));
-            if (fault.any()) {
-                latency += fault.extraCycles;
-                if (fault.corrupt) {
-                    // A STORE writes no slot — a corrupted store
-                    // garbles what the host reads back, its source.
-                    const std::uint32_t victim =
-                        inst.op == comp::IsaOp::STORE &&
-                                !inst.srcs.empty()
-                            ? inst.srcs[0]
-                            : inst.dst;
-                    std::visit(
-                        [&](auto &executor) {
-                            executor.corruptSlot(victim);
-                        },
-                        executors_[w]);
-                }
-                for (std::size_t k = 0;
-                     k < result.faultsByKind.size(); ++k) {
-                    result.faultsByKind[k] += fault.fired[k];
-                    result.faultsInjected += fault.fired[k];
-                }
-            }
-        }
-        finishCycle_[g] = now + latency;
-        events_.emplace_back(finishCycle_[g], g);
-        std::push_heap(events_.begin(), events_.end(),
-                       std::greater<>{});
-
-        if (config.recordTrace) {
-            hw::TraceEvent event;
-            event.name = std::string(comp::isaOpName(inst.op)) + " " +
-                         std::to_string(inst.rows) + "x" +
-                         std::to_string(inst.cols);
-            event.unit = static_cast<UnitKind>(unitKind_[g]);
-            event.instance = assignedInstance_[g];
-            event.startCycle = now;
-            event.endCycle = finishCycle_[g];
-            event.algorithm = inst.algorithm;
-            event.phase = inst.phase;
-            result.trace.push_back(std::move(event));
-        }
-
-        result.unitBusyCycles[unitKind_[g]] += latency;
-        result.phaseBusyCycles[std::min<std::size_t>(inst.phase, 2)] +=
-            latency;
-        result.dynamicEnergyJ += dynamicNj_[g] * 1e-9;
-
-        // Memory energy. The OoO scoreboard captures every operand in
-        // the on-chip buffer. The in-order controller forwards only
-        // within a short program window (local register file); any
-        // operand produced farther back is re-read from DRAM, and the
-        // result of an instruction with such a distant consumer is
-        // written back - the "data stored on-chip and reused" effect
-        // of Sec. 7.3. Host DMA is off-chip in either mode.
-        // fp32 work items move half the bytes per word
-        // (wordEnergyScale_); deps are intra-program, so the
-        // producer's scale is the same item's.
-        result.memoryEnergyJ +=
-            wordEnergyScale_[w] * static_cast<double>(words_[g]) *
-            (static_cast<UnitKind>(unitKind_[g]) == UnitKind::Dma
-                 ? dram
-                 : buffer);
-        for (std::uint32_t dep : inst.deps) {
-            const std::size_t producer = base_[w] + dep;
-            const bool spilled =
-                !config.outOfOrder &&
-                g - producer > CostModel::inOrderForwardWindow;
-            result.memoryEnergyJ +=
-                wordEnergyScale_[w] *
-                static_cast<double>(words_[producer]) *
-                (spilled ? 2.0 * dram : buffer);
-        }
-    };
-
-    auto complete = [&](std::size_t g) {
-        done_[g] = 1;
-        freeInstances_[unitKind_[g]].push_back(assignedInstance_[g]);
-        for (std::uint32_t e = dependentsBegin_[g];
-             e < dependentsBegin_[g + 1]; ++e) {
-            const std::uint32_t user = dependents_[e];
-            if (--pending_[user] == 0)
-                enqueue(user);
-        }
-        scheduler.markCompleted(g);
-    };
-
-    auto popEvent = [&]() {
-        std::pop_heap(events_.begin(), events_.end(), std::greater<>{});
-        const auto event = events_.back();
-        events_.pop_back();
-        return event;
-    };
-
-    while (issuedCount < total || !events_.empty()) {
-        // Issue as much as the policy allows at the current cycle.
-        for (std::size_t g = scheduler.pick(view); g != kNoInstruction;
-             g = scheduler.pick(view))
-            issue(g);
-
-        if (events_.empty()) {
-            if (issuedCount < total)
-                throw std::logic_error(
-                    "runtime: deadlock (circular dependences?)");
-            break;
-        }
-
-        // Advance to the next completion and drain every completion
-        // at that same cycle.
-        const auto [when, first] = popEvent();
-        now = std::max(now, when);
-        complete(first);
-        while (!events_.empty() && events_.front().first == when)
-            complete(popEvent().second);
     }
+}
 
-    result.cycles = now;
-    for (std::size_t g = 0; g < total; ++g) {
-        const Instruction &inst =
-            programs_[orderWork_[g]]->instructions[orderIndex_[g]];
-        auto &finish = result.algorithmFinishCycle[inst.algorithm];
-        finish = std::max(finish, finishCycle_[g]);
+std::vector<hw::TraceEvent>
+ExecutionContext::traceEvents(const FramePlan &plan) const
+{
+    std::vector<hw::TraceEvent> trace;
+    trace.reserve(plan.issues.size());
+    auto fault = plan.faults.begin();
+    for (std::size_t p = 0; p < plan.issues.size(); ++p) {
+        const FramePlan::Issue &issue = plan.issues[p];
+        std::size_t w = 0;
+        while (issue.g >= base_[w + 1])
+            ++w;
+        const comp::Program &program = *programs_[w];
+        const Instruction &inst = program.instructions[issue.g - base_[w]];
+        std::uint64_t latency = CostModel::latency(inst, program.precision);
+        if (fault != plan.faults.end() && fault->position == p) {
+            latency += fault->extraCycles;
+            ++fault;
+        }
+        hw::TraceEvent event;
+        event.name = std::string(comp::isaOpName(inst.op)) + " " +
+                     std::to_string(inst.rows) + "x" +
+                     std::to_string(inst.cols);
+        event.unit = hw::unitFor(inst.op);
+        event.instance = issue.instance;
+        event.startCycle = issue.start;
+        event.endCycle = issue.start + latency;
+        event.algorithm = inst.algorithm;
+        event.phase = inst.phase;
+        trace.push_back(std::move(event));
     }
-    result.staticEnergyJ = CostModel::staticPowerW * result.seconds();
+    return trace;
+}
 
-    // Flush simulator-side observability off the hot path: the issue
-    // loop above records nothing, everything here is reconstructed
-    // from the per-instruction scratch arrays once per frame, and
-    // only when metrics are enabled (one relaxed load otherwise).
+hw::SimResult
+ExecutionContext::finish(const FramePlan &plan,
+                         const hw::AcceleratorConfig &config,
+                         bool replayed) const
+{
+    hw::SimResult result = plan.totals;
+    if (config.recordTrace)
+        result.trace = traceEvents(plan);
+
+    // Flush simulator-side observability off the hot path, from the
+    // plan's frame totals, and only when metrics are enabled (one
+    // relaxed load otherwise).
     if (MetricsRegistry::enabled()) {
         auto &metrics = MetricsRegistry::global();
         metrics.counter("hw.frames").add();
+        metrics.counter("hw.frames_replayed").add(replayed ? 1 : 0);
         metrics.counter("hw.cycles").add(result.cycles);
-        for (std::size_t k = 0; k < hw::kUnitKindCount; ++k) {
-            instanceBusy_[k].assign(config.units[k], 0);
-        }
-        for (std::size_t g = 0; g < total; ++g)
-            instanceBusy_[unitKind_[g]][assignedInstance_[g]] +=
-                latency_[g];
         for (std::size_t k = 0; k < hw::kUnitKindCount; ++k) {
             if (config.units[k] == 0)
                 continue;
@@ -416,11 +597,12 @@ ExecutionContext::run(const hw::AcceleratorConfig &config,
                 metrics
                     .counter("hw.busy_cycles." + unit + "." +
                              std::to_string(u))
-                    .add(instanceBusy_[k][u]);
+                    .add(plan.instanceBusy[k][u]);
         }
     }
 
     // Read back the deltas (widened to double for fp32 work items).
+    result.deltas.resize(programs_.size());
     for (std::size_t w = 0; w < programs_.size(); ++w)
         for (const comp::DeltaBinding &binding : programs_[w]->deltas)
             result.deltas[w].emplace(

@@ -13,36 +13,85 @@
 namespace orianna::runtime {
 
 /**
+ * The schedule of one frame, separated from its numerics: which
+ * instruction issued when, on which unit instance, and everything the
+ * frame reports that does not depend on values. For one program set
+ * and one accelerator configuration the scheduler picks the same
+ * order every clean frame (only an armed fault injector changes it),
+ * so one plan serves every clean frame of every context over those
+ * programs. A plan is immutable once built and shared read-only
+ * between threads.
+ */
+struct FramePlan
+{
+    /** One issued instruction, in issue order (16 bytes). */
+    struct Issue
+    {
+        std::uint32_t g;        //!< Global instruction index.
+        std::uint32_t instance; //!< Unit instance it issued to.
+        std::uint64_t start;    //!< Issue cycle.
+    };
+
+    /** An injected fault on one issue (fault-armed frames only). */
+    struct Fault
+    {
+        std::uint32_t position;    //!< Index into issues.
+        std::uint32_t victim;      //!< Slot poisoned when corrupt.
+        bool corrupt;              //!< Poison victim after the step.
+        std::uint64_t extraCycles; //!< Stall/spike latency added.
+    };
+
+    /** Configuration the schedule holds for (recordTrace aside). */
+    std::array<unsigned, hw::kUnitKindCount> units{};
+    bool outOfOrder = true;
+
+    std::vector<Issue> issues;
+    std::vector<Fault> faults; //!< Ascending position.
+
+    /** Frame totals: every SimResult field but deltas and trace. */
+    hw::SimResult totals;
+
+    /** Base-latency busy cycles per (unit kind, instance). */
+    std::array<std::vector<std::uint64_t>, hw::kUnitKindCount>
+        instanceBusy;
+
+    bool
+    matches(const hw::AcceleratorConfig &config) const
+    {
+        return units == config.units && outOfOrder == config.outOfOrder;
+    }
+};
+
+/**
  * Reusable per-frame execution state for a fixed set of compiled
  * programs (the work items of one accelerator frame).
  *
- * The context is the long-lived half of the engine/session split: it
- * is built once per program set and then drives any number of frames
- * without re-deriving schedule inputs. Construction precomputes
- * everything that depends only on the programs —
+ * A frame runs in two steps. The *schedule* step is the Sec. 6.3
+ * issue loop — scheduling policy, per-kind issue queues, completion
+ * heap, fault decisions — with no numerics; it yields a FramePlan.
+ * The *numerics* step then runs comp::Executor::step over the plan's
+ * issue order and poisons each corrupt-fault victim right after its
+ * instruction. Programs are SSA, so any dependence-respecting order
+ * computes the same values; running the recorded order keeps live
+ * and replayed frames on the identical step sequence.
  *
- *   - the flattened global instruction order and per-work-item bases,
- *   - the dependence graph (static producer counts plus a CSR
- *     dependents adjacency),
- *   - per-instruction unit kinds, latencies, compute energies and
- *     word counts from the cost model,
- *   - one comp::Executor per work item with its slot arena sized to
- *     the program's value table;
- *
- * while run() only touches preallocated scratch vectors (pending
- * counts, issue/done flags, unit pools, the per-kind issue queues,
- * the completion-event heap), so the steady-state frame loop performs
- * no per-frame rebuild of any of this. Executor slot arenas are kept
- * warm between frames: compiled programs write every slot before
- * reading it (producers precede consumers in the dependence graph),
- * so stale values from the previous frame are never observed, and
- * matrix results are written into the slot's existing storage.
+ * A frame replays a plan (numerics only) when no fault injector is
+ * armed, no caller-supplied Scheduler is passed, and the context
+ * holds a plan matching the config. It holds one after its first
+ * clean frame, or from construction when handed a shared plan
+ * (Engine::plan). Otherwise the frame runs live: the schedule step
+ * builds its static tables on first use — per-instruction unit
+ * kinds, latencies, energies, word counts and the CSR dependents
+ * adjacency — and reuses its scratch between live frames.
  *
  * The issue queues hold every data-ready, unissued instruction of one
  * functional-unit kind, oldest first. Only queue heads are marked
  * ready to the scheduling policy (scheduler.hpp, protocol step 2),
  * and run() throws std::logic_error on a pick that is not a head.
  *
+ * Executor slot arenas are sized at construction and kept warm
+ * between frames: compiled programs write every slot before reading
+ * it, so stale values from the previous frame are never observed.
  * Values are rebound per frame (bindValues), which is what lets one
  * context serve successive Gauss-Newton iterations and successive
  * frames of a client stream.
@@ -50,17 +99,27 @@ namespace orianna::runtime {
 class ExecutionContext
 {
   public:
-    /** Bind programs and initial values from accelerator work items. */
-    explicit ExecutionContext(const std::vector<hw::WorkItem> &work);
+    /**
+     * Bind programs and initial values from accelerator work items.
+     * @p plan (may be null) is a shared plan over the same programs.
+     */
+    explicit ExecutionContext(
+        const std::vector<hw::WorkItem> &work,
+        std::shared_ptr<const FramePlan> plan = nullptr);
 
     /** Bind programs only; call bindValues before run(). */
     explicit ExecutionContext(
-        std::vector<const comp::Program *> programs);
+        std::vector<const comp::Program *> programs,
+        std::shared_ptr<const FramePlan> plan = nullptr);
+
+    ~ExecutionContext();
+    ExecutionContext(ExecutionContext &&) noexcept;
+    ExecutionContext &operator=(ExecutionContext &&) noexcept;
 
     std::size_t workCount() const { return programs_.size(); }
 
     /** Total instructions across all bound programs. */
-    std::size_t instructionCount() const { return orderWork_.size(); }
+    std::size_t instructionCount() const { return base_.back(); }
 
     /** Rebind the values of work item @p item for subsequent frames. */
     void bindValues(std::size_t item, const fg::Values *values);
@@ -77,36 +136,45 @@ class ExecutionContext
 
     /**
      * Run one frame (every program executed once) under @p config with
-     * the context's built-in scheduler for the config's dispatch mode.
+     * the context's built-in scheduler for the config's dispatch mode,
+     * replaying the context's plan when it can.
      */
     hw::SimResult run(const hw::AcceleratorConfig &config);
 
-    /** Same, with a caller-supplied scheduling policy. */
+    /** Same, always live, with a caller-supplied scheduling policy. */
     hw::SimResult run(const hw::AcceleratorConfig &config,
                       Scheduler &scheduler);
 
+    /** The plan clean frames replay, or null before there is one. */
+    const std::shared_ptr<const FramePlan> &plan() const
+    {
+        return plan_;
+    }
+
+    /**
+     * Schedule one clean frame of @p programs under @p config with
+     * the built-in scheduler, without numerics or values.
+     */
+    static std::shared_ptr<const FramePlan>
+    schedule(std::vector<const comp::Program *> programs,
+             const hw::AcceleratorConfig &config);
+
   private:
-    struct IssueView;
+    struct Live;
 
-    void buildStatic();
+    hw::SimResult frame(const hw::AcceleratorConfig &config,
+                        Scheduler *scheduler);
+    Live &live();
+    void numerics(const FramePlan &plan);
+    std::vector<hw::TraceEvent> traceEvents(const FramePlan &plan) const;
+    hw::SimResult finish(const FramePlan &plan,
+                         const hw::AcceleratorConfig &config,
+                         bool replayed) const;
 
-    // --- Immutable after construction (per program set) -------------
     std::vector<const comp::Program *> programs_;
     std::vector<const fg::Values *> values_;
-    /** Global index -> (work item, local instruction index). */
-    std::vector<std::uint32_t> orderWork_;
-    std::vector<std::uint32_t> orderIndex_;
-    std::vector<std::size_t> base_; //!< First global index per item.
-    std::vector<std::uint32_t> depCount_; //!< Static producer counts.
-    /** CSR dependents adjacency over global indices. */
-    std::vector<std::uint32_t> dependentsBegin_;
-    std::vector<std::uint32_t> dependents_;
-    std::vector<std::uint8_t> unitKind_;
-    std::vector<std::uint64_t> latency_;
-    std::vector<double> dynamicNj_;
-    std::vector<std::uint64_t> words_;
-    /** Per-work-item memory-energy scale (0.5 for fp32 programs). */
-    std::vector<double> wordEnergyScale_;
+    /** First global index per work item, plus the total at the end. */
+    std::vector<std::size_t> base_;
     /**
      * One interpreter per work item, instantiated at the precision the
      * program is tagged with (DESIGN.md §12): fp64 programs run the
@@ -114,31 +182,17 @@ class ExecutionContext
      */
     std::vector<std::variant<comp::Executor, comp::Executor32>>
         executors_;
-    std::unique_ptr<Scheduler> outOfOrder_;
-    std::unique_ptr<Scheduler> inOrder_;
+
+    std::shared_ptr<const FramePlan> plan_;
+    /** Static tables and scratch of the schedule step (lazy). */
+    std::unique_ptr<Live> live_;
+    /** Per-frame plan of fault-armed and caller-scheduled frames. */
+    FramePlan scratch_;
 
     // --- Fault-injection arming (rebound per frame attempt) ----------
     const hw::FaultInjector *faults_ = nullptr;
     std::uint64_t faultFrame_ = 0;
     std::uint64_t faultAttempt_ = 0;
-
-    // --- Per-frame scratch, reset in place by run() ------------------
-    std::vector<std::uint32_t> pending_;
-    std::vector<std::uint64_t> finishCycle_;
-    std::vector<std::uint8_t> issued_;
-    std::vector<std::uint8_t> done_;
-    std::vector<unsigned> assignedInstance_;
-    /** Data-ready, unissued instructions per kind (min-heaps by age). */
-    std::array<std::vector<std::uint32_t>, hw::kUnitKindCount>
-        readyByKind_;
-    /** Already passed to Scheduler::markReady this frame. */
-    std::vector<std::uint8_t> marked_;
-    std::array<std::vector<unsigned>, hw::kUnitKindCount> freeInstances_;
-    /** Per-(kind, instance) busy cycles, flushed to metrics. */
-    std::array<std::vector<std::uint64_t>, hw::kUnitKindCount>
-        instanceBusy_;
-    /** Min-heap of (finish cycle, global index) completions. */
-    std::vector<std::pair<std::uint64_t, std::size_t>> events_;
 };
 
 } // namespace orianna::runtime

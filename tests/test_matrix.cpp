@@ -8,6 +8,7 @@
 
 #include "matrix/block_sparse.hpp"
 #include "matrix/dense.hpp"
+#include "matrix/kernels.hpp"
 #include "matrix/mac_counter.hpp"
 #include "matrix/qr.hpp"
 #include "matrix/simd.hpp"
@@ -396,6 +397,70 @@ TEST(Qr, MismatchedShapesThrow)
     // An augmented system needs at least its rhs column.
     Matrix no_rhs(3, 0);
     EXPECT_THROW(orianna::mat::givensQr(no_rhs), std::invalid_argument);
+}
+
+// givensQr tallies dispatched rotations and MACs locally and counts
+// them once per call. On a garage-sized block — rows spanning both
+// sides of the dispatch cutoff, some entries already zero — that
+// must match a reference loop that counts every rotation as it goes,
+// and rotate every value bit identically.
+TEST(Qr, GivensBulkAccountingMatchesPerRotationAccounting)
+{
+    std::mt19937 rng(7);
+    Matrix aug = randomMatrix(48, 37, rng);
+    for (std::size_t i = 0; i < aug.rows(); i += 5)
+        for (std::size_t j = 0; j < 12; ++j)
+            aug(i, j) = 0.0;
+
+    // The per-rotation reference: kernels::givensRotate counts each
+    // dispatched call, MACs are added per rotation.
+    Matrix want = aug;
+    const std::uint64_t ref_calls_before =
+        kernels::kernelCallCount(kernels::KernelOp::GivensRotate);
+    const MacScope ref_macs;
+    {
+        const std::size_t m = want.rows();
+        const std::size_t n = want.cols() - 1;
+        double *p = &want(0, 0);
+        for (std::size_t j = 0; j < n; ++j)
+            for (std::size_t i = m; i-- > j + 1;) {
+                const double x = want(j, j);
+                const double y = want(i, j);
+                if (y == 0.0)
+                    continue;
+                const double hyp = std::hypot(x, y);
+                const double c = x / hyp;
+                const double s = y / hyp;
+                kernels::givensRotate(p + j * want.cols() + j,
+                                      p + i * want.cols() + j, c, s,
+                                      n - j);
+                MacCounter::add(4 * (n - j));
+                const double tj = want(j, n);
+                const double ti = want(i, n);
+                want(j, n) = c * tj + s * ti;
+                want(i, n) = -s * tj + c * ti;
+                MacCounter::add(4);
+                want(i, j) = 0.0;
+            }
+    }
+    const std::uint64_t ref_macs_total = ref_macs.elapsed();
+    const std::uint64_t ref_calls =
+        kernels::kernelCallCount(kernels::KernelOp::GivensRotate) -
+        ref_calls_before;
+
+    Matrix got = aug;
+    const std::uint64_t calls_before =
+        kernels::kernelCallCount(kernels::KernelOp::GivensRotate);
+    const MacScope macs;
+    orianna::mat::givensQr(got);
+    EXPECT_EQ(macs.elapsed(), ref_macs_total);
+    EXPECT_EQ(kernels::kernelCallCount(kernels::KernelOp::GivensRotate) -
+                  calls_before,
+              ref_calls);
+    EXPECT_GT(ref_calls, 0u);
+    for (std::size_t i = 0; i < want.rows(); ++i)
+        for (std::size_t j = 0; j < want.cols(); ++j)
+            EXPECT_EQ(got(i, j), want(i, j)) << i << "," << j;
 }
 
 // --- Block-sparse assembly ----------------------------------------------

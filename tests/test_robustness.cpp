@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "runtime/engine.hpp"
 #include "runtime/execution_context.hpp"
 #include "runtime/server_pool.hpp"
+#include "runtime/trace_sink.hpp"
 #include "test_json.hpp"
 
 using namespace orianna;
@@ -409,6 +411,66 @@ TEST(Degradation, FaultFreeEngineIsUnchanged)
     EXPECT_EQ(json->at("status").asString(), "ok");
     EXPECT_FALSE(json->at("fault_injection").boolean);
     EXPECT_EQ(json->at("frames_ok").asNumber(), 2.0);
+}
+
+// A frame whose numerics throw never reaches the ladder's end, but it
+// is still a frame that threw: EngineHealth::failures counts it.
+TEST(Degradation, FrameThatThrowsCountsAsAFailure)
+{
+    const auto truth = chainTruth();
+    fg::FactorGraph graph;
+    // A 1e14 sigma whitens the only factor to ~0: the back
+    // substitution meets a singular diagonal and throws.
+    graph.emplace<fg::PriorFactor>(1, truth[0],
+                                   fg::isotropicSigmas(6, 1e14));
+    fg::Values initial;
+    initial.insert(1, truth[0]);
+
+    runtime::EngineOptions fp64;
+    fp64.precision = comp::Precision::Fp64;
+    runtime::Engine engine(hw::AcceleratorConfig::minimal(true), fp64);
+    runtime::Session session = engine.session(graph, initial);
+    EXPECT_THROW(session.step(), std::runtime_error);
+    EXPECT_EQ(session.frames(), 0u);
+    EXPECT_EQ(engine.health().failures.load(), 1u);
+    const auto json = parseJson(engine.healthJson());
+    EXPECT_EQ(json->at("status").asString(), "failing");
+    EXPECT_EQ(json->at("failures").asNumber(), 1.0);
+}
+
+// Session::step forces the trace on while the unified trace collects;
+// a frame that throws must hand the caller's setting back, or every
+// later frame returns a schedule trace nobody asked for.
+TEST(Degradation, FrameThatThrowsRestoresTheTraceFlag)
+{
+    struct TraceGate
+    {
+        TraceGate() { runtime::TraceCollector::setEnabled(true); }
+        ~TraceGate()
+        {
+            runtime::TraceCollector::setEnabled(false);
+            runtime::TraceCollector::global().clear();
+        }
+    };
+    const auto truth = chainTruth();
+    const fg::FactorGraph graph = chainGraph(truth);
+    const fg::Values initial = chainInitial(truth);
+    runtime::EngineOptions fp64;
+    fp64.precision = comp::Precision::Fp64;
+    runtime::Engine engine(hw::AcceleratorConfig::minimal(true), fp64);
+
+    std::optional<TraceGate> gate(std::in_place);
+    runtime::Session session = engine.session(graph, initial);
+    // A variable the program loads goes missing: LOADV throws.
+    const lie::Pose missing = session.values().pose(2);
+    session.values().erase(2);
+    EXPECT_THROW(session.step(), std::exception);
+    EXPECT_EQ(engine.health().failures.load(), 1u);
+
+    session.values().insert(2, missing);
+    gate.reset();
+    const hw::SimResult frame = session.step();
+    EXPECT_TRUE(frame.trace.empty());
 }
 
 // ---------------------------------------------------------------

@@ -680,6 +680,54 @@ TEST(Engine, ConcurrentRequestsOfOneGraphCompileOnce)
     EXPECT_GT(engine.compileLog()[0].instructions, 0u);
 }
 
+// Plans are single-flight per program: eight threads opening sessions
+// of one program at once schedule it exactly once, and every session
+// replays that plan to the sequential values.
+TEST(Engine, ConcurrentSessionOpensBuildOnePlan)
+{
+    const auto truth = chainTruth();
+    const fg::FactorGraph graph = chainGraph(truth);
+    const fg::Values initial = chainInitial(truth, 0.01);
+    runtime::EngineOptions options;
+    options.precision = comp::Precision::Fp64;
+    runtime::Engine engine(hw::AcceleratorConfig::minimal(true),
+                           options);
+    const auto program = engine.program(graph, initial);
+
+    constexpr std::size_t kThreads = 8;
+    std::vector<fg::Values> got(kThreads);
+    std::atomic<std::size_t> arrived{0};
+    {
+        std::vector<std::thread> threads;
+        for (std::size_t t = 0; t < kThreads; ++t)
+            threads.emplace_back([&, t] {
+                arrived.fetch_add(1);
+                while (arrived.load() < kThreads)
+                    std::this_thread::yield();
+                runtime::Session session = engine.session(graph, initial);
+                got[t] = session.iterate(2);
+            });
+        for (std::thread &thread : threads)
+            thread.join();
+    }
+    EXPECT_EQ(engine.stats().plansBuilt, 1u);
+    EXPECT_EQ(engine.stats().compiles, 1u);
+
+    runtime::Session sequential(program, initial,
+                                hw::AcceleratorConfig::minimal(true));
+    const fg::Values &want = sequential.iterate(2);
+    for (std::size_t t = 0; t < kThreads; ++t)
+        for (fg::Key key : want.keys()) {
+            for (std::size_t c = 0; c < 3; ++c) {
+                EXPECT_EQ(got[t].pose(key).phi()[c],
+                          want.pose(key).phi()[c])
+                    << "thread " << t << " pose " << key;
+                EXPECT_EQ(got[t].pose(key).t()[c], want.pose(key).t()[c])
+                    << "thread " << t << " pose " << key;
+            }
+        }
+}
+
 TEST(Engine, ConcurrentSessionsMatchSequentialByteForByte)
 {
     // Two distinct mission graphs (different measurements), many
