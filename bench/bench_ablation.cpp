@@ -53,9 +53,11 @@ main()
             algo, fg::ordering::minDegree(algo.graph),
             static_cast<std::uint8_t>(a));
         const auto sim_nat =
-            hw::simulate({{&natural, &algo.values}}, config);
+            runtime::ExecutionContext({{&natural, &algo.values}})
+                .run(config);
         const auto sim_md =
-            hw::simulate({{&mindeg, &algo.values}}, config);
+            runtime::ExecutionContext({{&mindeg, &algo.values}})
+                .run(config);
         std::printf("%-14s %12.1f us %12.1f us  (%.2fx)\n",
                     algo.name.c_str(), sim_nat.seconds() * 1e6,
                     sim_md.seconds() * 1e6,
@@ -66,13 +68,14 @@ main()
     std::printf("\n(b) dispatch granularity (whole application)\n");
     orianna::bench::rule();
     const auto work = app.frameWork();
-    const auto in_order =
-        hw::simulate(work, hw::AcceleratorConfig::minimal(false));
+    const auto in_order = runtime::ExecutionContext(work).run(
+        hw::AcceleratorConfig::minimal(false));
     // Fine-grained only: each algorithm OoO, but algorithms serialized.
     double fine_only = 0.0;
     for (const auto &item : work)
-        fine_only += hw::simulate({item}, config).seconds();
-    const auto coarse = hw::simulate(work, config);
+        fine_only +=
+            runtime::ExecutionContext({item}).run(config).seconds();
+    const auto coarse = runtime::ExecutionContext(work).run(config);
     std::printf("  in-order:                 %8.1f us\n",
                 in_order.seconds() * 1e6);
     std::printf("  fine-grained OoO only:    %8.1f us\n",
@@ -87,7 +90,7 @@ main()
     for (unsigned qr : {1u, 2u, 4u, 8u}) {
         hw::AcceleratorConfig scaled = config;
         scaled.count(hw::UnitKind::Qr) = qr;
-        const auto sim = hw::simulate(work, scaled);
+        const auto sim = runtime::ExecutionContext(work).run(scaled);
         std::printf("  %u QR unit%s: %8.1f us\n", qr,
                     qr == 1 ? " " : "s", sim.seconds() * 1e6);
     }
@@ -108,9 +111,13 @@ main()
         const comp::PassStats &dedup = stats[0];
         const comp::PassStats &dce = stats[1];
         const auto t_raw =
-            hw::simulate({{&raw, &algo.values}}, config).seconds();
+            runtime::ExecutionContext({{&raw, &algo.values}})
+                .run(config)
+                .seconds();
         const auto t_opt =
-            hw::simulate({{&opt, &algo.values}}, config).seconds();
+            runtime::ExecutionContext({{&opt, &algo.values}})
+                .run(config)
+                .seconds();
         std::printf("  %-13s %4zu -> %4zu instructions (%zu consts "
                     "merged, %zu dead), %5.1f -> %5.1f us\n",
                     algo.name.c_str(), dedup.before, dce.after,

@@ -33,7 +33,7 @@ main()
         double speedups[3] = {0, 0, 0};
         for (std::size_t a = 0; a < 3; ++a) {
             const hw::SimResult accel =
-                hw::simulate({work[a]}, gen.config);
+                runtime::ExecutionContext({work[a]}).run(gen.config);
             const auto arm = baselines::runOnCpu(
                 baselines::arm(), {reference[a]});
             speedups[a] = arm.seconds / accel.seconds();

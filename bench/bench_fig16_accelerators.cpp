@@ -41,7 +41,7 @@ main()
                                    hwgen::Objective::AvgLatency, true);
         hw::AcceleratorConfig io_cfg = gen.config;
         io_cfg.outOfOrder = false;
-        const auto io = hw::simulate(work, io_cfg);
+        const auto io = runtime::ExecutionContext(work).run(io_cfg);
 
         // VANILLA-HLS: same templates and budget, dense program. Its
         // buffers must hold the whole [A|b], so it is generated for

@@ -29,7 +29,8 @@ main()
         auto gen = hwgen::generate(work, budget,
                                    hwgen::Objective::Energy, true);
         const auto manual_cfg = hwgen::manualDesign(budget, true);
-        const auto manual = hw::simulate(work, manual_cfg);
+        const auto manual =
+            runtime::ExecutionContext(work).run(manual_cfg);
         std::printf("%8zu %13.2fx %13.2fx %14.2f %14.2f\n", dsp,
                     intel.energyJ / gen.result.totalEnergyJ(),
                     intel.energyJ / manual.totalEnergyJ(),

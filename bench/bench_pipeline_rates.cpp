@@ -56,8 +56,10 @@ main()
     orianna::bench::rule();
 
     // Nominal rates on the smallest accelerator: trivially sustained.
-    const auto nominal = hw::simulatePipeline(
-        streamsOf(app, 1.0), hw::AcceleratorConfig::minimal(true), 0.25);
+    const auto nominal =
+        hw::FramePipeline(streamsOf(app, 1.0),
+                          hw::AcceleratorConfig::minimal(true))
+            .run(0.25);
     report("nominal rates, minimal OoO accelerator", app, nominal);
 
     // 60x stress: the shared accelerator saturates; compare dispatch
@@ -65,18 +67,20 @@ main()
     std::printf("\n60x rates (stress):\n");
     const auto streams = streamsOf(app, 60.0);
 
-    const auto io = hw::simulatePipeline(
-        streams, hw::AcceleratorConfig::minimal(false), 0.02);
+    const auto io =
+        hw::FramePipeline(streams, hw::AcceleratorConfig::minimal(false))
+            .run(0.02);
     report("  in-order minimal", app, io);
-    const auto ooo = hw::simulatePipeline(
-        streams, hw::AcceleratorConfig::minimal(true), 0.02);
+    const auto ooo =
+        hw::FramePipeline(streams, hw::AcceleratorConfig::minimal(true))
+            .run(0.02);
     report("  out-of-order minimal", app, ooo);
 
     auto tail_gen = hwgen::generate(app.frameWork(),
                                     orianna::bench::zc706Budget(),
                                     hwgen::Objective::MaxLatency, true);
     const auto tuned =
-        hw::simulatePipeline(streams, tail_gen.config, 0.02);
+        hw::FramePipeline(streams, tail_gen.config).run(0.02);
     report("  out-of-order, MaxLatency-generated", app, tuned);
 
     orianna::bench::rule();

@@ -8,10 +8,10 @@
 #include <cstdio>
 
 #include "apps/benchmark_apps.hpp"
-#include "hw/trace.hpp"
 #include "baselines/platform_models.hpp"
 #include "hwgen/generator.hpp"
 #include "runtime/execution_context.hpp"
+#include "runtime/trace_sink.hpp"
 
 using namespace orianna;
 
@@ -64,10 +64,12 @@ main()
     // algorithms is directly visible on the unit lanes.
     hw::AcceleratorConfig traced = gen.config;
     traced.recordTrace = true;
-    runtime::ExecutionContext frame_context(app.frameWork());
-    const hw::SimResult traced_frame = frame_context.run(traced);
-    hw::writeChromeTrace("mobile_robot_schedule.json",
-                         traced_frame.trace);
+    const hw::SimResult traced_frame =
+        runtime::ExecutionContext(app.frameWork()).run(traced);
+    runtime::TraceCollector trace;
+    trace.addHwFrame(trace.openTrack(app.name()), /*anchor_us=*/0,
+                     traced_frame.trace, traced.units);
+    trace.write("mobile_robot_schedule.json");
     std::printf("  schedule trace: mobile_robot_schedule.json (%zu "
                 "events)\n", traced_frame.trace.size());
 

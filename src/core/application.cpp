@@ -1,6 +1,8 @@
 #include "core/application.hpp"
 
+#include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "fg/optimizer.hpp"
 #include "fg/ordering.hpp"
@@ -142,8 +144,13 @@ Application::solveAccelerated(const hw::AcceleratorConfig &config,
     std::vector<fg::Values> out;
     out.reserve(algorithms_.size());
     for (const auto &algo : algorithms_) {
-        runtime::Session session(algo->program, algo->values, config,
-                                 algo->stepScale);
+        runtime::SessionOptions options;
+        options.stepScale = algo->stepScale;
+        // Non-owning: the algorithm outlives this loop's session.
+        runtime::Session session(
+            std::shared_ptr<const comp::Program>(
+                std::shared_ptr<const void>(), &algo->program),
+            algo->values, config, std::move(options));
         session.iterate(iterations);
         if (total != nullptr)
             total->accumulate(session.totals());

@@ -22,7 +22,10 @@ struct AcceleratorConfig
     std::array<unsigned, kUnitKindCount> units{};
     bool outOfOrder = true;
     std::string name = "orianna";
-    /** Record a per-instruction schedule trace (writeChromeTrace). */
+    /**
+     * Record a per-instruction schedule trace in SimResult::trace
+     * (runtime::TraceCollector::addHwFrame writes it out).
+     */
     bool recordTrace = false;
 
     /** Smallest viable accelerator: one unit of each kind. */
@@ -49,7 +52,10 @@ struct WorkItem
     const fg::Values *values;
 };
 
-/** Outcome of one simulated frame (all work items executed once). */
+/**
+ * Outcome of one simulated frame (all work items executed once), as
+ * runtime::ExecutionContext::run produces it.
+ */
 struct SimResult
 {
     std::uint64_t cycles = 0;
@@ -120,46 +126,5 @@ struct SimResult
             faultsByKind[k] += other.faultsByKind[k];
     }
 };
-
-/**
- * Cycle-level, functional simulation of the ORIANNA accelerator.
- *
- * Instructions are issued by a scoreboard: out-of-order configurations
- * dispatch any instruction whose operands are ready to any free unit
- * of the right kind (fine-grained OoO inside an algorithm and
- * coarse-grained OoO across the work items, Sec. 6.3); in-order
- * configurations issue strictly in program order (work items
- * concatenated), stalling on the oldest unissued instruction.
- *
- * The numerics run through comp::Executor in the schedule's issue
- * order, so the simulation also produces the actual Gauss-Newton
- * updates.
- *
- * This is a convenience wrapper kept for API compatibility: it
- * builds a fresh runtime::ExecutionContext and runs one frame.
- * Frame-loop callers should build the context once and reuse it
- * (src/runtime), which skips the per-call dependence-graph and
- * executor setup this wrapper pays.
- */
-SimResult simulate(const std::vector<WorkItem> &work,
-                   const AcceleratorConfig &config);
-
-/**
- * Convenience: run @p iterations Gauss-Newton steps of a single
- * program on the accelerator, retracting between steps, through one
- * reused runtime::Session. Returns the final values plus the
- * accumulated simulation statistics.
- */
-struct IteratedResult
-{
-    fg::Values values;
-    SimResult total; //!< Cycles/energy accumulated over iterations.
-};
-
-IteratedResult simulateIterated(const comp::Program &program,
-                                const fg::Values &initial,
-                                std::size_t iterations,
-                                const AcceleratorConfig &config,
-                                double step_scale = 1.0);
 
 } // namespace orianna::hw

@@ -306,14 +306,4 @@ FramePipeline::run(double horizon_s)
     return result;
 }
 
-PipelineResult
-simulatePipeline(const std::vector<PeriodicStream> &streams,
-                 const AcceleratorConfig &config, double horizon_s)
-{
-    if (horizon_s <= 0.0)
-        throw std::invalid_argument(
-            "simulatePipeline: horizon must be positive");
-    return FramePipeline(streams, config).run(horizon_s);
-}
-
 } // namespace orianna::hw

@@ -81,9 +81,4 @@ class FramePipeline
     std::vector<std::vector<std::vector<std::uint32_t>>> dependents_;
 };
 
-/** One-shot convenience wrapper kept for API compatibility. */
-PipelineResult simulatePipeline(const std::vector<PeriodicStream> &streams,
-                                const AcceleratorConfig &config,
-                                double horizon_s);
-
 } // namespace orianna::hw

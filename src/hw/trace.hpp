@@ -1,13 +1,16 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "hw/cost_model.hpp"
 
 namespace orianna::hw {
 
-/** One scheduled instruction occurrence, for timeline visualization. */
+/**
+ * One scheduled instruction occurrence, for timeline visualization
+ * (runtime::TraceCollector writes them as Chrome/Perfetto JSON).
+ */
 struct TraceEvent
 {
     std::string name;       //!< Opcode mnemonic + shape.
@@ -18,18 +21,5 @@ struct TraceEvent
     std::uint8_t algorithm = 0; //!< Coarse-grained OoO tag.
     std::uint8_t phase = 0;     //!< Construction / decomp / back-sub.
 };
-
-/**
- * Write a schedule as a Chrome trace (chrome://tracing /
- * https://ui.perfetto.dev JSON). Each functional-unit instance
- * becomes a timeline row; colors follow the algorithm tag, so the
- * coarse-grained out-of-order interleaving of Sec. 6.3 is directly
- * visible.
- *
- * @throws std::runtime_error when the file cannot be written.
- */
-void writeChromeTrace(const std::string &path,
-                      const std::vector<TraceEvent> &events,
-                      double frequency_hz = CostModel::frequencyHz);
 
 } // namespace orianna::hw

@@ -522,6 +522,21 @@ Engine::healthJson() const
     return out;
 }
 
+bool
+Engine::provisionsFallback() const
+{
+    // The fallback rung costs a second compile per program, so it is
+    // provisioned only when a frame can fail over at all: injection,
+    // a frame deadline, a divergence limit, or a reduced-precision
+    // datapath (whose mantissa can break a frame all by itself).
+    const DegradationPolicy &policy = options_.degradation;
+    const bool can_fault = injector_ != nullptr ||
+                           policy.frameTimeoutCycles > 0 ||
+                           policy.deltaAbsLimit > 0.0 ||
+                           precision_ == comp::Precision::Fp32;
+    return policy.fallback && can_fault;
+}
+
 Session
 Engine::session(const fg::FactorGraph &graph, fg::Values initial,
                 double step_scale, std::uint8_t algorithm_tag,
@@ -529,38 +544,17 @@ Engine::session(const fg::FactorGraph &graph, fg::Values initial,
 {
     const StageTimer open;
     auto compiled = program(graph, initial, algorithm_tag, name);
-
-    SessionOptions opts;
-    opts.stepScale = step_scale;
-    opts.policy = options_.degradation;
-    opts.injector = injector_;
-    opts.health = health_;
-    // The fallback rung costs a second compile per graph, so it is
-    // provisioned only when a fault source exists: injection, a frame
-    // deadline, or a reduced-precision datapath (whose mantissa can
-    // break a frame all by itself — non-finite or diverging deltas).
-    // Fault-free fp64 engines behave exactly as before.
-    const bool can_fault = injector_ != nullptr ||
-                           options_.degradation.frameTimeoutCycles > 0 ||
-                           precision_ == comp::Precision::Fp32;
-    if (options_.degradation.fallback && can_fault)
-        opts.fallback =
-            referenceProgram(graph, initial, algorithm_tag, name);
-    opts.plan = plan(compiled);
-    if (opts.fallback != nullptr)
-        opts.fallbackPlan = plan(opts.fallback);
-
-    if (MetricsRegistry::enabled())
-        MetricsRegistry::global()
-            .counter(std::string("engine.sessions.") +
-                     comp::precisionName(precision_))
-            .add();
+    auto fallback =
+        provisionsFallback()
+            ? referenceProgram(graph, initial, algorithm_tag, name)
+            : nullptr;
+    Session opened = openSession(std::move(compiled), std::move(initial),
+                                 std::move(fallback), step_scale);
     if (open.armed())
         MetricsRegistry::global()
             .histogram("engine.session_open_us")
             .observe(open.elapsedUs());
-    return Session(std::move(compiled), std::move(initial), config_,
-                   std::move(opts));
+    return opened;
 }
 
 Session
@@ -572,11 +566,10 @@ Engine::openSession(std::shared_ptr<const comp::Program> program,
     SessionOptions opts;
     opts.stepScale = step_scale;
     opts.policy = options_.degradation;
+    opts.fallback = std::move(fallback);
     opts.injector = injector_;
     opts.health = health_;
     opts.retract = retract;
-    if (options_.degradation.fallback)
-        opts.fallback = std::move(fallback);
     opts.plan = plan(program);
     if (opts.fallback != nullptr)
         opts.fallbackPlan = plan(opts.fallback);
@@ -623,26 +616,6 @@ openSessionTrack()
 
 } // namespace
 
-namespace {
-
-SessionOptions
-scaleOnly(double step_scale)
-{
-    SessionOptions opts;
-    opts.stepScale = step_scale;
-    return opts;
-}
-
-} // namespace
-
-Session::Session(std::shared_ptr<const comp::Program> program,
-                 fg::Values initial, hw::AcceleratorConfig config,
-                 double step_scale)
-    : Session(std::move(program), std::move(initial),
-              std::move(config), scaleOnly(step_scale))
-{
-}
-
 Session::Session(std::shared_ptr<const comp::Program> program,
                  fg::Values initial, hw::AcceleratorConfig config,
                  SessionOptions options)
@@ -666,14 +639,6 @@ std::int64_t
 Session::traceTrack() const
 {
     return trace_ ? static_cast<std::int64_t>(trace_->track) : -1;
-}
-
-Session::Session(const comp::Program &program, fg::Values initial,
-                 hw::AcceleratorConfig config, double step_scale)
-    : Session(std::shared_ptr<const comp::Program>(
-                  std::shared_ptr<const void>(), &program),
-              std::move(initial), std::move(config), step_scale)
-{
 }
 
 const char *

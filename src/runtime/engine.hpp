@@ -167,8 +167,9 @@ struct EngineOptions
      * The precision salts both the in-memory cache key and the
      * persistent-store key, so both precisions of one graph coexist
      * without ever serving each other's artifacts. Fp32 engines
-     * provision the fp64 reference program as the degradation-ladder
-     * fallback for every session.
+     * count as a fault source (provisionsFallback()): their sessions
+     * get the fp64 reference program as the degradation-ladder
+     * fallback.
      */
     std::optional<comp::Precision> precision;
 };
@@ -264,12 +265,14 @@ class Engine
     /**
      * Open a session around an already-compiled program (an update
      * program, or anything else obtained from this engine), wiring
-     * in the engine's degradation policy, fault injector and health
-     * counters exactly as session() does. @p retract=false opens a
-     * compute-only session: step() leaves the session values
-     * untouched and the caller reads the frame's delta bindings —
-     * the mode incremental update programs need, whose synthetic
-     * keys are not retractable variables.
+     * in the engine's degradation policy, fault injector, health
+     * counters and the shared frame plans. @p fallback becomes the
+     * ladder's reference rung as given: pass one only when
+     * provisionsFallback() holds, and compile it only then.
+     * @p retract=false opens a compute-only session: step() leaves
+     * the session values untouched and the caller reads the frame's
+     * delta bindings — the mode incremental update programs need,
+     * whose synthetic keys are not retractable variables.
      */
     Session openSession(std::shared_ptr<const comp::Program> program,
                         fg::Values initial,
@@ -287,6 +290,16 @@ class Engine
      */
     std::shared_ptr<const FramePlan>
     plan(const std::shared_ptr<const comp::Program> &program);
+
+    /**
+     * Whether the sessions this engine opens get a fallback reference
+     * program: the policy allows the rung (DegradationPolicy::fallback)
+     * and some fault source exists — an armed injector, a frame
+     * deadline, a divergence limit, or the fp32 datapath. Without a
+     * fault source a frame cannot fail over, so the second compile is
+     * skipped. session() and AcceleratedSmoother both ask here.
+     */
+    bool provisionsFallback() const;
 
     /** The engine's fault injector, or nullptr when faults are off. */
     const hw::FaultInjector *injector() const
@@ -311,8 +324,10 @@ class Engine
     std::string healthJson() const;
 
     /**
-     * Open a session: compile (or fetch) the program for @p graph and
-     * pair it with the client's private @p initial values.
+     * Open a session: compile (or fetch) the program for @p graph —
+     * plus its reference program when provisionsFallback() holds —
+     * and openSession() it with the client's private @p initial
+     * values.
      */
     Session session(const fg::FactorGraph &graph, fg::Values initial,
                     double step_scale = 1.0,
@@ -498,19 +513,14 @@ struct SessionOptions
 class Session
 {
   public:
-    /** Share ownership of a cached/compiled program. */
+    /**
+     * A caller that owns its program by value passes an aliasing
+     * shared_ptr (no owner) and keeps the program alive for the
+     * session's lifetime.
+     */
     Session(std::shared_ptr<const comp::Program> program,
             fg::Values initial, hw::AcceleratorConfig config,
-            double step_scale = 1.0);
-
-    /** Non-owning: @p program must outlive the session. */
-    Session(const comp::Program &program, fg::Values initial,
-            hw::AcceleratorConfig config, double step_scale = 1.0);
-
-    /** Full-options form (what Engine::session builds). */
-    Session(std::shared_ptr<const comp::Program> program,
-            fg::Values initial, hw::AcceleratorConfig config,
-            SessionOptions options);
+            SessionOptions options = {});
 
     const comp::Program &program() const { return *program_; }
 

@@ -225,26 +225,21 @@ AcceleratedSmoother::acquireSession(const comp::UpdateSpec &spec,
     // ProgramStore both key on the same fingerprint) and open a
     // compute-only session. Relinearize-all frames run the batch
     // reference rung directly; incremental frames get it as the
-    // degradation-ladder fallback when a frame can actually fault.
+    // degradation-ladder fallback when the engine provisions one.
     std::shared_ptr<const comp::Program> program;
     std::shared_ptr<const comp::Program> fallback;
-    const DegradationPolicy &policy =
-        engine_.engineOptions().degradation;
-    const bool can_fault =
-        engine_.injector() != nullptr ||
-        policy.frameTimeoutCycles > 0 || policy.deltaAbsLimit > 0.0 ||
-        engine_.precision() == comp::Precision::Fp32;
+    const bool provision = engine_.provisionsFallback();
     if (batch) {
         program = engine_.referenceUpdateProgram(spec, streamed);
         // The batch rung already runs the reference program; its
         // fallback is the same program replayed with injection
         // disarmed, which is exactly what the ladder's last rung
         // does with it.
-        if (can_fault)
+        if (provision)
             fallback = program;
     } else {
         program = engine_.updateProgram(spec, streamed);
-        if (can_fault)
+        if (provision)
             fallback =
                 engine_.referenceUpdateProgram(spec, streamed);
     }

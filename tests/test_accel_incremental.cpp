@@ -298,6 +298,27 @@ TEST(AccelIncremental, InjectedFaultsFallBackToReferenceRung)
     EXPECT_GT(engine.health().faultsDetected.load(), 0u);
 }
 
+// Without the fallback rung an armed injector must not cost a single
+// compile: the reference update programs the ladder would replay on
+// are never built, so the compile count equals a fault-free engine's.
+TEST(AccelIncremental, DisabledFallbackCompilesNoReferenceRung)
+{
+    const PoseGraphScenario scenario =
+        apps::makeManhattanWorld(40, /*seed=*/13);
+    const auto compilesWith = [&](runtime::EngineOptions options) {
+        options.precision = comp::Precision::Fp64;
+        runtime::Engine engine(config(), options);
+        runtime::AcceleratedSmoother accel(engine);
+        replay(accel, scenario);
+        return engine.stats().compiles;
+    };
+
+    runtime::EngineOptions stalls;
+    stalls.faultPlan = hw::FaultPlan::parse("7@stall:all:0.01");
+    stalls.degradation.fallback = false;
+    EXPECT_EQ(compilesWith(stalls), compilesWith({}));
+}
+
 // Update programs round-trip through the persistent ProgramStore: a
 // warm restart against the same directory serves previously seen
 // update shapes from disk.

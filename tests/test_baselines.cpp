@@ -6,6 +6,7 @@
 #include "baselines/platform_models.hpp"
 #include "baselines/stack_model.hpp"
 #include "compiler/executor.hpp"
+#include "runtime/execution_context.hpp"
 
 namespace {
 
@@ -27,7 +28,7 @@ TEST(Platforms, RelativeSpeedOrdering)
     const PlatformResult on_gpu =
         baselines::runOnGpu(baselines::embeddedGpu(), work);
     const hw::SimResult accel =
-        hw::simulate(work, AcceleratorConfig::minimal(true));
+        runtime::ExecutionContext(work).run(AcceleratorConfig::minimal(true));
 
     // The paper's ordering: ARM slowest, GPU ~2x ARM, Intel ~8x ARM,
     // accelerator fastest.
@@ -76,9 +77,9 @@ TEST(VanillaHls, DenseIsSlowerOnTheSameUnits)
     apps::BenchmarkApp bench = apps::buildQuadrotor(8);
     const AcceleratorConfig config = AcceleratorConfig::minimal(true);
     const hw::SimResult sparse =
-        hw::simulate(bench.app.frameWork(), config);
+        runtime::ExecutionContext(bench.app.frameWork()).run(config);
     const hw::SimResult dense =
-        hw::simulate(bench.app.denseFrameWork(), config);
+        runtime::ExecutionContext(bench.app.denseFrameWork()).run(config);
     EXPECT_GT(dense.cycles, sparse.cycles);
     EXPECT_GT(dense.totalEnergyJ(), sparse.totalEnergyJ());
 }

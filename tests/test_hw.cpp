@@ -3,15 +3,14 @@
 // resource accounting and the energy model.
 
 #include <algorithm>
-#include <fstream>
 #include <map>
 
 #include <gtest/gtest.h>
 
 #include "compiler/codegen.hpp"
 #include "fg/factors.hpp"
-#include "hw/accelerator.hpp"
-#include "hw/trace.hpp"
+#include "runtime/engine.hpp"
+#include "runtime/execution_context.hpp"
 #include "test_fg_common.hpp"
 
 namespace {
@@ -27,6 +26,7 @@ using hw::SimResult;
 using hw::UnitKind;
 using lie::Pose;
 using mat::Vector;
+using runtime::ExecutionContext;
 
 /** Small 3-D pose chain fixture. */
 struct Fixture
@@ -34,6 +34,8 @@ struct Fixture
     FactorGraph graph;
     Values values;
     Program program;
+
+    std::vector<hw::WorkItem> work() const { return {{&program, &values}}; }
 };
 
 Fixture
@@ -66,8 +68,8 @@ TEST(Accelerator, FunctionalMatchesReferenceExecutor)
     const auto expected = reference.run(f.values);
 
     for (bool ooo : {false, true}) {
-        SimResult sim = hw::simulate({{&f.program, &f.values}},
-                                     AcceleratorConfig::minimal(ooo));
+        SimResult sim =
+            ExecutionContext(f.work()).run(AcceleratorConfig::minimal(ooo));
         ASSERT_EQ(sim.deltas.size(), 1u);
         for (const auto &[key, delta] : expected)
             EXPECT_LT(mat::maxDifference(sim.deltas[0].at(key), delta),
@@ -79,10 +81,10 @@ TEST(Accelerator, FunctionalMatchesReferenceExecutor)
 TEST(Accelerator, OutOfOrderIsFaster)
 {
     Fixture f = makeFixture(8, 42);
-    SimResult io = hw::simulate({{&f.program, &f.values}},
-                                AcceleratorConfig::minimal(false));
-    SimResult ooo = hw::simulate({{&f.program, &f.values}},
-                                 AcceleratorConfig::minimal(true));
+    SimResult io =
+        ExecutionContext(f.work()).run(AcceleratorConfig::minimal(false));
+    SimResult ooo =
+        ExecutionContext(f.work()).run(AcceleratorConfig::minimal(true));
     EXPECT_LT(ooo.cycles, io.cycles);
     // Same work, same compute energy.
     EXPECT_NEAR(ooo.dynamicEnergyJ, io.dynamicEnergyJ, 1e-15);
@@ -100,8 +102,8 @@ TEST(Accelerator, MoreUnitsNeverSlower)
     AcceleratorConfig big = small;
     for (auto &count : big.units)
         count = 4;
-    SimResult s = hw::simulate({{&f.program, &f.values}}, small);
-    SimResult b = hw::simulate({{&f.program, &f.values}}, big);
+    SimResult s = ExecutionContext(f.work()).run(small);
+    SimResult b = ExecutionContext(f.work()).run(big);
     EXPECT_LE(b.cycles, s.cycles);
 }
 
@@ -117,10 +119,10 @@ TEST(Accelerator, CoarseGrainedOooOverlapsAlgorithms)
     Program program_b = comp::compileGraph(b.graph, b.values, options);
 
     AcceleratorConfig config = AcceleratorConfig::minimal(true);
-    SimResult only_a = hw::simulate({{&a.program, &a.values}}, config);
-    SimResult only_b = hw::simulate({{&program_b, &b.values}}, config);
-    SimResult both = hw::simulate(
-        {{&a.program, &a.values}, {&program_b, &b.values}}, config);
+    SimResult only_a = ExecutionContext(a.work()).run(config);
+    SimResult only_b = ExecutionContext({{&program_b, &b.values}}).run(config);
+    SimResult both = ExecutionContext(
+        {{&a.program, &a.values}, {&program_b, &b.values}}).run(config);
 
     EXPECT_LT(both.cycles, only_a.cycles + only_b.cycles);
     EXPECT_EQ(both.algorithmFinishCycle.size(), 2u);
@@ -131,8 +133,8 @@ TEST(Accelerator, CoarseGrainedOooOverlapsAlgorithms)
 TEST(Accelerator, PhaseBreakdownCoversAllBusyCycles)
 {
     Fixture f = makeFixture(6, 46);
-    SimResult sim = hw::simulate({{&f.program, &f.values}},
-                                 AcceleratorConfig::minimal(true));
+    SimResult sim =
+        ExecutionContext(f.work()).run(AcceleratorConfig::minimal(true));
     std::uint64_t by_phase = sim.phaseBusyCycles[0] +
                              sim.phaseBusyCycles[1] +
                              sim.phaseBusyCycles[2];
@@ -148,10 +150,13 @@ TEST(Accelerator, PhaseBreakdownCoversAllBusyCycles)
 TEST(Accelerator, IteratedStepsConverge)
 {
     Fixture f = makeFixture(5, 47);
-    auto out = hw::simulateIterated(f.program, f.values, 6,
-                                    AcceleratorConfig::minimal(true));
-    EXPECT_LT(f.graph.totalError(out.values), 1e-9);
-    EXPECT_GT(out.total.cycles, 0u);
+    runtime::Session session(
+        std::shared_ptr<const Program>(std::shared_ptr<const void>(),
+                                       &f.program),
+        f.values, AcceleratorConfig::minimal(true));
+    session.iterate(6);
+    EXPECT_LT(f.graph.totalError(session.values()), 1e-9);
+    EXPECT_GT(session.totals().cycles, 0u);
 }
 
 TEST(Accelerator, ZeroUnitConfigRejected)
@@ -159,7 +164,7 @@ TEST(Accelerator, ZeroUnitConfigRejected)
     Fixture f = makeFixture(3, 48);
     AcceleratorConfig config = AcceleratorConfig::minimal(true);
     config.count(UnitKind::Qr) = 0;
-    EXPECT_THROW(hw::simulate({{&f.program, &f.values}}, config),
+    EXPECT_THROW(ExecutionContext(f.work()).run(config),
                  std::invalid_argument);
 }
 
@@ -200,7 +205,7 @@ TEST(Accelerator, TraceRecordsSchedule)
     AcceleratorConfig config = AcceleratorConfig::minimal(true);
     config.recordTrace = true;
     config.count(UnitKind::MatMul) = 2;
-    SimResult sim = hw::simulate({{&f.program, &f.values}}, config);
+    SimResult sim = ExecutionContext(f.work()).run(config);
 
     ASSERT_EQ(sim.trace.size(), f.program.instructions.size());
     for (const auto &event : sim.trace) {
@@ -221,28 +226,9 @@ TEST(Accelerator, TraceRecordsSchedule)
             EXPECT_LE(spans[i - 1].second, spans[i].first);
     }
     // Off by default.
-    SimResult quiet = hw::simulate({{&f.program, &f.values}},
-                                   AcceleratorConfig::minimal(true));
+    SimResult quiet =
+        ExecutionContext(f.work()).run(AcceleratorConfig::minimal(true));
     EXPECT_TRUE(quiet.trace.empty());
-}
-
-TEST(Accelerator, ChromeTraceWrites)
-{
-    Fixture f = makeFixture(3, 50);
-    AcceleratorConfig config = AcceleratorConfig::minimal(true);
-    config.recordTrace = true;
-    SimResult sim = hw::simulate({{&f.program, &f.values}}, config);
-    const std::string path = ::testing::TempDir() + "orianna_trace.json";
-    hw::writeChromeTrace(path, sim.trace);
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string all((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-    EXPECT_NE(all.find("process_name"), std::string::npos);
-    EXPECT_NE(all.find("GATHER"), std::string::npos);
-    EXPECT_THROW(hw::writeChromeTrace("/nonexistent/dir/x.json",
-                                      sim.trace),
-                 std::runtime_error);
 }
 
 TEST(CostModel, EveryOpcodeHasAUnit)

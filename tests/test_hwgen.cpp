@@ -5,6 +5,7 @@
 #include "compiler/codegen.hpp"
 #include "fg/factors.hpp"
 #include "hwgen/generator.hpp"
+#include "runtime/execution_context.hpp"
 #include "runtime/server_pool.hpp"
 #include "test_fg_common.hpp"
 
@@ -87,7 +88,8 @@ TEST(Hwgen, GeneratedBeatsManualUnderSameBudget)
     auto gen = hwgen::generate({{&f.program, &f.values}}, budget);
     const AcceleratorConfig manual = hwgen::manualDesign(budget);
     ASSERT_TRUE(manual.resources().fitsIn(budget));
-    auto manual_sim = hw::simulate({{&f.program, &f.values}}, manual);
+    auto manual_sim =
+        runtime::ExecutionContext({{&f.program, &f.values}}).run(manual);
 
     EXPECT_LE(gen.result.cycles, manual_sim.cycles);
 }

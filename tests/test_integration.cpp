@@ -9,6 +9,7 @@
 #include "baselines/platform_models.hpp"
 #include "baselines/stack_model.hpp"
 #include "hwgen/generator.hpp"
+#include "runtime/execution_context.hpp"
 
 namespace {
 
@@ -69,9 +70,9 @@ TEST_P(CrossPath, InOrderAndOutOfOrderAgreeFunctionally)
         apps::buildApp(GetParam().kind, GetParam().seed);
     const auto work = bench.app.frameWork();
     const auto ooo =
-        hw::simulate(work, AcceleratorConfig::minimal(true));
-    const auto io =
-        hw::simulate(work, AcceleratorConfig::minimal(false));
+        runtime::ExecutionContext(work).run(AcceleratorConfig::minimal(true));
+    const auto io = runtime::ExecutionContext(work).run(
+        AcceleratorConfig::minimal(false));
     ASSERT_EQ(ooo.deltas.size(), io.deltas.size());
     for (std::size_t w = 0; w < ooo.deltas.size(); ++w)
         for (const auto &[key, delta] : ooo.deltas[w])
@@ -97,7 +98,7 @@ TEST(Scheduling, BusyCyclesRespectUnitCapacity)
     AcceleratorConfig config = AcceleratorConfig::minimal(true);
     config.count(hw::UnitKind::MatMul) = 3;
     config.count(hw::UnitKind::Buffer) = 2;
-    const auto sim = hw::simulate(work, config);
+    const auto sim = runtime::ExecutionContext(work).run(config);
 
     // No unit kind can be busier than (instances x makespan).
     for (std::size_t k = 0; k < hw::kUnitKindCount; ++k) {
@@ -136,8 +137,8 @@ TEST(Baselines, OrderingAcrossPlatformsHolds)
         const auto arm = baselines::runOnCpu(baselines::arm(), work);
         const auto intel =
             baselines::runOnCpu(baselines::intel(), work);
-        const auto accel =
-            hw::simulate(work, AcceleratorConfig::minimal(true));
+        const auto accel = runtime::ExecutionContext(work).run(
+            AcceleratorConfig::minimal(true));
         EXPECT_GT(arm.seconds, intel.seconds) << apps::appName(kind);
         EXPECT_GT(intel.seconds, accel.seconds())
             << apps::appName(kind);
@@ -183,7 +184,7 @@ TEST(Hwgen, GeneratedConfigServesBothSchedulers)
                                                    540});
     hw::AcceleratorConfig io = gen.config;
     io.outOfOrder = false;
-    const auto sim = hw::simulate(work, io);
+    const auto sim = runtime::ExecutionContext(work).run(io);
     EXPECT_GT(sim.cycles, gen.result.cycles);
     EXPECT_EQ(sim.deltas.size(), work.size());
 }

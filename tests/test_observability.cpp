@@ -5,6 +5,7 @@
 // trace spans, so their totals must agree exactly.
 
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <random>
 #include <thread>
@@ -27,6 +28,7 @@ namespace {
 
 using namespace orianna;
 using orianna::test::parseJson;
+using orianna::test::parseJsonFile;
 using orianna::test::randomPose;
 using orianna::test::randomVector;
 using runtime::Counter;
@@ -260,6 +262,23 @@ TEST(MetricsRegistryJson, DisabledRecordingLeavesRegistryUntouched)
     EXPECT_EQ(registry.counter("frame.count").value(), 0u);
     EXPECT_EQ(registry.counter("engine.compiles").value(), 0u);
     EXPECT_EQ(registry.histogram("frame.simulate_us").count(), 0u);
+
+    // Recording is observation only: a metrics-on session lands on the
+    // same values and cycles.
+    MetricsRegistry::setEnabled(true);
+    runtime::Session recorded =
+        engine.session(chainGraph(truth), chainInitial(truth, 0.02));
+    recorded.iterate(2);
+    EXPECT_EQ(recorded.totals().cycles, session.totals().cycles);
+    for (fg::Key key : session.values().keys())
+        for (std::size_t c = 0; c < 3; ++c) {
+            EXPECT_EQ(recorded.values().pose(key).phi()[c],
+                      session.values().pose(key).phi()[c])
+                << "pose " << key;
+            EXPECT_EQ(recorded.values().pose(key).t()[c],
+                      session.values().pose(key).t()[c])
+                << "pose " << key;
+        }
 }
 
 // --- Unified trace sink ---------------------------------------------
@@ -270,6 +289,55 @@ TEST(TraceSink, WriteThrowsOnUnwritablePath)
     EXPECT_THROW(
         collector.write("/nonexistent-dir-orianna/trace.json"),
         std::runtime_error);
+}
+
+// One hardware frame written with no runtime spans (what
+// mobile_robot_pipeline exports) is a well-formed Chrome trace: one
+// "X" event per TraceEvent, each on a row named after its unit
+// instance.
+TEST(TraceSink, HardwareFrameWithoutSpansWritesUnitRows)
+{
+    const auto truth = chainTruth();
+    const fg::Values initial = chainInitial(truth, 0.02);
+    const comp::Program program =
+        comp::compileGraph(chainGraph(truth), initial);
+    hw::AcceleratorConfig config = hw::AcceleratorConfig::minimal(true);
+    config.recordTrace = true;
+    config.count(hw::UnitKind::MatMul) = 2;
+    const hw::SimResult frame =
+        runtime::ExecutionContext({{&program, &initial}}).run(config);
+    ASSERT_FALSE(frame.trace.empty());
+
+    TraceCollector collector;
+    collector.addHwFrame(collector.openTrack("frame"), /*anchor_us=*/0,
+                         frame.trace, config.units);
+    const std::string path =
+        ::testing::TempDir() + "orianna_hw_frame_trace.json";
+    collector.write(path);
+    const auto json = parseJsonFile(path);
+    std::remove(path.c_str());
+
+    std::map<std::pair<double, double>, std::string> rows;
+    std::vector<const test::JsonValue *> complete;
+    for (const auto &event : json->asArray()) {
+        if (event->at("ph").asString() == "X")
+            complete.push_back(event.get());
+        else if (event->at("name").asString() == "thread_name")
+            rows[{event->at("pid").asNumber(),
+                  event->at("tid").asNumber()}] =
+                event->at("args").at("name").asString();
+    }
+    ASSERT_EQ(complete.size(), frame.trace.size());
+    for (std::size_t i = 0; i < complete.size(); ++i) {
+        const hw::TraceEvent &want = frame.trace[i];
+        const auto row = rows.find({complete[i]->at("pid").asNumber(),
+                                    complete[i]->at("tid").asNumber()});
+        ASSERT_NE(row, rows.end()) << "event " << i;
+        EXPECT_EQ(row->second, std::string(hw::unitName(want.unit)) +
+                                   "[" + std::to_string(want.instance) +
+                                   "]");
+        EXPECT_EQ(complete[i]->at("name").asString(), want.name);
+    }
 }
 
 TEST(TraceSink, SpanSumsMatchHistogramSumsExactly)
@@ -407,7 +475,7 @@ TEST(SchedulingFuzz, OutOfOrderMatchesInOrderResultsAndMacs)
 
         registry.reset();
         mat::MacScope ooo_macs;
-        const hw::SimResult a = hw::simulate(work, ooo);
+        const hw::SimResult a = runtime::ExecutionContext(work).run(ooo);
         const std::uint64_t ooo_mac_count = ooo_macs.elapsed();
         // The simulator reported this frame's makespan and busy
         // cycles into the registry as it ran (when compiled in).
@@ -427,7 +495,8 @@ TEST(SchedulingFuzz, OutOfOrderMatchesInOrderResultsAndMacs)
         }
 
         mat::MacScope io_macs;
-        const hw::SimResult b = hw::simulate(work, in_order);
+        const hw::SimResult b =
+            runtime::ExecutionContext(work).run(in_order);
         const std::uint64_t io_mac_count = io_macs.elapsed();
 
         // Scheduling policy must not change what is computed: same

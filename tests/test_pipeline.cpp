@@ -6,11 +6,13 @@
 
 #include "apps/benchmark_apps.hpp"
 #include "hw/frame_pipeline.hpp"
+#include "runtime/execution_context.hpp"
 
 namespace {
 
 using namespace orianna;
 using hw::AcceleratorConfig;
+using hw::FramePipeline;
 using hw::PeriodicStream;
 
 std::vector<PeriodicStream>
@@ -29,8 +31,8 @@ TEST(Pipeline, FrameCountsMatchRates)
 {
     apps::BenchmarkApp bench = apps::buildManipulator(21);
     auto streams = streamsOf(bench.app);
-    const auto result = hw::simulatePipeline(
-        streams, AcceleratorConfig::minimal(true), 0.1);
+    const auto result =
+        FramePipeline(streams, AcceleratorConfig::minimal(true)).run(0.1);
     ASSERT_EQ(result.streams.size(), streams.size());
     for (std::size_t s = 0; s < streams.size(); ++s) {
         const auto expected = static_cast<std::size_t>(
@@ -47,8 +49,9 @@ TEST(Pipeline, NominalRatesMeetDeadlines)
     for (apps::AppKind kind : apps::allApps()) {
         apps::BenchmarkApp bench = apps::buildApp(kind, 22);
         auto streams = streamsOf(bench.app);
-        const auto result = hw::simulatePipeline(
-            streams, AcceleratorConfig::minimal(true), 0.1);
+        const auto result =
+            FramePipeline(streams, AcceleratorConfig::minimal(true))
+                .run(0.1);
         for (std::size_t s = 0; s < result.streams.size(); ++s)
             EXPECT_EQ(result.streams[s].deadlineMisses, 0u)
                 << apps::appName(kind) << " stream " << s;
@@ -62,9 +65,11 @@ TEST(Pipeline, LatencyIsAtLeastIsolatedMakespan)
     const AcceleratorConfig config = AcceleratorConfig::minimal(true);
 
     const auto isolated =
-        hw::simulate({{&loc.program, &loc.values}}, config);
-    const auto pipeline = hw::simulatePipeline(
-        {{&loc.program, &loc.values, 20.0, 0.0}}, config, 0.2);
+        runtime::ExecutionContext({{&loc.program, &loc.values}})
+            .run(config);
+    const auto pipeline =
+        FramePipeline({{&loc.program, &loc.values, 20.0, 0.0}}, config)
+            .run(0.2);
     EXPECT_GE(pipeline.streams[0].meanLatencyS,
               isolated.seconds() * 0.999);
 }
@@ -77,9 +82,9 @@ TEST(Pipeline, StressIncreasesLatency)
     const AcceleratorConfig config = AcceleratorConfig::minimal(true);
 
     const auto nominal =
-        hw::simulatePipeline(nominal_streams, config, 0.05);
+        FramePipeline(nominal_streams, config).run(0.05);
     const auto stressed =
-        hw::simulatePipeline(stressed_streams, config, 0.02);
+        FramePipeline(stressed_streams, config).run(0.02);
     // At 100x rates the accelerator does ~100x the work per second:
     // the hot unit's utilization rises by well over an order of
     // magnitude, and frames still make progress (the OoO scoreboard
@@ -98,10 +103,10 @@ TEST(Pipeline, OutOfOrderBeatsInOrderUnderContention)
 {
     apps::BenchmarkApp bench = apps::buildQuadrotor(25);
     auto streams = streamsOf(bench.app, 60.0);
-    const auto io = hw::simulatePipeline(
-        streams, AcceleratorConfig::minimal(false), 0.02);
-    const auto ooo = hw::simulatePipeline(
-        streams, AcceleratorConfig::minimal(true), 0.02);
+    const auto io =
+        FramePipeline(streams, AcceleratorConfig::minimal(false)).run(0.02);
+    const auto ooo =
+        FramePipeline(streams, AcceleratorConfig::minimal(true)).run(0.02);
     double io_mean = 0.0;
     double ooo_mean = 0.0;
     for (std::size_t s = 0; s < streams.size(); ++s) {
@@ -116,21 +121,21 @@ TEST(Pipeline, InvalidInputsRejected)
     apps::BenchmarkApp bench = apps::buildManipulator(26);
     core::Algorithm &loc = bench.app.algorithm(0);
     const AcceleratorConfig config = AcceleratorConfig::minimal(true);
-    EXPECT_THROW(hw::simulatePipeline({}, config, 0.1),
+    EXPECT_THROW(FramePipeline({}, config).run(0.1),
                  std::invalid_argument);
-    EXPECT_THROW(hw::simulatePipeline(
-                     {{&loc.program, &loc.values, 0.0, 0.0}}, config,
-                     0.1),
+    EXPECT_THROW(
+        FramePipeline({{&loc.program, &loc.values, 0.0, 0.0}}, config)
+            .run(0.1),
                  std::invalid_argument);
-    EXPECT_THROW(hw::simulatePipeline(
-                     {{&loc.program, &loc.values, 10.0, 0.0}}, config,
-                     -1.0),
+    EXPECT_THROW(
+        FramePipeline({{&loc.program, &loc.values, 10.0, 0.0}}, config)
+            .run(-1.0),
                  std::invalid_argument);
     AcceleratorConfig broken = config;
     broken.count(hw::UnitKind::Qr) = 0;
-    EXPECT_THROW(hw::simulatePipeline(
-                     {{&loc.program, &loc.values, 10.0, 0.0}}, broken,
-                     0.1),
+    EXPECT_THROW(
+        FramePipeline({{&loc.program, &loc.values, 10.0, 0.0}}, broken)
+            .run(0.1),
                  std::invalid_argument);
 }
 

@@ -399,10 +399,12 @@ TEST(Fp32Fallback, OverflowingFrameLandsOnFp64Reference)
 
 TEST(Fp32Fallback, DivergenceLimitTripsTheLadder)
 {
-    // deltaAbsLimit far below any real update: every fp32 frame is
+    // deltaAbsLimit far below any real update: every frame is
     // declared diverging on the primary rung, while the fp64 fallback
     // (trusted ground truth, limit waived) still lands the update —
     // so the stream completes bit-identical to a pure-fp64 engine.
+    // The limit is a fault source of its own, so an fp64 engine with
+    // it set provisions the fallback too.
     fg::Values initial;
     const fg::FactorGraph graph = chainGraph(initial);
 
@@ -414,18 +416,23 @@ TEST(Fp32Fallback, DivergenceLimitTripsTheLadder)
     runtime::Session truth = clean.session(graph, initial);
     truth.iterate(3);
 
-    runtime::EngineOptions options;
-    options.precision = comp::Precision::Fp32;
-    options.degradation.deltaAbsLimit = 1e-12;
-    runtime::Engine engine(config, options);
-    runtime::Session session = engine.session(graph, initial);
-    session.iterate(3);
+    for (const comp::Precision precision :
+         {comp::Precision::Fp32, comp::Precision::Fp64}) {
+        SCOPED_TRACE(comp::precisionName(precision));
+        runtime::EngineOptions options;
+        options.precision = precision;
+        options.degradation.deltaAbsLimit = 1e-12;
+        runtime::Engine engine(config, options);
+        runtime::Session session = engine.session(graph, initial);
+        ASSERT_TRUE(session.hasFallback());
+        session.iterate(3);
 
-    EXPECT_EQ(session.frames(), 3u);
-    EXPECT_EQ(session.fallbacks(), 3u);
-    EXPECT_TRUE(session.lastFrameDegraded());
-    expectIdenticalValues(truth.values(), session.values());
-    EXPECT_EQ(engine.health().failures.load(), 0u);
+        EXPECT_EQ(session.frames(), 3u);
+        EXPECT_EQ(session.fallbacks(), 3u);
+        EXPECT_TRUE(session.lastFrameDegraded());
+        expectIdenticalValues(truth.values(), session.values());
+        EXPECT_EQ(engine.health().failures.load(), 0u);
+    }
 }
 
 } // namespace

@@ -199,36 +199,11 @@ TEST(ExecutionContext, SchedulesMatchReferenceExecutorOnEveryApp)
     }
 }
 
-TEST(ExecutionContext, WrapperSimulateMatchesContextRun)
-{
-    apps::BenchmarkApp bench =
-        apps::buildApp(apps::AppKind::MobileRobot, /*seed=*/3);
-    bench.app.compile();
-    const auto work = bench.app.frameWork();
-    const auto config = hw::AcceleratorConfig::minimal(true);
-
-    runtime::ExecutionContext context(work);
-    const auto via_context = context.run(config);
-    const auto via_wrapper = hw::simulate(work, config);
-
-    EXPECT_EQ(via_context.cycles, via_wrapper.cycles);
-    EXPECT_EQ(via_context.dynamicEnergyJ, via_wrapper.dynamicEnergyJ);
-    EXPECT_EQ(via_context.memoryEnergyJ, via_wrapper.memoryEnergyJ);
-    EXPECT_EQ(via_context.staticEnergyJ, via_wrapper.staticEnergyJ);
-    EXPECT_EQ(via_context.unitBusyCycles, via_wrapper.unitBusyCycles);
-    EXPECT_EQ(via_context.algorithmFinishCycle,
-              via_wrapper.algorithmFinishCycle);
-    ASSERT_EQ(via_context.deltas.size(), via_wrapper.deltas.size());
-    for (std::size_t w = 0; w < via_context.deltas.size(); ++w)
-        expectSameDeltas(via_context.deltas[w], via_wrapper.deltas[w]);
-}
-
 // --- Context reuse ---------------------------------------------------
 
 // Two consecutive frames through one warm context (rebinding updated
-// values in between) must match two fresh simulate() calls exactly:
-// warm slot arenas and reused schedule state are invisible in the
-// results.
+// values in between) must match two fresh contexts exactly: warm slot
+// arenas and reused schedule state are invisible in the results.
 TEST(ExecutionContext, ReusedContextMatchesFreshSimulatePerFrame)
 {
     apps::BenchmarkApp bench =
@@ -242,7 +217,7 @@ TEST(ExecutionContext, ReusedContextMatchesFreshSimulatePerFrame)
         runtime::ExecutionContext context(work);
 
         const auto frame1 = context.run(config);
-        const auto fresh1 = hw::simulate(work, config);
+        const auto fresh1 = runtime::ExecutionContext(work).run(config);
         EXPECT_EQ(frame1.cycles, fresh1.cycles);
         EXPECT_EQ(frame1.totalEnergyJ(), fresh1.totalEnergyJ());
 
@@ -260,7 +235,7 @@ TEST(ExecutionContext, ReusedContextMatchesFreshSimulatePerFrame)
         auto work2 = work;
         for (std::size_t w = 0; w < work2.size(); ++w)
             work2[w].values = &updated[w];
-        const auto fresh2 = hw::simulate(work2, config);
+        const auto fresh2 = runtime::ExecutionContext(work2).run(config);
 
         EXPECT_EQ(frame2.cycles, fresh2.cycles);
         EXPECT_EQ(frame2.dynamicEnergyJ, fresh2.dynamicEnergyJ);
@@ -424,8 +399,10 @@ TEST(Session, IterateMatchesReferenceInterpreterLoop)
     const core::Algorithm &algo = bench.app.algorithm(0);
     constexpr std::size_t kSteps = 3;
 
-    runtime::Session session(algo.program, algo.values,
-                             hw::AcceleratorConfig::minimal(true));
+    runtime::Session session(
+        std::shared_ptr<const comp::Program>(std::shared_ptr<const void>(),
+                                             &algo.program),
+        algo.values, hw::AcceleratorConfig::minimal(true));
     session.iterate(kSteps);
 
     fg::Values reference = algo.values;
@@ -460,10 +437,12 @@ TEST(Session, StepScaleDampsTheUpdate)
     runtime::Engine engine(hw::AcceleratorConfig::minimal(true));
     const auto program = engine.program(graph, initial);
 
+    runtime::SessionOptions half;
+    half.stepScale = 0.5;
     runtime::Session full(program, initial,
-                          hw::AcceleratorConfig::minimal(true), 1.0);
+                          hw::AcceleratorConfig::minimal(true));
     runtime::Session damped(program, initial,
-                            hw::AcceleratorConfig::minimal(true), 0.5);
+                            hw::AcceleratorConfig::minimal(true), half);
     full.step();
     damped.step();
     // A half step moves less than the full Gauss-Newton step.
@@ -499,17 +478,17 @@ TEST(FramePipeline, RepeatedRunsAreIdentical)
     hw::FramePipeline pipeline(streams, config);
     const auto first = pipeline.run(0.02);
     const auto second = pipeline.run(0.02);
-    const auto one_shot = hw::simulatePipeline(streams, config, 0.02);
+    const auto fresh = hw::FramePipeline(streams, config).run(0.02);
 
     ASSERT_EQ(first.streams.size(), second.streams.size());
     EXPECT_EQ(first.cycles, second.cycles);
-    EXPECT_EQ(first.cycles, one_shot.cycles);
+    EXPECT_EQ(first.cycles, fresh.cycles);
     for (std::size_t s = 0; s < first.streams.size(); ++s) {
         EXPECT_EQ(first.streams[s].frames, second.streams[s].frames);
         EXPECT_EQ(first.streams[s].meanLatencyS,
                   second.streams[s].meanLatencyS);
         EXPECT_EQ(first.streams[s].maxLatencyS,
-                  one_shot.streams[s].maxLatencyS);
+                  fresh.streams[s].maxLatencyS);
     }
 }
 

@@ -1,6 +1,6 @@
 // End-to-end tests of the command-line tools: runs the real
-// runtime_server and orianna_compile binaries (paths injected by
-// CMake) and checks orianna_compile's exported artifacts — the
+// runtime_server, orianna_compile and mobile_robot_pipeline binaries
+// (paths injected by CMake) and checks their exported artifacts — the
 // metrics registry JSON and the unified Perfetto trace — plus the
 // JSON serving protocol over real pipes (responses, exit codes, warm
 // restart from a --cache-dir) and the argument-validation error paths
@@ -460,6 +460,40 @@ TEST(CompileTool, FailsOnUnwritableExportPath)
     EXPECT_EQ(run(std::string(ORIANNA_COMPILE) + " " + writeTinyG2o() +
                   " --metrics /nonexistent-dir-orianna/m.json"),
               1);
+}
+
+// --- examples/mobile_robot_pipeline ---------------------------------
+
+TEST(MobileRobotPipelineTool, CompletesMissionAndWritesTrace)
+{
+    // The example writes its schedule into the working directory, so
+    // it runs from a directory of its own.
+    const std::filesystem::path dir = tmpPath("mobile_robot_pipeline");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const ToolRun result =
+        runCapture("cd " + dir.string() + " && " +
+                       ORIANNA_MOBILE_ROBOT_PIPELINE,
+                   "", "mobile_robot_pipeline");
+    EXPECT_EQ(result.status, 0);
+    EXPECT_NE(result.output.find("accelerator SUCCESS"),
+              std::string::npos)
+        << result.output;
+
+    // One complete event per scheduled instruction the example reports.
+    const std::string marker = "mobile_robot_schedule.json (";
+    const std::size_t at = result.output.find(marker);
+    ASSERT_NE(at, std::string::npos) << result.output;
+    const std::size_t reported =
+        std::stoul(result.output.substr(at + marker.size()));
+    const JsonPtr trace =
+        parseJsonFile((dir / "mobile_robot_schedule.json").string());
+    std::size_t complete = 0;
+    for (const JsonPtr &event : trace->asArray())
+        complete += event->at("ph").asString() == "X" ? 1 : 0;
+    EXPECT_GT(reported, 0u);
+    EXPECT_EQ(complete, reported);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -54,7 +54,6 @@
 #include "fg/factors.hpp"
 #include "fg/io_g2o.hpp"
 #include "fg/ordering.hpp"
-#include "hw/trace.hpp"
 #include "matrix/simd.hpp"
 #include "runtime/admission.hpp"
 #include "runtime/engine.hpp"
