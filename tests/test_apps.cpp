@@ -1,10 +1,20 @@
 // Tests for the Application API, the four Tbl. 4 benchmark
-// applications, and the sphere validation benchmark of Sec. 4.3.
+// applications, the sphere validation benchmark of Sec. 4.3, and the
+// agreement of the compiler, batch and incremental elimination walks
+// on those applications and the pose-graph corpus.
+
+#include <array>
+#include <variant>
 
 #include <gtest/gtest.h>
 
 #include "apps/benchmark_apps.hpp"
+#include "apps/pose_graph.hpp"
 #include "apps/sphere.hpp"
+#include "compiler/codegen.hpp"
+#include "fg/eliminate.hpp"
+#include "fg/incremental.hpp"
+#include "fg/ordering.hpp"
 #include "matrix/mac_counter.hpp"
 
 namespace {
@@ -165,6 +175,99 @@ TEST(Sphere, UnifiedSavesMacs)
 
     EXPECT_GT(unified_macs, 0u);
     EXPECT_GT(se3_macs, unified_macs);
+}
+
+// --- One elimination walk (DESIGN.md §13) -----------------------------------
+
+/** A graph at its linearization point, named for failure messages. */
+struct WalkCase
+{
+    std::string name;
+    fg::FactorGraph graph;
+    fg::Values values;
+};
+
+/** Every benchmark-app algorithm plus one graph per corpus family. */
+std::vector<WalkCase>
+walkCases()
+{
+    std::vector<WalkCase> cases;
+    for (AppKind kind : apps::allApps()) {
+        const BenchmarkApp bench = apps::buildApp(kind, 5);
+        for (std::size_t i = 0; i < bench.app.size(); ++i) {
+            const core::Algorithm &algo = bench.app.algorithm(i);
+            cases.push_back({std::string(apps::appName(kind)) + "/" +
+                                 algo.name,
+                             algo.graph, algo.values});
+        }
+    }
+    for (const apps::PoseGraphScenario &s :
+         {apps::makeGarageWorld(5, 24, 1), apps::makeManhattanWorld(120, 1),
+          apps::makeSphereWorld(6, 20, 1)})
+        cases.push_back({s.name, s.graph(), s.initial});
+    return cases;
+}
+
+TEST(EliminationWalk, CompiledQrShapesMatchSoftwareElimination)
+{
+    // The compiled program gathers and triangularizes exactly the
+    // blocks fg::eliminate does: one QR per variable, same rows, same
+    // triangularized columns, plus the augmented rhs column.
+    for (const WalkCase &c : walkCases()) {
+        comp::CompileOptions options;
+        options.ordering = fg::ordering::minDegree(c.graph);
+        fg::EliminationStats stats;
+        fg::solveLinearSystem(c.graph.linearize(c.values),
+                              options.ordering, &stats);
+        const comp::Program program =
+            comp::compileGraph(c.graph, c.values, options);
+
+        std::vector<std::array<std::size_t, 3>> compiled;
+        for (const comp::Instruction &inst : program.instructions)
+            if (inst.op == comp::IsaOp::QR)
+                compiled.push_back({inst.rows, inst.depth, inst.cols - 1});
+        std::vector<std::array<std::size_t, 3>> software;
+        for (const fg::OpShape &op : stats.qrOps)
+            software.push_back({op.rows, op.cols, op.cols});
+        EXPECT_EQ(software.size(), options.ordering.size()) << c.name;
+        EXPECT_EQ(compiled, software) << c.name;
+    }
+}
+
+TEST(EliminationWalk, IncrementalUpdateIsBitIdenticalToBatchSolve)
+{
+    // One whole-graph update() is a batch elimination at the initial
+    // values in the smoother's ordering: same rows, same walk, same
+    // arithmetic, so the estimates agree bit for bit.
+    for (const WalkCase &c : walkCases()) {
+        fg::IncrementalSmoother smoother;
+        for (const auto &[key, value] : c.values)
+            std::visit([&, k = key](const auto &v) {
+                smoother.addVariable(k, v);
+            }, value);
+        for (const fg::FactorPtr &factor : c.graph)
+            smoother.addFactor(factor);
+        smoother.update();
+
+        fg::Values batch = c.values;
+        batch.retractAll(fg::solveLinearSystem(
+            c.graph.linearize(c.values), smoother.ordering()));
+        const fg::Values incremental = smoother.estimate();
+        for (fg::Key key : batch.keys()) {
+            if (batch.isPose(key)) {
+                EXPECT_EQ(incremental.pose(key).phi().data(),
+                          batch.pose(key).phi().data())
+                    << c.name << " key " << key;
+                EXPECT_EQ(incremental.pose(key).t().data(),
+                          batch.pose(key).t().data())
+                    << c.name << " key " << key;
+            } else {
+                EXPECT_EQ(incremental.vector(key).data(),
+                          batch.vector(key).data())
+                    << c.name << " key " << key;
+            }
+        }
+    }
 }
 
 } // namespace
