@@ -1,10 +1,10 @@
 #include "compiler/codegen.hpp"
 
-#include <algorithm>
 #include <map>
 #include <stdexcept>
 
 #include "fg/dfg.hpp"
+#include "fg/eliminate.hpp"
 #include "lie/so.hpp"
 
 namespace orianna::comp {
@@ -676,11 +676,22 @@ compileGraph(const fg::FactorGraph &graph, const fg::Values &values,
     std::map<Key, std::size_t> dofs;
     lowerConstruction(b, vars, graph, values, rows, dofs);
 
-    // ---- Phase 2: elimination (Fig. 5), mirroring fg::eliminate ----
+    // ---- Phase 2: elimination (Fig. 5) ----
     b.setPhase(1);
     std::vector<Key> ordering = options.ordering;
     if (ordering.empty())
         ordering = graph.allKeys();
+
+    std::vector<fg::RowShape> shapes;
+    shapes.reserve(rows.size());
+    for (const SymbolicRow &row : rows) {
+        fg::RowShape &shape = shapes.emplace_back();
+        for (const auto &[key, slot] : row.blocks)
+            shape.keys.push_back(key);
+        shape.dim = row.dim;
+    }
+    const fg::SuffixSchedule schedule = fg::scheduleElimination(
+        std::move(shapes), std::move(ordering), dofs);
 
     struct ConditionalSlots
     {
@@ -690,45 +701,27 @@ compileGraph(const fg::FactorGraph &graph, const fg::Values &values,
         std::uint32_t rhs;
     };
     std::vector<ConditionalSlots> conditionals;
+    std::vector<SymbolicRow> carries;
 
-    std::vector<SymbolicRow> working = rows;
-    std::vector<bool> alive(working.size(), true);
-
-    for (Key v : ordering) {
-        std::vector<std::size_t> touching;
-        for (std::size_t i = 0; i < working.size(); ++i)
-            if (alive[i] && working[i].blocks.count(v))
-                touching.push_back(i);
-        if (touching.empty())
-            throw std::runtime_error(
-                "compileGraph: variable " + std::to_string(v) +
-                " has no adjacent factors");
-
-        std::vector<Key> involved{v};
-        for (std::size_t i : touching)
-            for (const auto &[key, slot] : working[i].blocks)
-                if (key != v &&
-                    std::find(involved.begin(), involved.end(), key) ==
-                        involved.end())
-                    involved.push_back(key);
-        std::sort(involved.begin() + 1, involved.end());
-
+    for (std::size_t si = 0; si < schedule.steps.size(); ++si) {
+        const fg::SuffixSchedule::Step &step = schedule.steps[si];
+        const std::size_t dv = schedule.dofs[si];
+        const std::size_t ncols = step.ncols;
         std::map<Key, std::size_t> col_offset;
-        std::size_t ncols = 0;
-        for (Key key : involved) {
-            col_offset[key] = ncols;
-            ncols += dofs.at(key);
+        std::size_t offset = 0;
+        for (Key key : step.columns) {
+            col_offset[key] = offset;
+            offset += dofs.at(key);
         }
-        std::size_t nrows = 0;
-        for (std::size_t i : touching)
-            nrows += working[i].dim;
 
         // GATHER the augmented [Abar | b].
         Instruction gather;
         gather.op = IsaOp::GATHER;
         std::size_t row_offset = 0;
-        for (std::size_t i : touching) {
-            const SymbolicRow &sr = working[i];
+        for (std::size_t ref : step.rowRefs) {
+            const SymbolicRow &sr = ref < rows.size()
+                                        ? rows[ref]
+                                        : carries[ref - rows.size()];
             for (const auto &[key, slot] : sr.blocks) {
                 gather.srcs.push_back(slot);
                 gather.placements.push_back(
@@ -737,10 +730,9 @@ compileGraph(const fg::FactorGraph &graph, const fg::Values &values,
             gather.srcs.push_back(sr.rhs);
             gather.placements.push_back({sr.rhs, row_offset, ncols, true});
             row_offset += sr.dim;
-            alive[i] = false;
         }
         const std::uint32_t abar = b.emit(
-            std::move(gather), Shape::matrix(nrows, ncols + 1));
+            std::move(gather), Shape::matrix(step.nrows, ncols + 1));
 
         // QR on the augmented system.
         Instruction qr;
@@ -748,13 +740,7 @@ compileGraph(const fg::FactorGraph &graph, const fg::Values &values,
         qr.srcs = {abar};
         qr.depth = ncols; // Columns actually triangularized.
         const std::uint32_t r_slot =
-            b.emit(std::move(qr), Shape::matrix(nrows, ncols + 1));
-
-        const std::size_t dv = dofs.at(v);
-        if (nrows < dv)
-            throw std::runtime_error(
-                "compileGraph: variable " + std::to_string(v) +
-                " is underdetermined");
+            b.emit(std::move(qr), Shape::matrix(step.nrows, ncols + 1));
 
         auto extract = [&](std::size_t i0, std::size_t j0, std::size_t r,
                            std::size_t c, bool as_vector) {
@@ -770,12 +756,11 @@ compileGraph(const fg::FactorGraph &graph, const fg::Values &values,
         };
 
         ConditionalSlots cond;
-        cond.key = v;
+        cond.key = step.columns.front();
         cond.rSelf = extract(0, 0, dv, dv, false);
         cond.rhs = extract(0, ncols, dv, 1, true);
-        for (Key key : involved) {
-            if (key == v)
-                continue;
+        for (std::size_t c = 1; c < step.columns.size(); ++c) {
+            const Key key = step.columns[c];
             cond.rParents.emplace(
                 key, extract(0, col_offset.at(key), dv, dofs.at(key),
                              false));
@@ -783,22 +768,16 @@ compileGraph(const fg::FactorGraph &graph, const fg::Values &values,
         conditionals.push_back(std::move(cond));
 
         // New factor over the separator.
-        if (nrows > dv && involved.size() > 1) {
-            const std::size_t kept = std::min(nrows, ncols) - dv;
-            if (kept > 0) {
-                SymbolicRow fresh;
-                fresh.dim = kept;
-                for (Key key : involved) {
-                    if (key == v)
-                        continue;
-                    fresh.blocks.emplace(
-                        key, extract(dv, col_offset.at(key), kept,
-                                     dofs.at(key), false));
-                }
-                fresh.rhs = extract(dv, ncols, kept, 1, true);
-                working.push_back(std::move(fresh));
-                alive.push_back(true);
+        if (step.kept > 0) {
+            SymbolicRow &fresh = carries.emplace_back();
+            fresh.dim = step.kept;
+            for (std::size_t c = 1; c < step.columns.size(); ++c) {
+                const Key key = step.columns[c];
+                fresh.blocks.emplace(
+                    key, extract(dv, col_offset.at(key), step.kept,
+                                 dofs.at(key), false));
             }
+            fresh.rhs = extract(dv, ncols, step.kept, 1, true);
         }
     }
 

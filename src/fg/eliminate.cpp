@@ -32,6 +32,149 @@ BayesNet::solve(EliminationStats *stats) const
     return solution;
 }
 
+RowShape
+shapeOf(const LinearRow &row)
+{
+    RowShape shape;
+    shape.keys.reserve(row.blocks.size());
+    for (const auto &[key, block] : row.blocks)
+        shape.keys.push_back(key);
+    shape.dim = row.rhs.size();
+    return shape;
+}
+
+SuffixSchedule
+scheduleElimination(std::vector<RowShape> rows,
+                    std::vector<Key> variables,
+                    const std::map<Key, std::size_t> &dofs)
+{
+    SuffixSchedule sched;
+    sched.variables = std::move(variables);
+    sched.dofs.reserve(sched.variables.size());
+    sched.steps.reserve(sched.variables.size());
+    std::vector<bool> consumed(rows.size(), false);
+    for (Key v : sched.variables) {
+        // Gather the rows adjacent to v (Fig. 5 step 1).
+        SuffixSchedule::Step plan;
+        for (std::size_t i = 0; i < rows.size(); ++i)
+            if (!consumed[i] &&
+                std::find(rows[i].keys.begin(), rows[i].keys.end(), v) !=
+                    rows[i].keys.end())
+                plan.rowRefs.push_back(i);
+        if (plan.rowRefs.empty())
+            throw std::runtime_error(
+                "elimination: variable " + std::to_string(v) +
+                " has no adjacent factors (underdetermined)");
+
+        // Involved columns: v first, then the other keys ascending.
+        plan.columns.push_back(v);
+        for (std::size_t i : plan.rowRefs)
+            for (Key key : rows[i].keys)
+                if (key != v &&
+                    std::find(plan.columns.begin(), plan.columns.end(),
+                              key) == plan.columns.end())
+                    plan.columns.push_back(key);
+        std::sort(plan.columns.begin() + 1, plan.columns.end());
+
+        for (Key key : plan.columns)
+            plan.ncols += dofs.at(key);
+        for (std::size_t i : plan.rowRefs) {
+            plan.nrows += rows[i].dim;
+            consumed[i] = true;
+        }
+        const std::size_t dv = dofs.at(v);
+        if (plan.nrows < dv)
+            throw std::runtime_error("elimination: variable " +
+                                     std::to_string(v) +
+                                     " is underdetermined");
+        sched.dofs.push_back(dv);
+
+        // The rows below the conditional become a new factor over the
+        // separator (Fig. 5 step 4).
+        if (plan.nrows > dv && plan.columns.size() > 1)
+            plan.kept = std::min(plan.nrows, plan.ncols) - dv;
+        if (plan.kept > 0) {
+            rows.push_back({std::vector<Key>(plan.columns.begin() + 1,
+                                             plan.columns.end()),
+                            plan.kept});
+            consumed.push_back(false);
+        }
+        sched.steps.push_back(std::move(plan));
+    }
+    return sched;
+}
+
+SuffixSolution
+solveSuffixOnCpu(const SuffixSchedule &schedule,
+                 const std::vector<const LinearRow *> &rows,
+                 EliminationStats *stats)
+{
+    std::map<Key, std::size_t> dof;
+    for (std::size_t i = 0; i < schedule.variables.size(); ++i)
+        dof[schedule.variables[i]] = schedule.dofs[i];
+
+    SuffixSolution sol;
+    for (const SuffixSchedule::Step &plan : schedule.steps) {
+        const Key v = plan.columns.front();
+        const std::size_t dv = dof.at(v);
+
+        std::map<Key, std::size_t> col_offset;
+        std::size_t ncols = 0;
+        for (Key key : plan.columns) {
+            col_offset[key] = ncols;
+            ncols += dof.at(key);
+        }
+
+        // Stack the small dense system (Fig. 5 step 2).
+        Matrix abar(plan.nrows, ncols);
+        Vector bbar(plan.nrows);
+        std::size_t row_offset = 0;
+        for (std::size_t ref : plan.rowRefs) {
+            const LinearRow &lr = ref < rows.size()
+                                      ? *rows[ref]
+                                      : sol.carries[ref - rows.size()];
+            for (const auto &[key, block] : lr.blocks)
+                abar.setBlock(row_offset, col_offset.at(key), block);
+            bbar.setSegment(row_offset, lr.rhs);
+            row_offset += lr.rhs.size();
+        }
+
+        if (stats != nullptr)
+            stats->qrOps.push_back(
+                {abar.rows(), abar.cols(), abar.density()});
+
+        // Partial QR (Fig. 5 step 3).
+        mat::QrResult qr = mat::householderQr(abar, bbar);
+
+        Conditional cond;
+        cond.key = v;
+        cond.rSelf = qr.r.block(0, 0, dv, dv);
+        cond.rhs = qr.rhs.segment(0, dv);
+        for (Key key : plan.columns) {
+            if (key == v)
+                continue;
+            cond.rParents.emplace(
+                key,
+                qr.r.block(0, col_offset.at(key), dv, dof.at(key)));
+        }
+        sol.conditionals.push_back(std::move(cond));
+
+        if (plan.kept > 0) {
+            LinearRow fresh;
+            for (Key key : plan.columns) {
+                if (key == v)
+                    continue;
+                fresh.blocks.emplace(
+                    key, qr.r.block(dv, col_offset.at(key), plan.kept,
+                                    dof.at(key)));
+            }
+            fresh.rhs = qr.rhs.segment(dv, plan.kept);
+            sol.carries.push_back(std::move(fresh));
+        }
+    }
+    return sol;
+}
+
 BayesNet
 eliminate(const LinearSystem &system, const std::vector<Key> &ordering,
           EliminationStats *stats)
@@ -51,106 +194,21 @@ eliminate(const LinearSystem &system, const std::vector<Key> &ordering,
                 "eliminate: ordering must cover every variable once");
     }
 
-    // Working copy of the factor rows; eliminations consume rows and
-    // append the new (f7-style) factors.
-    std::vector<LinearRow> working = system.rows;
-    std::vector<bool> alive(working.size(), true);
+    std::vector<RowShape> shapes;
+    std::vector<const LinearRow *> rows;
+    shapes.reserve(system.rows.size());
+    rows.reserve(system.rows.size());
+    for (const LinearRow &row : system.rows) {
+        shapes.push_back(shapeOf(row));
+        rows.push_back(&row);
+    }
+    SuffixSolution solution = solveSuffixOnCpu(
+        scheduleElimination(std::move(shapes), ordering, system.dofs),
+        rows, stats);
 
     BayesNet bayes;
-    for (Key v : ordering) {
-        // Gather the rows adjacent to v (Fig. 5 step 1).
-        std::vector<std::size_t> touching;
-        for (std::size_t i = 0; i < working.size(); ++i)
-            if (alive[i] && working[i].blocks.count(v))
-                touching.push_back(i);
-        if (touching.empty())
-            throw std::runtime_error(
-                "eliminate: variable " + std::to_string(v) +
-                " has no adjacent factors (underdetermined)");
-
-        // Involved columns: v first, then the other keys ascending.
-        std::vector<Key> involved{v};
-        for (std::size_t i : touching)
-            for (const auto &[key, block] : working[i].blocks)
-                if (key != v &&
-                    std::find(involved.begin(), involved.end(), key) ==
-                        involved.end())
-                    involved.push_back(key);
-        std::sort(involved.begin() + 1, involved.end());
-
-        std::map<Key, std::size_t> col_offset;
-        std::size_t ncols = 0;
-        for (Key key : involved) {
-            col_offset[key] = ncols;
-            ncols += system.dofs.at(key);
-        }
-
-        std::size_t nrows = 0;
-        for (std::size_t i : touching)
-            nrows += working[i].rhs.size();
-
-        // Stack the small dense system (Fig. 5 step 2).
-        Matrix abar(nrows, ncols);
-        Vector bbar(nrows);
-        std::size_t row = 0;
-        for (std::size_t i : touching) {
-            const LinearRow &lr = working[i];
-            for (const auto &[key, block] : lr.blocks)
-                abar.setBlock(row, col_offset.at(key), block);
-            bbar.setSegment(row, lr.rhs);
-            row += lr.rhs.size();
-            alive[i] = false;
-        }
-
-        if (stats != nullptr)
-            stats->qrOps.push_back(
-                {abar.rows(), abar.cols(), abar.density()});
-
-        // Partial QR (Fig. 5 step 3).
-        mat::QrResult qr = mat::householderQr(abar, bbar);
-
-        const std::size_t dv = system.dofs.at(v);
-        if (nrows < dv)
-            throw std::runtime_error(
-                "eliminate: variable " + std::to_string(v) +
-                " is underdetermined");
-
-        Conditional cond;
-        cond.key = v;
-        cond.rSelf = qr.r.block(0, 0, dv, dv);
-        cond.rhs = qr.rhs.segment(0, dv);
-        for (Key key : involved) {
-            if (key == v)
-                continue;
-            cond.rParents.emplace(
-                key, qr.r.block(0, col_offset.at(key), dv,
-                                system.dofs.at(key)));
-        }
+    for (Conditional &cond : solution.conditionals)
         bayes.push(std::move(cond));
-
-        // Remaining rows become the new factor over the separator
-        // (Fig. 5 step 4). R is upper trapezoidal, so rows at or below
-        // the column count are structurally zero; the kept row count
-        // depends only on shapes, never on values, which keeps the
-        // elimination structure identical between this software path
-        // and the compiled accelerator program.
-        if (nrows > dv && involved.size() > 1) {
-            LinearRow fresh;
-            const std::size_t kept = std::min(nrows, ncols) - dv;
-            if (kept > 0) {
-                for (Key key : involved) {
-                    if (key == v)
-                        continue;
-                    fresh.blocks.emplace(
-                        key, qr.r.block(dv, col_offset.at(key), kept,
-                                        system.dofs.at(key)));
-                }
-                fresh.rhs = qr.rhs.segment(dv, kept);
-                working.push_back(std::move(fresh));
-                alive.push_back(true);
-            }
-        }
-    }
     return bayes;
 }
 

@@ -59,6 +59,24 @@ LinearSystem::stackedRhs() const
     return out;
 }
 
+LinearRow
+linearizeFactor(const Factor &factor, std::size_t index,
+                const Values &values)
+{
+    LinearRow row;
+    row.factorIndex = index;
+    row.blocks = factor.whitenedJacobians(values);
+    row.rhs = -factor.whitenedError(values);
+    // A factor may reference a variable whose Jacobian block is
+    // entirely zero at this linearization point (e.g. an inactive
+    // hinge); keep the structural block so the elimination order
+    // stays value-independent, as the compiler requires.
+    for (Key key : factor.keys())
+        if (row.blocks.count(key) == 0)
+            row.blocks.emplace(key, Matrix(factor.dim(), values.dof(key)));
+    return row;
+}
+
 void
 FactorGraph::add(FactorPtr factor)
 {
@@ -106,23 +124,9 @@ FactorGraph::linearize(const Values &values) const
     LinearSystem system;
     system.rows.reserve(factors_.size());
     for (std::size_t i = 0; i < factors_.size(); ++i) {
-        const Factor &factor = *factors_[i];
-        LinearRow row;
-        row.factorIndex = i;
-        row.blocks = factor.whitenedJacobians(values);
-        row.rhs = -factor.whitenedError(values);
-        // A factor may reference a variable whose Jacobian block is
-        // entirely zero at this linearization point (e.g. an inactive
-        // hinge); keep the structural block so the elimination order
-        // stays value-independent, as the compiler requires.
-        for (Key key : factor.keys()) {
-            if (row.blocks.count(key) == 0) {
-                row.blocks.emplace(
-                    key, Matrix(factor.dim(), values.dof(key)));
-            }
+        system.rows.push_back(linearizeFactor(*factors_[i], i, values));
+        for (Key key : factors_[i]->keys())
             system.dofs[key] = values.dof(key);
-        }
-        system.rows.push_back(std::move(row));
     }
     return system;
 }

@@ -22,6 +22,14 @@ struct LinearRow
 };
 
 /**
+ * Linearize @p factor (graph index @p index) at @p values. Every key
+ * of the factor gets a block, including blocks that are entirely zero
+ * at this point, so the elimination structure stays value-independent.
+ */
+LinearRow linearizeFactor(const Factor &factor, std::size_t index,
+                          const Values &values);
+
+/**
  * The linearized system A delta = b in factor-row form. The row list
  * *is* the block-sparse structure of A; dense/ block-sparse
  * materializations are provided for the baselines and the Fig. 17/18

@@ -28,13 +28,6 @@ IncrementalSmoother::addFactor(FactorPtr factor)
     pendingFactors_.push_back(std::move(factor));
 }
 
-std::size_t
-IncrementalSmoother::orderingPosition(Key key) const
-{
-    auto it = position_.find(key);
-    return it == position_.end() ? SIZE_MAX : it->second;
-}
-
 UpdateStats
 IncrementalSmoother::update()
 {
@@ -92,20 +85,10 @@ IncrementalSmoother::update()
     } else {
         // Linearize only the new factors at the fixed point; the
         // prefix of the elimination stays valid.
-        const std::size_t first_new = graph_.size() - n_new;
-        for (std::size_t i = first_new; i < graph_.size(); ++i) {
-            const Factor &factor = graph_.factor(i);
-            RowRecord record;
-            record.row.factorIndex = i;
-            record.row.blocks = factor.whitenedJacobians(linPoint_);
-            record.row.rhs = -factor.whitenedError(linPoint_);
-            for (Key key : factor.keys())
-                if (record.row.blocks.count(key) == 0)
-                    record.row.blocks.emplace(
-                        key,
-                        Matrix(factor.dim(), linPoint_.dof(key)));
-            rows_.push_back(std::move(record));
-        }
+        for (std::size_t i = graph_.size() - n_new; i < graph_.size();
+             ++i)
+            rows_.push_back(
+                {linearizeFactor(graph_.factor(i), i, linPoint_)});
         // Roll back the affected suffix: revive rows consumed at or
         // after the restart point and drop rows created there.
         std::vector<RowRecord> kept;
@@ -149,44 +132,31 @@ IncrementalSmoother::relinearizeAll()
         linPoint_ = std::move(moved);
         delta_.clear();
     }
+    eliminateAll();
+}
+
+void
+IncrementalSmoother::eliminateAll()
+{
+    // Rows in canonical order (see buildSchedule): marginal priors,
+    // then the active factors linearized at the current point.
     rows_.clear();
     conditionals_.clear();
-    for (const LinearRow &prior : marginalPriors_) {
-        RowRecord record;
-        record.row = prior;
-        record.isPrior = true;
-        rows_.push_back(std::move(record));
-    }
-    for (std::size_t i = 0; i < graph_.size(); ++i) {
-        if (!factorActive_[i])
-            continue;
-        const Factor &factor = graph_.factor(i);
-        RowRecord record;
-        record.row.factorIndex = i;
-        record.row.blocks = factor.whitenedJacobians(linPoint_);
-        record.row.rhs = -factor.whitenedError(linPoint_);
-        for (Key key : factor.keys())
-            if (record.row.blocks.count(key) == 0)
-                record.row.blocks.emplace(
-                    key, Matrix(factor.dim(), linPoint_.dof(key)));
-        rows_.push_back(std::move(record));
-    }
+    for (const LinearRow &prior : marginalPriors_)
+        rows_.push_back({prior, SIZE_MAX, SIZE_MAX, /*isPrior=*/true});
+    for (std::size_t i = 0; i < graph_.size(); ++i)
+        if (factorActive_[i])
+            rows_.push_back(
+                {linearizeFactor(graph_.factor(i), i, linPoint_)});
     eliminateFrom(0);
 }
 
 SuffixSchedule
 IncrementalSmoother::buildSchedule(std::size_t start) const
 {
-    SuffixSchedule sched;
-    sched.start = start;
-    for (std::size_t p = start; p < ordering_.size(); ++p) {
-        sched.variables.push_back(ordering_[p]);
-        sched.dofs.push_back(dofs_.at(ordering_[p]));
-    }
-
     // Alive rows in canonical order: marginal priors first (in their
     // stored order), then original factor rows by factor index, then
-    // carries by the step that created them. relinearizeAll() builds
+    // carries by the step that created them. eliminateAll() builds
     // rows_ in exactly this order, so a batch elimination gathers
     // rows the same way — that shared order is what makes an
     // incremental update bit-identical to a batch solve at the same
@@ -209,136 +179,20 @@ IncrementalSmoother::buildSchedule(std::size_t start) const
                      [&](std::size_t a, std::size_t b) {
                          return rank(a) < rank(b);
                      });
-    sched.inputRows = alive;
 
-    // Symbolic elimination over the (key set, row count) images.
-    struct Sym
-    {
-        std::vector<Key> cols;
-        std::size_t dim = 0;
-        bool consumed = false;
-    };
-    std::vector<Sym> sym;
-    sym.reserve(alive.size());
-    for (std::size_t i : alive) {
-        Sym s;
-        for (const auto &[key, block] : rows_[i].row.blocks)
-            s.cols.push_back(key);
-        s.dim = rows_[i].row.rhs.size();
-        sym.push_back(std::move(s));
-    }
-
-    for (std::size_t step = start; step < ordering_.size(); ++step) {
-        const Key v = ordering_[step];
-        SuffixSchedule::Step plan;
-        for (std::size_t i = 0; i < sym.size(); ++i)
-            if (!sym[i].consumed &&
-                std::find(sym[i].cols.begin(), sym[i].cols.end(), v) !=
-                    sym[i].cols.end())
-                plan.rowRefs.push_back(i);
-        if (plan.rowRefs.empty())
-            throw std::runtime_error(
-                "IncrementalSmoother: variable " + std::to_string(v) +
-                " has no adjacent factors");
-
-        plan.columns.push_back(v);
-        for (std::size_t i : plan.rowRefs)
-            for (Key key : sym[i].cols)
-                if (key != v &&
-                    std::find(plan.columns.begin(), plan.columns.end(),
-                              key) == plan.columns.end())
-                    plan.columns.push_back(key);
-        std::sort(plan.columns.begin() + 1, plan.columns.end());
-
-        for (Key key : plan.columns)
-            plan.ncols += dofs_.at(key);
-        for (std::size_t i : plan.rowRefs) {
-            plan.nrows += sym[i].dim;
-            sym[i].consumed = true;
-        }
-        const std::size_t dv = dofs_.at(v);
-        if (plan.nrows < dv)
-            throw std::runtime_error(
-                "IncrementalSmoother: variable " + std::to_string(v) +
-                " is underdetermined");
-        if (plan.nrows > dv && plan.columns.size() > 1)
-            plan.kept = std::min(plan.nrows, plan.ncols) - dv;
-        if (plan.kept > 0) {
-            Sym carry;
-            carry.cols.assign(plan.columns.begin() + 1,
-                              plan.columns.end());
-            carry.dim = plan.kept;
-            sym.push_back(std::move(carry));
-        }
-        sched.steps.push_back(std::move(plan));
-    }
+    std::vector<RowShape> shapes;
+    shapes.reserve(alive.size());
+    for (std::size_t i : alive)
+        shapes.push_back(shapeOf(rows_[i].row));
+    SuffixSchedule sched = scheduleElimination(
+        std::move(shapes),
+        std::vector<Key>(ordering_.begin() +
+                             static_cast<std::ptrdiff_t>(start),
+                         ordering_.end()),
+        dofs_);
+    sched.start = start;
+    sched.inputRows = std::move(alive);
     return sched;
-}
-
-SuffixSolution
-solveSuffixOnCpu(const SuffixSchedule &schedule,
-                 const std::vector<const LinearRow *> &rows)
-{
-    std::map<Key, std::size_t> dof;
-    for (std::size_t i = 0; i < schedule.variables.size(); ++i)
-        dof[schedule.variables[i]] = schedule.dofs[i];
-
-    SuffixSolution sol;
-    std::vector<LinearRow> carries;
-    for (const SuffixSchedule::Step &plan : schedule.steps) {
-        const Key v = plan.columns.front();
-        const std::size_t dv = dof.at(v);
-
-        std::map<Key, std::size_t> col_offset;
-        std::size_t ncols = 0;
-        for (Key key : plan.columns) {
-            col_offset[key] = ncols;
-            ncols += dof.at(key);
-        }
-
-        Matrix abar(plan.nrows, ncols);
-        Vector bbar(plan.nrows);
-        std::size_t row_offset = 0;
-        for (std::size_t ref : plan.rowRefs) {
-            const LinearRow &lr =
-                ref < rows.size() ? *rows[ref]
-                                  : carries[ref - rows.size()];
-            for (const auto &[key, block] : lr.blocks)
-                abar.setBlock(row_offset, col_offset.at(key), block);
-            bbar.setSegment(row_offset, lr.rhs);
-            row_offset += lr.rhs.size();
-        }
-
-        mat::QrResult qr = mat::householderQr(abar, bbar);
-
-        Conditional cond;
-        cond.key = v;
-        cond.rSelf = qr.r.block(0, 0, dv, dv);
-        cond.rhs = qr.rhs.segment(0, dv);
-        for (Key key : plan.columns) {
-            if (key == v)
-                continue;
-            cond.rParents.emplace(
-                key,
-                qr.r.block(0, col_offset.at(key), dv, dof.at(key)));
-        }
-        sol.conditionals.push_back(std::move(cond));
-
-        if (plan.kept > 0) {
-            LinearRow fresh;
-            for (Key key : plan.columns) {
-                if (key == v)
-                    continue;
-                fresh.blocks.emplace(
-                    key, qr.r.block(dv, col_offset.at(key), plan.kept,
-                                    dof.at(key)));
-            }
-            fresh.rhs = qr.rhs.segment(dv, plan.kept);
-            carries.push_back(fresh);
-            sol.carries.push_back(std::move(fresh));
-        }
-    }
-    return sol;
 }
 
 void
@@ -460,29 +314,7 @@ IncrementalSmoother::marginalizeLeading(std::size_t count)
 
     // Rebase: fresh elimination of priors + active factors over the
     // shortened ordering.
-    rows_.clear();
-    conditionals_.clear();
-    for (const LinearRow &prior : marginalPriors_) {
-        RowRecord record;
-        record.row = prior;
-        record.isPrior = true;
-        rows_.push_back(std::move(record));
-    }
-    for (std::size_t i = 0; i < graph_.size(); ++i) {
-        if (!factorActive_[i])
-            continue;
-        const Factor &factor = graph_.factor(i);
-        RowRecord record;
-        record.row.factorIndex = i;
-        record.row.blocks = factor.whitenedJacobians(linPoint_);
-        record.row.rhs = -factor.whitenedError(linPoint_);
-        for (Key key : factor.keys())
-            if (record.row.blocks.count(key) == 0)
-                record.row.blocks.emplace(
-                    key, Matrix(factor.dim(), linPoint_.dof(key)));
-        rows_.push_back(std::move(record));
-    }
-    eliminateFrom(0);
+    eliminateAll();
     refreshDelta();
 }
 

@@ -32,67 +32,14 @@ struct UpdateStats
 };
 
 /**
- * Structural description of one suffix re-elimination: which rows
- * feed it, and the exact per-step gather/QR shapes. The schedule is
- * the single source of truth shared by the CPU reference path and
- * any plugged-in SuffixSolver — a solver must follow it literally
- * (same row order, same column order) so its results drop back into
- * the smoother's bookkeeping without re-deriving the walk.
- *
- * Rows are identified by reference index: values below
- * `inputRows.size()` index the row array handed to the solver (in
- * canonical order: marginal priors, then original factor rows by
- * factor index, then surviving carries by creation step — the order
- * a batch elimination uses, which is what makes incremental results
- * bit-identical to batch at the same linearization point); values at
- * or above it name carry rows produced by earlier steps of this same
- * suffix, in creation order.
- */
-struct SuffixSchedule
-{
-    /** Absolute ordering position the re-elimination starts at. */
-    std::size_t start = 0;
-    /** Suffix variables, in elimination order. */
-    std::vector<Key> variables;
-    /** Tangent dimension of each suffix variable. */
-    std::vector<std::size_t> dofs;
-    /** Smoother-internal ids of the input rows (opaque to solvers). */
-    std::vector<std::size_t> inputRows;
-
-    struct Step
-    {
-        /** Rows gathered into this step's [A|b], in gather order. */
-        std::vector<std::size_t> rowRefs;
-        /** Column layout: eliminated variable first, parents sorted. */
-        std::vector<Key> columns;
-        std::size_t nrows = 0;
-        std::size_t ncols = 0;
-        /** Separator rows carried forward (0 = no carry row). */
-        std::size_t kept = 0;
-    };
-    std::vector<Step> steps;
-};
-
-/** What a suffix solve produces, mirroring the schedule's shapes. */
-struct SuffixSolution
-{
-    /** One conditional per schedule step, in step order. */
-    std::vector<Conditional> conditionals;
-    /** Carry rows of the steps with kept > 0, in creation order. */
-    std::vector<LinearRow> carries;
-    /**
-     * Optional: tangent solution of the suffix variables when the
-     * solver also ran back-substitution (the accelerator path does).
-     * Empty means the smoother back-substitutes on the host.
-     */
-    std::map<Key, Vector> deltas;
-};
-
-/**
  * Pluggable executor of a suffix re-elimination. The smoother builds
- * the schedule and owns all bookkeeping; the solver only does the
- * numeric work. The runtime layer implements this against the
- * accelerator engine (runtime::AcceleratedSmoother).
+ * the schedule (scheduleElimination) and owns all bookkeeping; the
+ * solver only does the numeric work, following the schedule
+ * literally so its results drop back into the smoother without
+ * re-deriving the walk. solveSuffixOnCpu is the path when no solver
+ * is plugged in, and a solver's oversize/fallback path. The runtime
+ * layer implements this against the accelerator engine
+ * (runtime::AcceleratedSmoother).
  */
 class SuffixSolver
 {
@@ -102,15 +49,6 @@ class SuffixSolver
     solve(const SuffixSchedule &schedule,
           const std::vector<const LinearRow *> &rows) = 0;
 };
-
-/**
- * The CPU reference suffix solve: dense per-step gather + Householder
- * QR, following the schedule literally. Used when no solver is
- * plugged in, and by solvers as their oversize/fallback path.
- */
-SuffixSolution
-solveSuffixOnCpu(const SuffixSchedule &schedule,
-                 const std::vector<const LinearRow *> &rows);
 
 /**
  * Incremental smoothing in the square-root-SAM / iSAM tradition the
@@ -197,10 +135,10 @@ class IncrementalSmoother
     };
 
     void relinearizeAll();
+    void eliminateAll();
     SuffixSchedule buildSchedule(std::size_t start) const;
     void eliminateFrom(std::size_t start);
     void refreshDelta();
-    std::size_t orderingPosition(Key key) const;
 
     IncrementalParams params_;
     FactorGraph graph_;
