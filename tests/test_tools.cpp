@@ -411,6 +411,34 @@ TEST(CompileTool, CacheDirSkipsRecompilationOnSecondRun)
         << opted_out.output;
 }
 
+TEST(CompileTool, ServedEngineCompilesWithTheToolsPipeline)
+{
+    // The served Engine must compile with the tool's --passes and
+    // --verify-passes: the store entry is keyed by the graph alone,
+    // so two pipelines would overwrite each other's entry and both
+    // recompile on every run.
+    const std::string input = writeTinyG2o();
+    const std::string dir = tmpPath("served_pipeline_cache");
+    std::filesystem::remove_all(dir);
+    const std::string command =
+        std::string(ORIANNA_COMPILE) + " " + input +
+        " --passes none --verify-passes --cache-dir " + dir +
+        " --threads 2 --precision fp64";
+    const ToolRun cold = runCapture(command, "", "served_cold");
+    EXPECT_EQ(cold.status, 0);
+    EXPECT_NE(cold.output.find("thread(s): 0 compile(s)"),
+              std::string::npos)
+        << cold.output;
+
+    const ToolRun warm = runCapture(command, "", "served_warm");
+    EXPECT_EQ(warm.status, 0);
+    EXPECT_NE(warm.output.find("compile skipped"), std::string::npos)
+        << warm.output;
+    EXPECT_NE(warm.output.find("thread(s): 0 compile(s)"),
+              std::string::npos)
+        << warm.output;
+}
+
 TEST(CompileTool, RejectsBadArguments)
 {
     const std::string tool = ORIANNA_COMPILE;

@@ -31,8 +31,9 @@
 // https://ui.perfetto.dev. --metrics dumps the serving metrics
 // registry (compile times, per-stage frame p50/p99, utilization)
 // after the run. --passes selects the optimization pipeline
-// ("default", "none", or a comma-separated pass list, DESIGN.md §7);
-// --verify-passes runs the per-pass equivalence check; --dump-ir
+// ("default", "none", or a comma-separated pass list, DESIGN.md §7)
+// of every compile, the served Engine's included; --verify-passes
+// runs the per-pass equivalence check on each; --dump-ir
 // writes PREFIX.{before,after}.ir listings and matching .dot
 // instruction-dependence graphs. --iterate and --threads reject zero
 // or negative counts (and --threads anything above UINT_MAX); unknown
@@ -450,6 +451,8 @@ main(int argc, char **argv)
                 runtime::ServerPool pool(threads);
                 const unsigned n = pool.threads();
                 runtime::EngineOptions engine_options;
+                engine_options.passes = passes_spec;
+                engine_options.verifyPasses = verify_passes;
                 if (!fault_spec.empty())
                     engine_options.faultPlan =
                         hw::FaultPlan::parse(fault_spec);
