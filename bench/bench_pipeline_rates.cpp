@@ -19,8 +19,7 @@ streamsOf(core::Application &app, double rate_scale)
     std::vector<hw::PeriodicStream> streams;
     for (std::size_t i = 0; i < app.size(); ++i) {
         core::Algorithm &algo = app.algorithm(i);
-        streams.push_back({&algo.program, &algo.values,
-                           algo.rateHz * rate_scale,
+        streams.push_back({&algo.program, algo.rateHz * rate_scale,
                            0.0002 * static_cast<double>(i)});
     }
     return streams;

@@ -42,12 +42,7 @@ FramePipeline::FramePipeline(std::vector<PeriodicStream> streams,
             throw std::invalid_argument(
                 "FramePipeline: rate must be positive");
 
-    // Long-lived per-stream state: one warm functional executor and
-    // the dependence adjacency shared by all of a stream's frames.
-    executors_.reserve(streams_.size());
-    for (const PeriodicStream &stream : streams_)
-        executors_.emplace_back(*stream.program);
-
+    // The dependence adjacency shared by all of a stream's frames.
     dependents_.resize(streams_.size());
     for (std::size_t s = 0; s < streams_.size(); ++s) {
         const auto &instrs = streams_[s].program->instructions;
@@ -195,10 +190,6 @@ FramePipeline::run(double horizon_s)
             frame.started = true;
             frame.firstIssue = now;
         }
-        // The warm per-stream executor carries state frame to frame;
-        // programs write every slot before reading it, so no reset.
-        executors_[frame.stream].step(g - frame.firstInstr,
-                                      *streams_[frame.stream].values);
         const std::uint64_t latency = CostModel::latency(
             inst, streams_[frame.stream].program->precision);
         busy[static_cast<std::size_t>(kind)] += latency;

@@ -15,7 +15,6 @@ namespace orianna::hw {
 struct PeriodicStream
 {
     const comp::Program *program;
-    const fg::Values *values;
     double rateHz = 10.0;
     /** Phase offset of the first frame release, in seconds. */
     double offsetS = 0.0;
@@ -47,13 +46,11 @@ struct PipelineResult
  * different algorithms (coarse-grained OoO), in-order configurations
  * drain frames strictly in release order.
  *
- * The pipeline is a long-lived context in the same spirit as
- * runtime::ExecutionContext: construction validates the workload and
- * builds the per-stream functional executors and dependence
- * adjacency once; run() re-executes any number of horizons against
- * that state without rebuilding it. A stream's frames are serialized
- * (each consumes the previous frame's state), so one warm executor
- * per stream suffices.
+ * The pipeline models timing only: it schedules instructions and
+ * computes no values. Construction validates the workload and builds
+ * each stream's dependence adjacency once; run() simulates any number
+ * of horizons against it. A stream's frames are serialized: a frame
+ * starts only after the previous frame of its stream completed.
  *
  * This is the experiment behind the paper's claim that one shared
  * ORIANNA accelerator sustains an application whose algorithms run at
@@ -75,8 +72,6 @@ class FramePipeline
   private:
     std::vector<PeriodicStream> streams_;
     AcceleratorConfig config_;
-    /** Per-stream functional executors, warm across frames/runs. */
-    std::vector<comp::Executor> executors_;
     /** Per-stream dependents adjacency (shared by all its frames). */
     std::vector<std::vector<std::vector<std::uint32_t>>> dependents_;
 };

@@ -21,8 +21,7 @@ streamsOf(core::Application &app, double scale = 1.0)
     std::vector<PeriodicStream> streams;
     for (std::size_t i = 0; i < app.size(); ++i) {
         core::Algorithm &algo = app.algorithm(i);
-        streams.push_back({&algo.program, &algo.values,
-                           algo.rateHz * scale, 0.0});
+        streams.push_back({&algo.program, algo.rateHz * scale, 0.0});
     }
     return streams;
 }
@@ -68,7 +67,7 @@ TEST(Pipeline, LatencyIsAtLeastIsolatedMakespan)
         runtime::ExecutionContext({{&loc.program, &loc.values}})
             .run(config);
     const auto pipeline =
-        FramePipeline({{&loc.program, &loc.values, 20.0, 0.0}}, config)
+        FramePipeline({{&loc.program, 20.0, 0.0}}, config)
             .run(0.2);
     EXPECT_GE(pipeline.streams[0].meanLatencyS,
               isolated.seconds() * 0.999);
@@ -124,17 +123,17 @@ TEST(Pipeline, InvalidInputsRejected)
     EXPECT_THROW(FramePipeline({}, config).run(0.1),
                  std::invalid_argument);
     EXPECT_THROW(
-        FramePipeline({{&loc.program, &loc.values, 0.0, 0.0}}, config)
+        FramePipeline({{&loc.program, 0.0, 0.0}}, config)
             .run(0.1),
                  std::invalid_argument);
     EXPECT_THROW(
-        FramePipeline({{&loc.program, &loc.values, 10.0, 0.0}}, config)
+        FramePipeline({{&loc.program, 10.0, 0.0}}, config)
             .run(-1.0),
                  std::invalid_argument);
     AcceleratorConfig broken = config;
     broken.count(hw::UnitKind::Qr) = 0;
     EXPECT_THROW(
-        FramePipeline({{&loc.program, &loc.values, 10.0, 0.0}}, broken)
+        FramePipeline({{&loc.program, 10.0, 0.0}}, broken)
             .run(0.1),
                  std::invalid_argument);
 }

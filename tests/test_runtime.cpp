@@ -470,8 +470,7 @@ TEST(FramePipeline, RepeatedRunsAreIdentical)
     std::vector<hw::PeriodicStream> streams;
     for (std::size_t i = 0; i < bench.app.size(); ++i) {
         const core::Algorithm &algo = bench.app.algorithm(i);
-        streams.push_back(
-            {&algo.program, &algo.values, algo.rateHz, 0.0});
+        streams.push_back({&algo.program, algo.rateHz, 0.0});
     }
     const auto config = hw::AcceleratorConfig::minimal(true);
 
