@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 
 #include "fg/factor.hpp"
 #include "fg/ordering.hpp"
@@ -755,9 +754,6 @@ Session::step()
                 MetricsRegistry::global()
                     .counter("engine.retries")
                     .add();
-            if (policy_.backoffBaseUs > 0)
-                std::this_thread::sleep_for(std::chrono::microseconds(
-                    policy_.backoffBaseUs * attempt));
         }
         context_.armFaults(injector_.get(), frames_, attempt);
         const std::uint64_t attempt_start =

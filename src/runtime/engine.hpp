@@ -72,9 +72,6 @@ struct DegradationPolicy
      */
     std::uint64_t frameTimeoutCycles = 0;
 
-    /** Sleep attempt*base microseconds before each retry (0 = none). */
-    std::uint64_t backoffBaseUs = 0;
-
     /**
      * Declare a frame faulty when any delta element's magnitude
      * exceeds this limit (0 = no check). This is the guard rail of

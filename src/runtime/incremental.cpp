@@ -10,6 +10,14 @@ namespace orianna::runtime {
 namespace {
 
 /**
+ * Open sessions kept alive, one per distinct update shape (LRU). A
+ * trajectory in steady state cycles through a handful of shapes;
+ * evicted shapes re-open against the engine's program cache, so
+ * eviction costs a session setup, never a recompile.
+ */
+constexpr std::size_t kSessionCacheCapacity = 16;
+
+/**
  * Translate a smoother schedule into the shape-only UpdateSpec the
  * compiler fingerprints and compiles. Variables become suffix
  * positions; the per-row block order is the LinearRow's own map
@@ -249,8 +257,7 @@ AcceleratedSmoother::acquireSession(const comp::UpdateSpec &spec,
                              std::move(fallback), 1.0,
                              /*retract=*/false)});
     ++stats_.sessionsOpened;
-    while (sessions_.size() > options_.sessionCacheCapacity &&
-           options_.sessionCacheCapacity > 0)
+    while (sessions_.size() > kSessionCacheCapacity)
         sessions_.pop_back();
     return sessions_.front().session;
 }

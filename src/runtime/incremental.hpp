@@ -20,14 +20,6 @@ struct AcceleratedSmootherOptions
      * compiling a one-off giant program. 0 accelerates everything.
      */
     std::size_t maxAcceleratedSuffix = 64;
-
-    /**
-     * Open sessions kept alive, one per distinct update shape (LRU).
-     * A trajectory in steady state cycles through a handful of
-     * shapes; evicted shapes re-open against the engine's program
-     * cache, so eviction costs a session setup, never a recompile.
-     */
-    std::size_t sessionCacheCapacity = 16;
 };
 
 /** Counters of the accelerated smoother, for tests and telemetry. */
