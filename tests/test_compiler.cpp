@@ -3,11 +3,13 @@
 // compiled program (accelerator path) and the software solver.
 
 #include <set>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
 #include "compiler/codegen.hpp"
 #include "compiler/executor.hpp"
+#include "compiler/incremental_codegen.hpp"
 #include "fg/eliminate.hpp"
 #include "fg/factors.hpp"
 #include "fg/optimizer.hpp"
@@ -314,6 +316,45 @@ TEST(Program, MissingVariableThrows)
     options.ordering = {1, 2}; // Key 2 does not exist in the graph.
     EXPECT_THROW(comp::compileGraph(graph, values, options),
                  std::runtime_error);
+}
+
+/**
+ * A two-variable update spec: a prior row on position 0 and a
+ * between row on positions 0 and 1. Step 0 carries three rows, which
+ * step 1 gathers as row reference 2.
+ */
+comp::UpdateSpec
+twoVariableUpdate()
+{
+    comp::UpdateSpec spec;
+    spec.dofs = {3, 3};
+    spec.rows = {{3, {0}}, {3, {0, 1}}};
+    spec.steps = {{{0, 1}, {0, 1}, 3}, {{2}, {1}, 0}};
+    return spec;
+}
+
+TEST(CompileUpdate, StepMustEliminateItsOwnPosition)
+{
+    EXPECT_NO_THROW(comp::compileUpdate(twoVariableUpdate()));
+    comp::UpdateSpec spec = twoVariableUpdate();
+    spec.steps[0].columns = {1, 0};
+    EXPECT_THROW(comp::compileUpdate(spec), std::invalid_argument);
+}
+
+TEST(CompileUpdate, UnderdeterminedStepThrows)
+{
+    // Step 1 gathers only its two carried rows for a 3-dof variable.
+    comp::UpdateSpec spec = twoVariableUpdate();
+    spec.steps[0].kept = 2;
+    EXPECT_THROW(comp::compileUpdate(spec), std::invalid_argument);
+}
+
+TEST(CompileUpdate, ReferenceToAnUnbuiltCarryThrows)
+{
+    // Step 0 cannot gather the carry row it has not produced yet.
+    comp::UpdateSpec spec = twoVariableUpdate();
+    spec.steps[0].rowRefs = {0, 1, 2};
+    EXPECT_THROW(comp::compileUpdate(spec), std::out_of_range);
 }
 
 TEST(Program, Fig11LevelParallelism)
