@@ -1,8 +1,10 @@
 #include "compiler/codegen.hpp"
 
 #include <map>
+#include <numeric>
 #include <stdexcept>
 
+#include "compiler/incremental_codegen.hpp"
 #include "fg/dfg.hpp"
 #include "fg/eliminate.hpp"
 #include "lie/so.hpp"
@@ -90,22 +92,24 @@ class Builder
     }
 
     Program
-    finish(std::string name)
+    finish(std::string name, Precision precision,
+           std::vector<DeltaBinding> deltas)
     {
         program_.valueSlots = shapes_.size();
         program_.algorithm = algorithm_;
         program_.name = std::move(name);
+        program_.precision = precision;
+        program_.deltas = std::move(deltas);
         return std::move(program_);
     }
 
     /** Phase tag stamped on subsequently emitted instructions. */
     void setPhase(std::uint8_t phase) { phase_ = phase; }
 
-    Program program_;
-
   private:
     static constexpr std::uint32_t kNoProducer = 0xffffffffu;
 
+    Program program_;
     std::uint8_t algorithm_;
     std::uint8_t phase_ = 0;
     std::vector<Shape> shapes_;
@@ -584,7 +588,7 @@ emitWhiten(Builder &b, std::uint32_t slot, const Vector &sigmas,
     return b.emit(std::move(inst), b.shape(slot), fi);
 }
 
-/** A symbolic linearized factor row during elimination codegen. */
+/** A symbolic linearized factor row: one Jacobian block per key. */
 struct SymbolicRow
 {
     std::map<Key, std::uint32_t> blocks;
@@ -592,11 +596,215 @@ struct SymbolicRow
     std::size_t dim = 0;
 };
 
-} // namespace
+/** One block of an elimination row and where a GATHER places it. */
+struct RowBlock
+{
+    std::uint32_t slot = 0;
+    std::uint32_t position = 0; //!< Variable's elimination position.
+    std::size_t column = 0;     //!< Column offset inside the variable.
+    bool streamed = false;      //!< One streamed column (a vector).
+};
+
+/** A block row [A_i | b_i] entering elimination. */
+struct ElimRow
+{
+    std::vector<RowBlock> blocks;
+    std::uint32_t rhs = 0;
+    std::size_t dim = 0;
+};
+
+/** @p rows with each key's block at its elimination @p position. */
+std::vector<ElimRow>
+placeRows(const std::vector<SymbolicRow> &rows,
+          const std::map<Key, std::uint32_t> &position)
+{
+    std::vector<ElimRow> placed;
+    placed.reserve(rows.size());
+    for (const SymbolicRow &row : rows) {
+        ElimRow &out = placed.emplace_back();
+        for (const auto &[key, slot] : row.blocks)
+            out.blocks.push_back({slot, position.at(key), 0, false});
+        out.rhs = row.rhs;
+        out.dim = row.dim;
+    }
+    return placed;
+}
+
+/** BSUB one variable's delta from R_self and its rhs, and STORE it. */
+std::uint32_t
+emitSolve(Builder &b, std::uint32_t r_self, std::uint32_t rhs,
+          std::size_t dof)
+{
+    Instruction bsub;
+    bsub.op = IsaOp::BSUB;
+    bsub.srcs = {r_self, rhs};
+    const std::uint32_t delta = b.emit(std::move(bsub), Shape::vec(dof));
+    b.store(delta);
+    return delta;
+}
 
 /**
- * Phase 1 shared by both compilers: lower every factor's DFG and
- * whiten, producing the symbolic linearized rows.
+ * The elimination emitter of compileGraph, compileUpdate and
+ * compileDenseGraph (Figs. 5 and 6). Variables are named by their
+ * elimination position. Each step is two calls: factor() GATHERs the
+ * step's rows into [Abar | b] and QRs it; split() EXTRACTs the
+ * conditional and the carry row, which it appends to the rows so
+ * that later row references index it directly. Step i must eliminate
+ * position i.
+ */
+class Elimination
+{
+  public:
+    Elimination(Builder &b, std::vector<ElimRow> rows,
+                const std::vector<std::size_t> &dofs)
+        : b_(b), rows_(std::move(rows)), dofs_(dofs),
+          offset_(dofs.size(), 0)
+    {
+    }
+
+    /**
+     * GATHER the rows @p refs into [Abar | b], laid out as @p columns
+     * (positions, the eliminated one first), and QR it. Returns the
+     * gathered row count.
+     * @throws std::out_of_range for a row that does not exist yet.
+     */
+    template <class Refs>
+    std::size_t
+    factor(const Refs &refs, const std::vector<std::uint32_t> &columns)
+    {
+        columns_ = columns;
+        ncols_ = 0;
+        for (std::uint32_t position : columns) {
+            offset_.at(position) = ncols_;
+            ncols_ += dofs_[position];
+        }
+        Instruction gather;
+        gather.op = IsaOp::GATHER;
+        std::size_t nrows = 0;
+        for (const auto ref : refs) {
+            const ElimRow &row = rows_.at(ref);
+            for (const RowBlock &block : row.blocks) {
+                gather.srcs.push_back(block.slot);
+                gather.placements.push_back(
+                    {block.slot, nrows,
+                     offset_.at(block.position) + block.column,
+                     block.streamed});
+            }
+            gather.srcs.push_back(row.rhs);
+            gather.placements.push_back({row.rhs, nrows, ncols_, true});
+            nrows += row.dim;
+        }
+        const std::uint32_t abar = b_.emit(
+            std::move(gather), Shape::matrix(nrows, ncols_ + 1));
+
+        Instruction qr;
+        qr.op = IsaOp::QR;
+        qr.srcs = {abar};
+        qr.depth = ncols_; // Columns actually triangularized.
+        r_ = b_.emit(std::move(qr), Shape::matrix(nrows, ncols_ + 1));
+        return nrows;
+    }
+
+    /** EXTRACT a @p rows x @p cols block of R at (@p i0, @p j0). */
+    std::uint32_t
+    extract(std::size_t i0, std::size_t j0, std::size_t rows,
+            std::size_t cols, bool as_vector)
+    {
+        Instruction inst;
+        inst.op = IsaOp::EXTRACT;
+        inst.srcs = {r_};
+        inst.extractRow = i0;
+        inst.extractCol = j0;
+        inst.extractVector = as_vector;
+        return b_.emit(std::move(inst), as_vector
+                                            ? Shape::vec(rows)
+                                            : Shape::matrix(rows, cols));
+    }
+
+    /**
+     * EXTRACT the step's conditional and, when @p kept > 0, the new
+     * carry row over the separator (Fig. 5 step 4).
+     */
+    void
+    split(std::size_t kept)
+    {
+        const std::size_t dv = dofs_[columns_.front()];
+        Conditional &cond = conditionals_.emplace_back();
+        cond.rSelf = extract(0, 0, dv, dv, false);
+        cond.rhs = extract(0, ncols_, dv, 1, true);
+        for (std::size_t c = 1; c < columns_.size(); ++c) {
+            const std::uint32_t p = columns_[c];
+            cond.rParents.emplace_back(
+                p, extract(0, offset_[p], dv, dofs_[p], false));
+        }
+        if (kept == 0)
+            return;
+        ElimRow carry;
+        carry.dim = kept;
+        for (std::size_t c = 1; c < columns_.size(); ++c) {
+            const std::uint32_t p = columns_[c];
+            carry.blocks.push_back(
+                {extract(dv, offset_[p], kept, dofs_[p], false), p, 0,
+                 false});
+        }
+        carry.rhs = extract(dv, ncols_, kept, 1, true);
+        rows_.push_back(std::move(carry));
+    }
+
+    /**
+     * Back substitution (Fig. 6), last conditional first: MV/VSUB per
+     * parent, then BSUB and STORE, binding position i's delta to
+     * @p keys[i].
+     */
+    void
+    backSubstitute(const std::vector<Key> &keys,
+                   std::vector<DeltaBinding> &bindings)
+    {
+        std::vector<std::uint32_t> delta(dofs_.size(), 0);
+        for (std::size_t i = conditionals_.size(); i-- > 0;) {
+            const Conditional &cond = conditionals_[i];
+            std::uint32_t rhs = cond.rhs;
+            for (const auto &[position, block] : cond.rParents) {
+                const std::uint32_t prod = emitMatMul(
+                    b_, IsaOp::MV, block, delta.at(position));
+                rhs = emitBinary(b_, IsaOp::VSUB, rhs, prod,
+                                 b_.shape(rhs));
+            }
+            delta[i] = emitSolve(b_, cond.rSelf, rhs, dofs_[i]);
+            bindings.push_back({keys[i], delta[i]});
+        }
+    }
+
+    /** Column offset of @p position in the last factored step. */
+    std::size_t offset(std::uint32_t position) const
+    {
+        return offset_[position];
+    }
+
+  private:
+    /** Slots of one conditional; parents by position. */
+    struct Conditional
+    {
+        std::uint32_t rSelf = 0;
+        std::uint32_t rhs = 0;
+        std::vector<std::pair<std::uint32_t, std::uint32_t>> rParents;
+    };
+
+    Builder &b_;
+    std::vector<ElimRow> rows_; //!< Input rows, then carries.
+    const std::vector<std::size_t> &dofs_;
+    std::vector<Conditional> conditionals_;
+
+    // The step being emitted. Offsets are valid for its columns only.
+    std::vector<std::size_t> offset_;
+    std::vector<std::uint32_t> columns_;
+    std::size_t ncols_ = 0;
+    std::uint32_t r_ = 0;
+};
+
+/**
+ * Phase 1 shared by both graph compilers: lower every factor's DFG
+ * and whiten, producing the symbolic linearized rows.
  */
 void
 lowerConstruction(Builder &b, VarSlots &vars, const fg::FactorGraph &graph,
@@ -664,6 +872,8 @@ lowerConstruction(Builder &b, VarSlots &vars, const fg::FactorGraph &graph,
     }
 }
 
+} // namespace
+
 Program
 compileGraph(const fg::FactorGraph &graph, const fg::Values &values,
              const CompileOptions &options)
@@ -693,123 +903,91 @@ compileGraph(const fg::FactorGraph &graph, const fg::Values &values,
     const fg::SuffixSchedule schedule = fg::scheduleElimination(
         std::move(shapes), std::move(ordering), dofs);
 
-    struct ConditionalSlots
-    {
-        Key key;
-        std::uint32_t rSelf;
-        std::map<Key, std::uint32_t> rParents;
-        std::uint32_t rhs;
-    };
-    std::vector<ConditionalSlots> conditionals;
-    std::vector<SymbolicRow> carries;
-
-    for (std::size_t si = 0; si < schedule.steps.size(); ++si) {
-        const fg::SuffixSchedule::Step &step = schedule.steps[si];
-        const std::size_t dv = schedule.dofs[si];
-        const std::size_t ncols = step.ncols;
-        std::map<Key, std::size_t> col_offset;
-        std::size_t offset = 0;
-        for (Key key : step.columns) {
-            col_offset[key] = offset;
-            offset += dofs.at(key);
-        }
-
-        // GATHER the augmented [Abar | b].
-        Instruction gather;
-        gather.op = IsaOp::GATHER;
-        std::size_t row_offset = 0;
-        for (std::size_t ref : step.rowRefs) {
-            const SymbolicRow &sr = ref < rows.size()
-                                        ? rows[ref]
-                                        : carries[ref - rows.size()];
-            for (const auto &[key, slot] : sr.blocks) {
-                gather.srcs.push_back(slot);
-                gather.placements.push_back(
-                    {slot, row_offset, col_offset.at(key), false});
-            }
-            gather.srcs.push_back(sr.rhs);
-            gather.placements.push_back({sr.rhs, row_offset, ncols, true});
-            row_offset += sr.dim;
-        }
-        const std::uint32_t abar = b.emit(
-            std::move(gather), Shape::matrix(step.nrows, ncols + 1));
-
-        // QR on the augmented system.
-        Instruction qr;
-        qr.op = IsaOp::QR;
-        qr.srcs = {abar};
-        qr.depth = ncols; // Columns actually triangularized.
-        const std::uint32_t r_slot =
-            b.emit(std::move(qr), Shape::matrix(step.nrows, ncols + 1));
-
-        auto extract = [&](std::size_t i0, std::size_t j0, std::size_t r,
-                           std::size_t c, bool as_vector) {
-            Instruction inst;
-            inst.op = IsaOp::EXTRACT;
-            inst.srcs = {r_slot};
-            inst.extractRow = i0;
-            inst.extractCol = j0;
-            inst.extractVector = as_vector;
-            return b.emit(std::move(inst),
-                          as_vector ? Shape::vec(r)
-                                    : Shape::matrix(r, c));
-        };
-
-        ConditionalSlots cond;
-        cond.key = step.columns.front();
-        cond.rSelf = extract(0, 0, dv, dv, false);
-        cond.rhs = extract(0, ncols, dv, 1, true);
-        for (std::size_t c = 1; c < step.columns.size(); ++c) {
-            const Key key = step.columns[c];
-            cond.rParents.emplace(
-                key, extract(0, col_offset.at(key), dv, dofs.at(key),
-                             false));
-        }
-        conditionals.push_back(std::move(cond));
-
-        // New factor over the separator.
-        if (step.kept > 0) {
-            SymbolicRow &fresh = carries.emplace_back();
-            fresh.dim = step.kept;
-            for (std::size_t c = 1; c < step.columns.size(); ++c) {
-                const Key key = step.columns[c];
-                fresh.blocks.emplace(
-                    key, extract(dv, col_offset.at(key), step.kept,
-                                 dofs.at(key), false));
-            }
-            fresh.rhs = extract(dv, ncols, step.kept, 1, true);
-        }
+    std::map<Key, std::uint32_t> position;
+    for (std::size_t p = 0; p < schedule.variables.size(); ++p)
+        position.emplace(schedule.variables[p],
+                         static_cast<std::uint32_t>(p));
+    Elimination elim(b, placeRows(rows, position), schedule.dofs);
+    std::vector<std::uint32_t> columns;
+    for (const fg::SuffixSchedule::Step &step : schedule.steps) {
+        columns.clear();
+        for (Key key : step.columns)
+            columns.push_back(position.at(key));
+        elim.factor(step.rowRefs, columns);
+        elim.split(step.kept);
     }
 
     // ---- Phase 3: back substitution (Fig. 6) ----
     b.setPhase(2);
-    Program prog;
-    std::map<Key, std::uint32_t> delta_slot;
     std::vector<DeltaBinding> bindings;
-    for (std::size_t i = conditionals.size(); i-- > 0;) {
-        const ConditionalSlots &cond = conditionals[i];
-        std::uint32_t rhs = cond.rhs;
-        for (const auto &[parent, block] : cond.rParents) {
-            const std::uint32_t prod =
-                emitMatMul(b, IsaOp::MV, block, delta_slot.at(parent));
-            rhs = emitBinary(b, IsaOp::VSUB, rhs, prod, b.shape(rhs));
-        }
-        Instruction bsub;
-        bsub.op = IsaOp::BSUB;
-        bsub.srcs = {cond.rSelf, rhs};
-        const std::uint32_t delta = b.emit(
-            std::move(bsub), Shape::vec(dofs.at(cond.key)));
-        b.store(delta);
-        delta_slot[cond.key] = delta;
-        bindings.push_back({cond.key, delta});
-    }
+    elim.backSubstitute(schedule.variables, bindings);
 
-    prog = b.finish(options.name);
-    prog.precision = options.precision;
-    prog.deltas = std::move(bindings);
-    return prog;
+    return b.finish(options.name, options.precision, std::move(bindings));
 }
 
+Program
+compileUpdate(const UpdateSpec &spec)
+{
+    const UpdateLayout layout = updateLayout(spec);
+    Builder b(spec.algorithmTag);
+
+    // ---- Phase 1: stream the input rows in (no LOADC anywhere) ----
+    auto load = [&b](Key key, std::size_t dim) {
+        Instruction inst;
+        inst.op = IsaOp::LOADV;
+        inst.key = key;
+        inst.component = VarComponent::Whole;
+        return b.emit(std::move(inst), Shape::vec(dim));
+    };
+    // Matrix blocks stream column by column, each GATHERed in place.
+    std::vector<ElimRow> rows(spec.rows.size());
+    for (std::size_t r = 0; r < spec.rows.size(); ++r) {
+        const UpdateSpec::Row &row = spec.rows[r];
+        const UpdateLayout::RowKeys &keys = layout.inputs[r];
+        for (std::size_t bi = 0; bi < row.blocks.size(); ++bi)
+            for (std::size_t j = 0; j < keys.blockColumns[bi].size(); ++j)
+                rows[r].blocks.push_back(
+                    {load(keys.blockColumns[bi][j], row.dim),
+                     row.blocks[bi], j, true});
+        rows[r].rhs = load(keys.rhs, row.dim);
+        rows[r].dim = row.dim;
+    }
+
+    // ---- Phase 2: suffix elimination following the schedule ----
+    b.setPhase(1);
+    const std::vector<std::size_t> dofs(spec.dofs.begin(),
+                                        spec.dofs.end());
+    Elimination elim(b, std::move(rows), dofs);
+    std::vector<DeltaBinding> bindings;
+    for (std::size_t si = 0; si < spec.steps.size(); ++si) {
+        const UpdateSpec::Step &step = spec.steps[si];
+        if (step.columns.empty() ||
+            step.columns.front() != static_cast<std::uint32_t>(si))
+            throw std::invalid_argument(
+                "compileUpdate: step does not eliminate its own "
+                "suffix position");
+        if (elim.factor(step.rowRefs, step.columns) < dofs[si])
+            throw std::invalid_argument(
+                "compileUpdate: underdetermined step");
+
+        // Host-visible results: every column of the step's R factor
+        // (conditional rows + carry rows) streams back as a vector.
+        const UpdateLayout::StepKeys &out = layout.outputs[si];
+        for (std::size_t c = 0; c < out.columns.size(); ++c) {
+            const std::uint32_t slot =
+                elim.extract(0, c, out.height, 1, true);
+            b.store(slot);
+            bindings.push_back({out.columns[c], slot});
+        }
+        elim.split(step.kept);
+    }
+
+    // ---- Phase 3: back substitution over the suffix ----
+    b.setPhase(2);
+    elim.backSubstitute(layout.deltaKeys, bindings);
+
+    return b.finish(spec.name, spec.precision, std::move(bindings));
+}
 
 Program
 compileDenseGraph(const fg::FactorGraph &graph, const fg::Values &values,
@@ -826,11 +1004,16 @@ compileDenseGraph(const fg::FactorGraph &graph, const fg::Values &values,
     if (ordering.empty())
         ordering = graph.allKeys();
 
-    std::map<Key, std::size_t> col_offset;
+    // One step over every variable, in ordering order.
+    std::map<Key, std::uint32_t> position;
+    std::vector<std::uint32_t> columns;
+    std::vector<std::size_t> dof;
     std::size_t ncols = 0;
     for (Key key : ordering) {
-        col_offset[key] = ncols;
-        ncols += dofs.at(key);
+        position.emplace(key, static_cast<std::uint32_t>(columns.size()));
+        columns.push_back(static_cast<std::uint32_t>(columns.size()));
+        dof.push_back(dofs.at(key));
+        ncols += dof.back();
     }
     std::size_t nrows = 0;
     for (const SymbolicRow &row : rows)
@@ -840,74 +1023,34 @@ compileDenseGraph(const fg::FactorGraph &graph, const fg::Values &values,
 
     // One large dense gather of the whole [A | b] (no sparsity use).
     b.setPhase(1);
-    Instruction gather;
-    gather.op = IsaOp::GATHER;
-    std::size_t row_offset = 0;
-    for (const SymbolicRow &row : rows) {
-        for (const auto &[key, slot] : row.blocks) {
-            gather.srcs.push_back(slot);
-            gather.placements.push_back(
-                {slot, row_offset, col_offset.at(key), false});
-        }
-        gather.srcs.push_back(row.rhs);
-        gather.placements.push_back({row.rhs, row_offset, ncols, true});
-        row_offset += row.dim;
-    }
-    const std::uint32_t a_slot =
-        b.emit(std::move(gather), Shape::matrix(nrows, ncols + 1));
-
-    Instruction qr;
-    qr.op = IsaOp::QR;
-    qr.srcs = {a_slot};
-    qr.depth = ncols;
-    const std::uint32_t r_slot =
-        b.emit(std::move(qr), Shape::matrix(nrows, ncols + 1));
-
-    auto extract = [&](std::size_t i0, std::size_t j0, std::size_t r,
-                       std::size_t c, bool as_vector) {
-        Instruction inst;
-        inst.op = IsaOp::EXTRACT;
-        inst.srcs = {r_slot};
-        inst.extractRow = i0;
-        inst.extractCol = j0;
-        inst.extractVector = as_vector;
-        return b.emit(std::move(inst),
-                      as_vector ? Shape::vec(r) : Shape::matrix(r, c));
-    };
+    std::vector<std::size_t> all(rows.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    Elimination elim(b, placeRows(rows, position), dof);
+    elim.factor(all, columns);
 
     // Block back-substitution over the dense R (Fig. 6 without the
     // graph: every later variable is a parent of every earlier one).
     b.setPhase(2);
-    std::map<Key, std::uint32_t> delta_slot;
+    std::vector<std::uint32_t> delta(ordering.size(), 0);
     std::vector<DeltaBinding> bindings;
     for (std::size_t i = ordering.size(); i-- > 0;) {
-        const Key v = ordering[i];
-        const std::size_t dv = dofs.at(v);
-        const std::size_t off = col_offset.at(v);
-        std::uint32_t rhs = extract(off, ncols, dv, 1, true);
+        const std::size_t off = elim.offset(i);
+        std::uint32_t rhs = elim.extract(off, ncols, dof[i], 1, true);
         for (std::size_t j = i + 1; j < ordering.size(); ++j) {
-            const Key parent = ordering[j];
-            const std::uint32_t block = extract(
-                off, col_offset.at(parent), dv, dofs.at(parent), false);
+            const std::uint32_t block = elim.extract(
+                off, elim.offset(j), dof[i], dof[j], false);
             const std::uint32_t prod =
-                emitMatMul(b, IsaOp::MV, block, delta_slot.at(parent));
+                emitMatMul(b, IsaOp::MV, block, delta[j]);
             rhs = emitBinary(b, IsaOp::VSUB, rhs, prod, b.shape(rhs));
         }
-        const std::uint32_t r_vv = extract(off, off, dv, dv, false);
-        Instruction bsub;
-        bsub.op = IsaOp::BSUB;
-        bsub.srcs = {r_vv, rhs};
-        const std::uint32_t delta =
-            b.emit(std::move(bsub), Shape::vec(dv));
-        b.store(delta);
-        delta_slot[v] = delta;
-        bindings.push_back({v, delta});
+        const std::uint32_t r_vv =
+            elim.extract(off, off, dof[i], dof[i], false);
+        delta[i] = emitSolve(b, r_vv, rhs, dof[i]);
+        bindings.push_back({ordering[i], delta[i]});
     }
 
-    Program prog = b.finish(options.name + "-dense");
-    prog.precision = options.precision;
-    prog.deltas = std::move(bindings);
-    return prog;
+    return b.finish(options.name + "-dense", options.precision,
+                    std::move(bindings));
 }
 
 } // namespace orianna::comp

@@ -1,7 +1,5 @@
 #include "compiler/incremental_codegen.hpp"
 
-#include <stdexcept>
-
 namespace orianna::comp {
 
 namespace {
@@ -10,84 +8,6 @@ namespace {
 constexpr Key kInputBase = 1ull << 40;
 constexpr Key kOutputBase = 1ull << 41;
 constexpr Key kDeltaBase = 1ull << 42;
-
-/**
- * Minimal slot/shape/producer tracker, the update-program subset of
- * the batch codegen builder: fresh slot per instruction, deps from
- * operand producers, phase tags as in compileGraph (0 construction,
- * 1 decomposition, 2 back substitution).
- */
-class UpdateBuilder
-{
-  public:
-    explicit UpdateBuilder(std::uint8_t algorithm)
-        : algorithm_(algorithm)
-    {}
-
-    std::uint32_t
-    emit(Instruction inst, std::size_t rows, std::size_t cols)
-    {
-        shapes_.push_back({rows, cols});
-        producer_.push_back(kNoProducer);
-        inst.dst = static_cast<std::uint32_t>(shapes_.size() - 1);
-        inst.rows = rows;
-        inst.cols = cols;
-        inst.algorithm = algorithm_;
-        inst.phase = phase_;
-        for (std::uint32_t src : inst.srcs) {
-            const std::uint32_t p = producer_[src];
-            if (p != kNoProducer)
-                inst.deps.push_back(p);
-        }
-        const std::uint32_t dst = inst.dst;
-        program_.instructions.push_back(std::move(inst));
-        producer_[dst] = static_cast<std::uint32_t>(
-            program_.instructions.size() - 1);
-        return dst;
-    }
-
-    void
-    store(std::uint32_t slot)
-    {
-        Instruction inst;
-        inst.op = IsaOp::STORE;
-        inst.srcs = {slot};
-        inst.dst = slot;
-        inst.rows = shapes_[slot].first;
-        inst.cols = shapes_[slot].second;
-        inst.algorithm = algorithm_;
-        inst.phase = phase_;
-        const std::uint32_t p = producer_[slot];
-        if (p != kNoProducer)
-            inst.deps.push_back(p);
-        program_.instructions.push_back(std::move(inst));
-    }
-
-    void setPhase(std::uint8_t phase) { phase_ = phase; }
-
-    std::size_t rows(std::uint32_t slot) const
-    {
-        return shapes_[slot].first;
-    }
-
-    Program
-    finish(std::string name)
-    {
-        program_.valueSlots = shapes_.size();
-        program_.algorithm = algorithm_;
-        program_.name = std::move(name);
-        return std::move(program_);
-    }
-
-  private:
-    static constexpr std::uint32_t kNoProducer = 0xffffffffu;
-
-    Program program_;
-    std::uint8_t algorithm_;
-    std::uint8_t phase_ = 0;
-    std::vector<std::pair<std::size_t, std::size_t>> shapes_;
-    std::vector<std::uint32_t> producer_;
-};
 
 /** FNV-1a mixer (same scheme as the engine's graph fingerprint). */
 struct Fnv
@@ -177,223 +97,6 @@ updateFingerprint(const UpdateSpec &spec)
         f.mix(step.kept);
     }
     return f.h;
-}
-
-Program
-compileUpdate(const UpdateSpec &spec)
-{
-    const UpdateLayout layout = updateLayout(spec);
-    UpdateBuilder b(spec.algorithmTag);
-    std::vector<DeltaBinding> bindings;
-
-    // ---- Phase 1: stream the input rows in (no LOADC anywhere) ----
-    struct RowSlots
-    {
-        std::vector<std::vector<std::uint32_t>> blockColumns;
-        std::uint32_t rhs = 0;
-    };
-    std::vector<RowSlots> inputs;
-    for (std::size_t r = 0; r < spec.rows.size(); ++r) {
-        const UpdateSpec::Row &row = spec.rows[r];
-        RowSlots slots;
-        for (std::size_t bi = 0; bi < row.blocks.size(); ++bi) {
-            std::vector<std::uint32_t> cols;
-            for (Key key : layout.inputs[r].blockColumns[bi]) {
-                Instruction load;
-                load.op = IsaOp::LOADV;
-                load.key = key;
-                load.component = VarComponent::Whole;
-                cols.push_back(b.emit(std::move(load), row.dim, 1));
-            }
-            slots.blockColumns.push_back(std::move(cols));
-        }
-        Instruction load;
-        load.op = IsaOp::LOADV;
-        load.key = layout.inputs[r].rhs;
-        load.component = VarComponent::Whole;
-        slots.rhs = b.emit(std::move(load), row.dim, 1);
-        inputs.push_back(std::move(slots));
-    }
-
-    // ---- Phase 2: suffix elimination following the schedule ----
-    b.setPhase(1);
-
-    /** On-device image of a carry row: per-position block + rhs. */
-    struct CarrySlots
-    {
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> blocks;
-        std::uint32_t rhs = 0;
-        std::uint32_t dim = 0;
-    };
-    std::vector<CarrySlots> carries;
-
-    struct CondSlots
-    {
-        std::uint32_t position = 0;
-        std::uint32_t rSelf = 0;
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> rParents;
-        std::uint32_t rhs = 0;
-    };
-    std::vector<CondSlots> conditionals;
-
-    for (std::size_t si = 0; si < spec.steps.size(); ++si) {
-        const UpdateSpec::Step &step = spec.steps[si];
-        if (step.columns.empty() ||
-            step.columns.front() != static_cast<std::uint32_t>(si))
-            throw std::invalid_argument(
-                "compileUpdate: step does not eliminate its own "
-                "suffix position");
-
-        std::vector<std::size_t> col_offset(spec.dofs.size(), 0);
-        std::size_t ncols = 0;
-        for (std::uint32_t position : step.columns) {
-            col_offset[position] = ncols;
-            ncols += spec.dofs.at(position);
-        }
-        std::size_t nrows = 0;
-        for (std::uint32_t ref : step.rowRefs)
-            nrows += ref < spec.rows.size()
-                         ? spec.rows[ref].dim
-                         : carries.at(ref - spec.rows.size()).dim;
-        const std::size_t dv = spec.dofs.at(step.columns.front());
-        if (nrows < dv)
-            throw std::invalid_argument(
-                "compileUpdate: underdetermined step");
-
-        // GATHER the augmented [Abar | b]: streamed input columns
-        // and extracted carry blocks land at the offsets the batch
-        // codegen would use.
-        Instruction gather;
-        gather.op = IsaOp::GATHER;
-        std::size_t row_offset = 0;
-        for (std::uint32_t ref : step.rowRefs) {
-            if (ref < spec.rows.size()) {
-                const UpdateSpec::Row &row = spec.rows[ref];
-                const RowSlots &slots = inputs[ref];
-                for (std::size_t bi = 0; bi < row.blocks.size();
-                     ++bi) {
-                    const std::size_t base =
-                        col_offset[row.blocks[bi]];
-                    const auto &cols = slots.blockColumns[bi];
-                    for (std::size_t j = 0; j < cols.size(); ++j) {
-                        gather.srcs.push_back(cols[j]);
-                        gather.placements.push_back(
-                            {cols[j], row_offset, base + j, true});
-                    }
-                }
-                gather.srcs.push_back(slots.rhs);
-                gather.placements.push_back(
-                    {slots.rhs, row_offset, ncols, true});
-                row_offset += row.dim;
-            } else {
-                const CarrySlots &carry =
-                    carries.at(ref - spec.rows.size());
-                for (const auto &[position, slot] : carry.blocks) {
-                    gather.srcs.push_back(slot);
-                    gather.placements.push_back(
-                        {slot, row_offset, col_offset[position],
-                         false});
-                }
-                gather.srcs.push_back(carry.rhs);
-                gather.placements.push_back(
-                    {carry.rhs, row_offset, ncols, true});
-                row_offset += carry.dim;
-            }
-        }
-        const std::uint32_t abar =
-            b.emit(std::move(gather), nrows, ncols + 1);
-
-        Instruction qr;
-        qr.op = IsaOp::QR;
-        qr.srcs = {abar};
-        qr.depth = ncols;
-        const std::uint32_t r_slot =
-            b.emit(std::move(qr), nrows, ncols + 1);
-
-        auto extract = [&](std::size_t i0, std::size_t j0,
-                           std::size_t rows, std::size_t cols,
-                           bool as_vector) {
-            Instruction inst;
-            inst.op = IsaOp::EXTRACT;
-            inst.srcs = {r_slot};
-            inst.extractRow = i0;
-            inst.extractCol = j0;
-            inst.extractVector = as_vector;
-            return b.emit(std::move(inst), rows,
-                          as_vector ? 1 : cols);
-        };
-
-        // Host-visible results: every column of the step's R factor
-        // (conditional rows + carry rows) streams back as a vector.
-        const std::size_t height = dv + step.kept;
-        for (std::size_t c = 0; c <= ncols; ++c) {
-            const std::uint32_t out =
-                extract(0, c, height, 1, true);
-            b.store(out);
-            bindings.push_back({layout.outputs[si].columns[c], out});
-        }
-
-        // Conditional blocks for the on-device back-substitution.
-        CondSlots cond;
-        cond.position = step.columns.front();
-        cond.rSelf = extract(0, 0, dv, dv, false);
-        cond.rhs = extract(0, ncols, dv, 1, true);
-        for (std::size_t c = 1; c < step.columns.size(); ++c) {
-            const std::uint32_t position = step.columns[c];
-            cond.rParents.emplace_back(
-                position, extract(0, col_offset[position], dv,
-                                  spec.dofs.at(position), false));
-        }
-        conditionals.push_back(std::move(cond));
-
-        // Carry blocks feeding later steps.
-        if (step.kept > 0) {
-            CarrySlots carry;
-            carry.dim = step.kept;
-            for (std::size_t c = 1; c < step.columns.size(); ++c) {
-                const std::uint32_t position = step.columns[c];
-                carry.blocks.emplace_back(
-                    position,
-                    extract(dv, col_offset[position], step.kept,
-                            spec.dofs.at(position), false));
-            }
-            carry.rhs = extract(dv, ncols, step.kept, 1, true);
-            carries.push_back(std::move(carry));
-        }
-    }
-
-    // ---- Phase 3: back substitution over the suffix ----
-    b.setPhase(2);
-    std::vector<std::uint32_t> delta_slot(spec.dofs.size(), 0);
-    for (std::size_t i = conditionals.size(); i-- > 0;) {
-        const CondSlots &cond = conditionals[i];
-        std::uint32_t rhs = cond.rhs;
-        for (const auto &[position, block] : cond.rParents) {
-            Instruction mv;
-            mv.op = IsaOp::MV;
-            mv.srcs = {block, delta_slot.at(position)};
-            mv.depth = spec.dofs.at(position);
-            const std::uint32_t prod = b.emit(
-                std::move(mv), spec.dofs.at(cond.position), 1);
-            Instruction sub;
-            sub.op = IsaOp::VSUB;
-            sub.srcs = {rhs, prod};
-            rhs = b.emit(std::move(sub), b.rows(rhs), 1);
-        }
-        Instruction bsub;
-        bsub.op = IsaOp::BSUB;
-        bsub.srcs = {cond.rSelf, rhs};
-        const std::uint32_t delta =
-            b.emit(std::move(bsub), spec.dofs.at(cond.position), 1);
-        b.store(delta);
-        delta_slot[cond.position] = delta;
-        bindings.push_back({layout.deltaKeys[cond.position], delta});
-    }
-
-    Program prog = b.finish(spec.name);
-    prog.precision = spec.precision;
-    prog.deltas = std::move(bindings);
-    return prog;
 }
 
 } // namespace orianna::comp

@@ -120,7 +120,13 @@ std::uint64_t updateFingerprint(const UpdateSpec &spec);
  * rows, per-step GATHER/QR/EXTRACT mirroring the schedule, and
  * on-device back-substitution over the suffix. The program has no
  * LOADC — every number streams per frame — so one compile serves
- * every frame with this shape.
+ * every frame with this shape. Defined in codegen.cpp: it shares
+ * compileGraph's elimination emitter.
+ *
+ * @throws std::invalid_argument when step i does not eliminate
+ * position i, or gathers fewer rows than that variable's dof.
+ * @throws std::out_of_range for a row reference to a carry row that
+ * no earlier step produced.
  */
 Program compileUpdate(const UpdateSpec &spec);
 
