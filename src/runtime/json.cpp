@@ -77,9 +77,14 @@ class Parser
     }
 
     ValuePtr
-    parseValue()
+    parseValue(std::size_t depth = 0)
     {
         const char c = peek();
+        // Bounded recursion: a hostile line fails like any malformed
+        // one instead of overflowing the stack.
+        if ((c == '{' || c == '[') && depth == kMaxDepth)
+            fail("containers nested deeper than " +
+                 std::to_string(kMaxDepth));
         auto value = std::make_shared<Value>();
         if (c == '{') {
             value->kind = Value::Kind::Object;
@@ -93,7 +98,7 @@ class Parser
                 expect(':');
                 // Duplicate keys: last one wins, like every tolerant
                 // reader — a request is never rejected for it.
-                value->fields[key] = parseValue();
+                value->fields[key] = parseValue(depth + 1);
                 if (peek() == ',') {
                     ++pos_;
                     continue;
@@ -110,7 +115,7 @@ class Parser
                 return value;
             }
             while (true) {
-                value->items.push_back(parseValue());
+                value->items.push_back(parseValue(depth + 1));
                 if (peek() == ',') {
                     ++pos_;
                     continue;
@@ -195,6 +200,9 @@ class Parser
         pos_ = start + consumed;
         return value;
     }
+
+    /** Deepest array/object nesting accepted (metrics responses: 6). */
+    static constexpr std::size_t kMaxDepth = 64;
 
     const std::string &input_;
     std::size_t pos_ = 0;

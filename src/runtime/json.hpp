@@ -16,8 +16,9 @@ namespace orianna::runtime::json {
  * protocol error instead of an exception tearing down the server.
  *
  * parse() throws std::runtime_error with a byte offset on malformed
- * input; the protocol layer catches it and answers with a
- * "parse_error" response.
+ * input, including arrays and objects nested more than 64 deep; the
+ * protocol layer catches it and answers with a "parse_error"
+ * response.
  */
 class Value;
 using ValuePtr = std::shared_ptr<Value>;
