@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 namespace orianna::runtime {
@@ -231,6 +232,12 @@ ProtocolServer::handleSubmit(const json::Value &request)
             ++tenants_[tenant].rejects;
         return errorResponse(type, message);
     };
+
+    // App factories take a 32-bit seed; never serve a truncated one.
+    constexpr std::uint64_t kMaxSeed = std::numeric_limits<unsigned>::max();
+    if (seed > kMaxSeed)
+        return reject("bad_value", "field \"seed\" must be at most " +
+                                       std::to_string(kMaxSeed));
 
     if (!precision.empty()) {
         comp::Precision requested = comp::Precision::Fp64;

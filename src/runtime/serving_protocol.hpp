@@ -51,7 +51,9 @@ struct SubmittedGraph
  *          answered with "precision_mismatch" instead of silently
  *          serving the other width. A "tenant" tag attributes the
  *          session (and every later step on it) to that tenant in
- *          the per-tenant counters below.
+ *          the per-tenant counters below. "seed" (default 1) is
+ *          an integer in [0, 4294967295]; a larger one is answered
+ *          with "bad_value", never truncated.
  *   {"op":"step","session":S[,"frames":N]}
  *       -> {"ok":true,"op":"step","session":S,"frames":N,
  *           "total_frames":T,"cycles":C,"objective":E}
@@ -63,8 +65,7 @@ struct SubmittedGraph
  *   {"op":"apps"}                -> {"ok":true,"apps":[names]}
  *   {"op":"metrics"}             -> {"ok":true,"metrics":{registry},
  *                                    "tenants":{T:{counters}}}
- *          (the registry document compacted onto the response line;
- *          runtime_server --metrics still writes it pretty-printed)
+ *          (the registry document compacted onto the response line)
  *   {"op":"health"}              -> {"ok":true,"health":{engine},
  *                                    "tenants":{T:{counters}}}
  *
