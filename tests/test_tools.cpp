@@ -24,6 +24,7 @@
 #include "fg/io_g2o.hpp"
 #include "matrix/simd.hpp"
 #include "runtime/engine.hpp"
+#include "test_golden.hpp"
 #include "test_json.hpp"
 
 namespace {
@@ -260,6 +261,77 @@ TEST(RuntimeServerTool, WarmRestartServesFromStoreByteIdentically)
     EXPECT_FALSE(out_health->at("store").boolean);
     EXPECT_EQ(numberField(*out_health, "compiles"), 1.0);
     EXPECT_EQ(numberField(*out_health, "store_hits"), 0.0);
+}
+
+TEST(RuntimeServerTool, ServedTranscriptMatchesCheckedInDigest)
+{
+    // Every response byte of a served script: submit, step, values and
+    // close for each of the 12 (app, algorithm) graphs and the three
+    // corpus scenarios at two seeds, then an unknown algorithm and a
+    // health snapshot (whose compile counts pin what the Engine
+    // compiled). Mission generation runs tier-dispatched kernels, so
+    // the graphs, and with them the fingerprints, are pinned on the
+    // scalar tier.
+    struct Graph
+    {
+        const char *app;
+        const char *algorithm;
+    };
+    std::vector<Graph> graphs;
+    for (const char *app :
+         {"MobileRobot", "Manipulator", "AutoVehicle", "Quadrotor"})
+        for (const char *algorithm :
+             {"localization", "planning", "control"})
+            graphs.push_back({app, algorithm});
+    for (const char *scenario : {"Manhattan", "Sphere", "Garage"})
+        graphs.push_back({scenario, "batch"});
+
+    std::string requests;
+    std::vector<std::string> labels;
+    const auto request = [&](const std::string &label,
+                             const std::string &line) {
+        labels.push_back(label);
+        requests += line + "\n";
+    };
+    std::size_t session = 0;
+    for (const unsigned seed : {1u, 7u}) {
+        for (const Graph &graph : graphs) {
+            const std::string label = std::string(graph.app) + "/" +
+                                      graph.algorithm + " seed " +
+                                      std::to_string(seed);
+            const std::string id = std::to_string(++session);
+            request(label + " submit",
+                    std::string(R"({"op":"submit","app":")") +
+                        graph.app + R"(","algorithm":")" +
+                        graph.algorithm +
+                        R"(","seed":)" + std::to_string(seed) + "}");
+            request(label + " step",
+                    R"({"op":"step","session":)" + id +
+                        R"(,"frames":3})");
+            request(label + " values",
+                    R"({"op":"values","session":)" + id + "}");
+            request(label + " close",
+                    R"({"op":"close","session":)" + id + "}");
+        }
+    }
+    request("unknown algorithm",
+            R"({"op":"submit","app":"MobileRobot","algorithm":"mapping"})");
+    request("health", R"({"op":"health"})");
+
+    const ToolRun result = runCapture(
+        std::string(ORIANNA_RUNTIME_SERVER) +
+            " --simd scalar --precision fp64",
+        requests, "served_transcript");
+    EXPECT_EQ(result.status, 3); // Only the unknown algorithm errs.
+    const auto lines = result.lines();
+    ASSERT_EQ(lines.size(), labels.size());
+    std::string digest;
+    for (std::size_t i = 0; i < lines.size(); ++i)
+        digest += labels[i] + " fnv1a " +
+                  orianna::test::hex(orianna::test::fnv1a(lines[i])) +
+                  "\n";
+    orianna::test::expectGolden(
+        ORIANNA_GOLDEN_DIR "/served_transcript.digest", digest);
 }
 
 TEST(RuntimeServerTool, ConcurrentStorePopulationSurvivesRestart)
