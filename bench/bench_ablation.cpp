@@ -33,7 +33,7 @@ int
 main()
 {
     apps::BenchmarkApp bench =
-        apps::buildQuadrotor(orianna::bench::kBenchSeed);
+        apps::buildApp(apps::AppKind::Quadrotor, orianna::bench::kBenchSeed);
     core::Application &app = bench.app;
     const hw::AcceleratorConfig config =
         hw::AcceleratorConfig::minimal(true);

@@ -21,7 +21,7 @@ main()
                 "Orianna density", "improvement");
 
     apps::BenchmarkApp bench =
-        apps::buildMobileRobot(orianna::bench::kBenchSeed);
+        apps::buildApp(apps::AppKind::MobileRobot, orianna::bench::kBenchSeed);
     for (std::size_t a = 0; a < bench.app.size(); ++a) {
         const core::Algorithm &algo = bench.app.algorithm(a);
         fg::LinearSystem system = algo.graph.linearize(algo.values);

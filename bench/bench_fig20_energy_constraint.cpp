@@ -12,7 +12,7 @@ main()
     using namespace orianna;
 
     apps::BenchmarkApp bench =
-        apps::buildQuadrotor(orianna::bench::kBenchSeed);
+        apps::buildApp(apps::AppKind::Quadrotor, orianna::bench::kBenchSeed);
     const auto work = bench.app.frameWork();
     const auto intel = baselines::runOnCpu(
         baselines::intel(), bench.app.referenceFrameWork());

@@ -47,7 +47,7 @@ int
 main()
 {
     apps::BenchmarkApp bench =
-        apps::buildQuadrotor(orianna::bench::kBenchSeed);
+        apps::buildApp(apps::AppKind::Quadrotor, orianna::bench::kBenchSeed);
     core::Application &app = bench.app;
 
     std::printf("pipeline study: Quadrotor algorithms at their Sec. 6.3 "

@@ -12,7 +12,7 @@ main()
     using namespace orianna;
 
     apps::BenchmarkApp bench =
-        apps::buildQuadrotor(orianna::bench::kBenchSeed);
+        apps::buildApp(apps::AppKind::Quadrotor, orianna::bench::kBenchSeed);
     const auto work = bench.app.frameWork();
     auto gen = hwgen::generate(work, orianna::bench::zc706Budget(),
                                hwgen::Objective::AvgLatency, true);

@@ -26,7 +26,8 @@ printConfig(const hw::AcceleratorConfig &config)
 int
 main()
 {
-    apps::BenchmarkApp bench = apps::buildQuadrotor(/*seed=*/3);
+    apps::BenchmarkApp bench =
+        apps::buildApp(apps::AppKind::Quadrotor, /*seed=*/3);
     const auto work = bench.app.frameWork();
 
     // Candidate evaluation inside every greedy step fans out across

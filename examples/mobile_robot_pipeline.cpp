@@ -18,7 +18,8 @@ using namespace orianna;
 int
 main()
 {
-    apps::BenchmarkApp bench = apps::buildMobileRobot(/*seed=*/42);
+    apps::BenchmarkApp bench =
+        apps::buildApp(apps::AppKind::MobileRobot, /*seed=*/42);
     core::Application &app = bench.app;
 
     std::printf("application %s: %zu algorithms\n", app.name().c_str(),

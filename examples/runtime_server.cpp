@@ -23,6 +23,7 @@
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "apps/benchmark_apps.hpp"
 #include "apps/pose_graph.hpp"
@@ -56,9 +57,11 @@ usage(const char *argv0)
 
 /**
  * Register the four Tbl. 4 applications on @p server. Each submit
- * builds the requested mission fresh (deterministic per seed) and
- * exposes the named algorithm's graph — "" picks the application's
- * first algorithm (localization).
+ * generates the requested mission fresh (deterministic per seed) and
+ * hands the named algorithm's graph to the engine — "" picks the
+ * application's first algorithm (localization). The mission is never
+ * compiled here: the engine compiles (or finds) the one program the
+ * session runs.
  */
 void
 registerBenchmarkApps(runtime::ProtocolServer &server)
@@ -67,10 +70,10 @@ registerBenchmarkApps(runtime::ProtocolServer &server)
         server.registerApp(
             apps::appName(kind),
             [kind](const std::string &algorithm, unsigned seed) {
-                const apps::BenchmarkApp built =
-                    apps::buildApp(kind, seed);
-                const core::Application &app = built.app;
-                const core::Algorithm *chosen =
+                apps::BenchmarkApp mission =
+                    apps::buildMission(kind, seed);
+                core::Application &app = mission.app;
+                core::Algorithm *chosen =
                     algorithm.empty() ? &app.algorithm(0)
                                       : app.find(algorithm);
                 if (chosen == nullptr)
@@ -79,8 +82,8 @@ registerBenchmarkApps(runtime::ProtocolServer &server)
                         std::string(apps::appName(kind)) +
                         "\" has no algorithm \"" + algorithm + "\"");
                 runtime::SubmittedGraph out;
-                out.graph = chosen->graph;
-                out.initial = chosen->values;
+                out.graph = std::move(chosen->graph);
+                out.initial = std::move(chosen->values);
                 out.stepScale = chosen->stepScale;
                 return out;
             });

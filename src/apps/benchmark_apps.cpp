@@ -1,4 +1,4 @@
-#include "apps/benchmark_apps.hpp"
+#include "apps/missions.hpp"
 
 #include <stdexcept>
 
@@ -24,15 +24,23 @@ allApps()
 }
 
 BenchmarkApp
-buildApp(AppKind kind, unsigned seed)
+buildMission(AppKind kind, unsigned seed)
 {
     switch (kind) {
-      case AppKind::MobileRobot: return buildMobileRobot(seed);
-      case AppKind::Manipulator: return buildManipulator(seed);
-      case AppKind::AutoVehicle: return buildAutoVehicle(seed);
-      case AppKind::Quadrotor: return buildQuadrotor(seed);
+      case AppKind::MobileRobot: return mobileRobotMission(seed);
+      case AppKind::Manipulator: return manipulatorMission(seed);
+      case AppKind::AutoVehicle: return autoVehicleMission(seed);
+      case AppKind::Quadrotor: return quadrotorMission(seed);
     }
-    throw std::invalid_argument("buildApp: unknown application");
+    throw std::invalid_argument("buildMission: unknown application");
+}
+
+BenchmarkApp
+buildApp(AppKind kind, unsigned seed)
+{
+    BenchmarkApp bench = buildMission(kind, seed);
+    bench.app.compile();
+    return bench;
 }
 
 } // namespace orianna::apps

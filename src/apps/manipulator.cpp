@@ -1,6 +1,6 @@
 #include <cmath>
 
-#include "apps/benchmark_apps.hpp"
+#include "apps/missions.hpp"
 #include "apps/common.hpp"
 
 namespace orianna::apps {
@@ -28,7 +28,7 @@ constexpr Key kCtrlInputBase = 300;
  *   control of the joints).
  */
 BenchmarkApp
-buildManipulator(unsigned seed)
+manipulatorMission(unsigned seed)
 {
     std::mt19937 rng(seed);
     core::Application app("Manipulator");
@@ -111,7 +111,6 @@ buildManipulator(unsigned seed)
     // Hinge (collision/kinematics) factors oscillate under full
     // Gauss-Newton steps; damp the planning algorithm's updates.
     app.algorithm(1).stepScale = 0.5;
-    app.compile();
 
     BenchmarkApp bench{std::move(app), nullptr};
     bench.check = [joint_truth, map, goal](

@@ -1,4 +1,4 @@
-#include "apps/benchmark_apps.hpp"
+#include "apps/missions.hpp"
 #include "apps/common.hpp"
 #include "sensors/scan_matching.hpp"
 
@@ -26,7 +26,7 @@ constexpr Key kCtrlInputBase = 300;
  *   unicycle).
  */
 BenchmarkApp
-buildMobileRobot(unsigned seed)
+mobileRobotMission(unsigned seed)
 {
     std::mt19937 rng(seed);
     core::Application app("MobileRobot");
@@ -153,7 +153,6 @@ buildMobileRobot(unsigned seed)
     // Hinge (collision/kinematics) factors oscillate under full
     // Gauss-Newton steps; damp the planning algorithm's updates.
     app.algorithm(1).stepScale = 0.5;
-    app.compile();
 
     BenchmarkApp bench{std::move(app), nullptr};
     bench.check = [truth, map, goal](

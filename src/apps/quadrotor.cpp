@@ -1,6 +1,6 @@
 #include <cmath>
 
-#include "apps/benchmark_apps.hpp"
+#include "apps/missions.hpp"
 #include "apps/common.hpp"
 #include "sensors/imu.hpp"
 
@@ -31,7 +31,7 @@ constexpr Key kCtrlInputBase = 300;
  *   factors (linearized hover dynamics).
  */
 BenchmarkApp
-buildQuadrotor(unsigned seed)
+quadrotorMission(unsigned seed)
 {
     std::mt19937 rng(seed);
     core::Application app("Quadrotor");
@@ -185,7 +185,6 @@ buildQuadrotor(unsigned seed)
     // Hinge (collision/kinematics) factors oscillate under full
     // Gauss-Newton steps; damp the planning algorithm's updates.
     app.algorithm(1).stepScale = 0.5;
-    app.compile();
 
     BenchmarkApp bench{std::move(app), nullptr};
     bench.check = [truth, map, goal](

@@ -34,6 +34,12 @@ Application::find(const std::string &algorithm_name) const
     return nullptr;
 }
 
+Algorithm *
+Application::find(const std::string &algorithm_name)
+{
+    return const_cast<Algorithm *>(std::as_const(*this).find(algorithm_name));
+}
+
 void
 Application::compile(comp::Precision precision)
 {

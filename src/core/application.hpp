@@ -72,6 +72,7 @@ class Application
 
     /** Find an algorithm by name; nullptr when absent. */
     const Algorithm *find(const std::string &algorithm_name) const;
+    Algorithm *find(const std::string &algorithm_name);
 
     /**
      * Compile every algorithm with the ORIANNA compiler (tagging each

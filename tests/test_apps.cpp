@@ -4,6 +4,8 @@
 // on those applications and the pose-graph corpus.
 
 #include <array>
+#include <cstring>
+#include <string>
 #include <variant>
 
 #include <gtest/gtest.h>
@@ -12,10 +14,12 @@
 #include "apps/pose_graph.hpp"
 #include "apps/sphere.hpp"
 #include "compiler/codegen.hpp"
+#include "compiler/encoding.hpp"
 #include "fg/eliminate.hpp"
 #include "fg/incremental.hpp"
 #include "fg/ordering.hpp"
 #include "matrix/mac_counter.hpp"
+#include "runtime/engine.hpp"
 
 namespace {
 
@@ -26,7 +30,7 @@ using hw::AcceleratorConfig;
 
 TEST(Application, RegistrationAndCompile)
 {
-    BenchmarkApp bench = apps::buildMobileRobot(1);
+    BenchmarkApp bench = apps::buildApp(apps::AppKind::MobileRobot, 1);
     core::Application &app = bench.app;
     EXPECT_EQ(app.size(), 3u);
     EXPECT_NE(app.find("localization"), nullptr);
@@ -54,6 +58,75 @@ TEST(Application, BadRateRejected)
     EXPECT_THROW(app.add("a", fg::FactorGraph{}, fg::Values{}, 0.0),
                  std::invalid_argument);
     EXPECT_THROW(app.frameWork(), std::logic_error);
+}
+
+/** Every double of @p a and @p b has the same bit pattern. */
+bool
+bitIdentical(const fg::Values &a, const fg::Values &b)
+{
+    const auto same = [](const mat::Vector &x, const mat::Vector &y) {
+        return x.size() == y.size() &&
+               std::memcmp(x.data().data(), y.data().data(),
+                           x.size() * sizeof(double)) == 0;
+    };
+    if (a.keys() != b.keys())
+        return false;
+    for (fg::Key key : a.keys()) {
+        if (a.isPose(key) != b.isPose(key))
+            return false;
+        if (a.isPose(key) ? !same(a.pose(key).phi(), b.pose(key).phi()) ||
+                                !same(a.pose(key).t(), b.pose(key).t())
+                          : !same(a.vector(key), b.vector(key)))
+            return false;
+    }
+    return true;
+}
+
+TEST(BuildMission, IsBuildAppWithoutTheCompile)
+{
+    // The served path builds missions only; buildApp adds the
+    // compile. Both must see the same graphs and values, and compiling
+    // the mission must give buildApp's programs byte for byte.
+    for (const AppKind kind : apps::allApps()) {
+        for (const unsigned seed : {1u, 7u, 4000000000u}) {
+            SCOPED_TRACE(std::string(apps::appName(kind)) + " seed " +
+                         std::to_string(seed));
+            const BenchmarkApp compiled = apps::buildApp(kind, seed);
+            BenchmarkApp mission = apps::buildMission(kind, seed);
+            ASSERT_EQ(mission.app.name(), compiled.app.name());
+            ASSERT_EQ(mission.app.size(), compiled.app.size());
+            EXPECT_TRUE(static_cast<bool>(mission.check));
+            for (std::size_t i = 0; i < mission.app.size(); ++i) {
+                const core::Algorithm &got = mission.app.algorithm(i);
+                const core::Algorithm &want = compiled.app.algorithm(i);
+                EXPECT_EQ(got.name, want.name);
+                EXPECT_EQ(got.rateHz, want.rateHz);
+                EXPECT_EQ(got.stepScale, want.stepScale);
+                EXPECT_EQ(runtime::graphFingerprint(got.graph, got.values),
+                          runtime::graphFingerprint(want.graph,
+                                                    want.values))
+                    << got.name;
+                EXPECT_TRUE(bitIdentical(got.values, want.values))
+                    << got.name;
+            }
+            EXPECT_THROW((void)mission.app.frameWork(), std::logic_error);
+
+            mission.app.compile();
+            for (std::size_t i = 0; i < mission.app.size(); ++i) {
+                const core::Algorithm &got = mission.app.algorithm(i);
+                const core::Algorithm &want = compiled.app.algorithm(i);
+                EXPECT_EQ(comp::encodeProgram(got.program),
+                          comp::encodeProgram(want.program))
+                    << got.name;
+                EXPECT_EQ(comp::encodeProgram(got.referenceProgram),
+                          comp::encodeProgram(want.referenceProgram))
+                    << got.name;
+                EXPECT_EQ(comp::encodeProgram(got.denseProgram),
+                          comp::encodeProgram(want.denseProgram))
+                    << got.name;
+            }
+        }
+    }
 }
 
 class AllAppsSolve : public ::testing::TestWithParam<AppKind>

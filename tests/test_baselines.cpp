@@ -16,7 +16,7 @@ using hw::AcceleratorConfig;
 
 TEST(Platforms, RelativeSpeedOrdering)
 {
-    apps::BenchmarkApp bench = apps::buildQuadrotor(5);
+    apps::BenchmarkApp bench = apps::buildApp(apps::AppKind::Quadrotor, 5);
     const auto work = bench.app.frameWork();
 
     const PlatformResult on_intel =
@@ -42,7 +42,7 @@ TEST(Platforms, RelativeSpeedOrdering)
 
 TEST(Platforms, PhaseSplitSumsToTotal)
 {
-    apps::BenchmarkApp bench = apps::buildMobileRobot(6);
+    apps::BenchmarkApp bench = apps::buildApp(apps::AppKind::MobileRobot, 6);
     const auto work = bench.app.frameWork();
     for (const auto &result :
          {baselines::runOnCpu(baselines::intel(), work),
@@ -59,7 +59,7 @@ TEST(VanillaHls, DenseProgramMatchesSparseSolution)
 {
     // Same math, no sparsity: the dense program must produce the same
     // delta as the factor-graph program.
-    apps::BenchmarkApp bench = apps::buildMobileRobot(7);
+    apps::BenchmarkApp bench = apps::buildApp(apps::AppKind::MobileRobot, 7);
     const core::Algorithm &loc = bench.app.algorithm(0);
 
     comp::Executor sparse(loc.program);
@@ -74,7 +74,7 @@ TEST(VanillaHls, DenseProgramMatchesSparseSolution)
 TEST(VanillaHls, DenseIsSlowerOnTheSameUnits)
 {
     // Fig. 16a: factor-graph sparsity is the speed difference.
-    apps::BenchmarkApp bench = apps::buildQuadrotor(8);
+    apps::BenchmarkApp bench = apps::buildApp(apps::AppKind::Quadrotor, 8);
     const AcceleratorConfig config = AcceleratorConfig::minimal(true);
     const hw::SimResult sparse =
         runtime::ExecutionContext(bench.app.frameWork()).run(config);
@@ -86,7 +86,7 @@ TEST(VanillaHls, DenseIsSlowerOnTheSameUnits)
 
 TEST(Stack, ThreeAcceleratorsSumResources)
 {
-    apps::BenchmarkApp bench = apps::buildMobileRobot(9);
+    apps::BenchmarkApp bench = apps::buildApp(apps::AppKind::MobileRobot, 9);
     const auto work = bench.app.frameWork();
     const hw::Resources budget =
         AcceleratorConfig::minimal(true).resources() + hw::Resources{

@@ -155,7 +155,7 @@ GoldenSetup
 makeSetup()
 {
     GoldenSetup setup{
-        apps::buildApp(apps::AppKind::MobileRobot, kBenchSeed),
+        apps::buildMission(apps::AppKind::MobileRobot, kBenchSeed),
         {},
         {}};
     setup.bench.app.compile();

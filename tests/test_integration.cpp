@@ -93,7 +93,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Scheduling, BusyCyclesRespectUnitCapacity)
 {
-    apps::BenchmarkApp bench = apps::buildMobileRobot(6);
+    apps::BenchmarkApp bench = apps::buildApp(apps::AppKind::MobileRobot, 6);
     const auto work = bench.app.frameWork();
     AcceleratorConfig config = AcceleratorConfig::minimal(true);
     config.count(hw::UnitKind::MatMul) = 3;
@@ -114,8 +114,8 @@ TEST(Scheduling, BusyCyclesRespectUnitCapacity)
 
 TEST(Scheduling, CompilationIsDeterministic)
 {
-    apps::BenchmarkApp a = apps::buildQuadrotor(9);
-    apps::BenchmarkApp b = apps::buildQuadrotor(9);
+    apps::BenchmarkApp a = apps::buildApp(apps::AppKind::Quadrotor, 9);
+    apps::BenchmarkApp b = apps::buildApp(apps::AppKind::Quadrotor, 9);
     for (std::size_t i = 0; i < a.app.size(); ++i) {
         const auto &pa = a.app.algorithm(i).program;
         const auto &pb = b.app.algorithm(i).program;
@@ -147,7 +147,7 @@ TEST(Baselines, OrderingAcrossPlatformsHolds)
 
 TEST(Baselines, StackBeatsSharedOnLatencyButNotResources)
 {
-    apps::BenchmarkApp bench = apps::buildAutoVehicle(8);
+    apps::BenchmarkApp bench = apps::buildApp(apps::AppKind::AutoVehicle, 8);
     const auto work = bench.app.frameWork();
     const hw::Resources budget{131000, 262000, 327, 540};
 
@@ -178,7 +178,7 @@ TEST(Hwgen, GeneratedConfigServesBothSchedulers)
 {
     // The IO variant of a generated config must stay functional (the
     // Fig. 13/14 measurement depends on it).
-    apps::BenchmarkApp bench = apps::buildManipulator(12);
+    apps::BenchmarkApp bench = apps::buildApp(apps::AppKind::Manipulator, 12);
     const auto work = bench.app.frameWork();
     auto gen = hwgen::generate(work, hw::Resources{131000, 262000, 327,
                                                    540});

@@ -72,7 +72,7 @@ compiledApps()
     static std::vector<apps::BenchmarkApp> apps_list = [] {
         std::vector<apps::BenchmarkApp> out;
         for (apps::AppKind kind : apps::allApps()) {
-            out.push_back(apps::buildApp(kind, kBenchSeed));
+            out.push_back(apps::buildMission(kind, kBenchSeed));
             out.back().app.compile();
         }
         return out;
@@ -282,7 +282,7 @@ TEST(Passes, PipelineOutputMatchesCheckedInDigest)
 
     std::string digest;
     for (apps::AppKind kind : apps::allApps()) {
-        apps::BenchmarkApp bench = apps::buildApp(kind, kBenchSeed);
+        apps::BenchmarkApp bench = apps::buildMission(kind, kBenchSeed);
         bench.app.compile();
         for (std::size_t a = 0; a < bench.app.size(); ++a) {
             const core::Algorithm &algo = bench.app.algorithm(a);

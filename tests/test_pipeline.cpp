@@ -28,7 +28,7 @@ streamsOf(core::Application &app, double scale = 1.0)
 
 TEST(Pipeline, FrameCountsMatchRates)
 {
-    apps::BenchmarkApp bench = apps::buildManipulator(21);
+    apps::BenchmarkApp bench = apps::buildApp(apps::AppKind::Manipulator, 21);
     auto streams = streamsOf(bench.app);
     const auto result =
         FramePipeline(streams, AcceleratorConfig::minimal(true)).run(0.1);
@@ -59,7 +59,7 @@ TEST(Pipeline, NominalRatesMeetDeadlines)
 
 TEST(Pipeline, LatencyIsAtLeastIsolatedMakespan)
 {
-    apps::BenchmarkApp bench = apps::buildMobileRobot(23);
+    apps::BenchmarkApp bench = apps::buildApp(apps::AppKind::MobileRobot, 23);
     core::Algorithm &loc = bench.app.algorithm(0);
     const AcceleratorConfig config = AcceleratorConfig::minimal(true);
 
@@ -75,7 +75,7 @@ TEST(Pipeline, LatencyIsAtLeastIsolatedMakespan)
 
 TEST(Pipeline, StressIncreasesLatency)
 {
-    apps::BenchmarkApp bench = apps::buildQuadrotor(24);
+    apps::BenchmarkApp bench = apps::buildApp(apps::AppKind::Quadrotor, 24);
     auto nominal_streams = streamsOf(bench.app, 1.0);
     auto stressed_streams = streamsOf(bench.app, 100.0);
     const AcceleratorConfig config = AcceleratorConfig::minimal(true);
@@ -100,7 +100,7 @@ TEST(Pipeline, StressIncreasesLatency)
 
 TEST(Pipeline, OutOfOrderBeatsInOrderUnderContention)
 {
-    apps::BenchmarkApp bench = apps::buildQuadrotor(25);
+    apps::BenchmarkApp bench = apps::buildApp(apps::AppKind::Quadrotor, 25);
     auto streams = streamsOf(bench.app, 60.0);
     const auto io =
         FramePipeline(streams, AcceleratorConfig::minimal(false)).run(0.02);
@@ -117,7 +117,7 @@ TEST(Pipeline, OutOfOrderBeatsInOrderUnderContention)
 
 TEST(Pipeline, InvalidInputsRejected)
 {
-    apps::BenchmarkApp bench = apps::buildManipulator(26);
+    apps::BenchmarkApp bench = apps::buildApp(apps::AppKind::Manipulator, 26);
     core::Algorithm &loc = bench.app.algorithm(0);
     const AcceleratorConfig config = AcceleratorConfig::minimal(true);
     EXPECT_THROW(FramePipeline({}, config).run(0.1),

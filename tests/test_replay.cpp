@@ -229,7 +229,7 @@ TEST(Replay, MobileRobotFig13FrameMatchesLive)
     // Three programs (one per algorithm) on the generated fig.13
     // accelerator: replays interleave work items like live frames.
     apps::BenchmarkApp bench =
-        apps::buildApp(apps::AppKind::MobileRobot, /*seed=*/5);
+        apps::buildMission(apps::AppKind::MobileRobot, /*seed=*/5);
     bench.app.compile();
     const std::vector<hw::WorkItem> work = bench.app.frameWork();
     ASSERT_EQ(work.size(), 3u);

@@ -481,7 +481,7 @@ TEST(Degradation, FrameThatThrowsRestoresTheTraceFlag)
 TEST(Degradation, BenchmarkAppsCompleteUnderFaultsOnEveryUnit)
 {
     for (apps::AppKind kind : apps::allApps()) {
-        apps::BenchmarkApp bench = apps::buildApp(kind, 1);
+        apps::BenchmarkApp bench = apps::buildMission(kind, 1);
         bench.app.compile();
 
         for (std::size_t i = 0; i < bench.app.size(); ++i) {

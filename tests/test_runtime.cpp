@@ -178,7 +178,7 @@ TEST(Scheduler, ResetRestartsAFrame)
 TEST(ExecutionContext, SchedulesMatchReferenceExecutorOnEveryApp)
 {
     for (apps::AppKind kind : apps::allApps()) {
-        apps::BenchmarkApp bench = apps::buildApp(kind, /*seed=*/7);
+        apps::BenchmarkApp bench = apps::buildMission(kind, /*seed=*/7);
         bench.app.compile();
         for (std::size_t i = 0; i < bench.app.size(); ++i) {
             const core::Algorithm &algo = bench.app.algorithm(i);
@@ -207,7 +207,7 @@ TEST(ExecutionContext, SchedulesMatchReferenceExecutorOnEveryApp)
 TEST(ExecutionContext, ReusedContextMatchesFreshSimulatePerFrame)
 {
     apps::BenchmarkApp bench =
-        apps::buildApp(apps::AppKind::MobileRobot, /*seed=*/11);
+        apps::buildMission(apps::AppKind::MobileRobot, /*seed=*/11);
     bench.app.compile();
     const auto work = bench.app.frameWork();
 
@@ -249,7 +249,7 @@ TEST(ExecutionContext, ReusedContextMatchesFreshSimulatePerFrame)
 TEST(ExecutionContext, RejectsZeroUnitConfigs)
 {
     apps::BenchmarkApp bench =
-        apps::buildApp(apps::AppKind::MobileRobot, /*seed=*/1);
+        apps::buildMission(apps::AppKind::MobileRobot, /*seed=*/1);
     bench.app.compile();
     runtime::ExecutionContext context(bench.app.frameWork());
     auto config = hw::AcceleratorConfig::minimal(true);
@@ -280,7 +280,7 @@ TEST(ExecutionContext, RejectsPicksYoungerThanTheirKindsOldest)
     };
 
     apps::BenchmarkApp bench =
-        apps::buildApp(apps::AppKind::MobileRobot, /*seed=*/1);
+        apps::buildMission(apps::AppKind::MobileRobot, /*seed=*/1);
     bench.app.compile();
     const core::Algorithm &algo = bench.app.algorithm(0);
     runtime::ExecutionContext context({{&algo.program, &algo.values}});
@@ -296,7 +296,7 @@ TEST(ExecutionContext, RejectsPicksYoungerThanTheirKindsOldest)
 TEST(ExecutionContext, RunWithoutBoundValuesIsDiagnosed)
 {
     apps::BenchmarkApp bench =
-        apps::buildApp(apps::AppKind::MobileRobot, /*seed=*/1);
+        apps::buildMission(apps::AppKind::MobileRobot, /*seed=*/1);
     bench.app.compile();
     const core::Algorithm &algo = bench.app.algorithm(0);
     runtime::ExecutionContext context(
@@ -394,7 +394,7 @@ TEST(Engine, SessionsIterateThroughTheSharedProgram)
 TEST(Session, IterateMatchesReferenceInterpreterLoop)
 {
     apps::BenchmarkApp bench =
-        apps::buildApp(apps::AppKind::Manipulator, /*seed=*/5);
+        apps::buildMission(apps::AppKind::Manipulator, /*seed=*/5);
     bench.app.compile();
     const core::Algorithm &algo = bench.app.algorithm(0);
     constexpr std::size_t kSteps = 3;
@@ -464,7 +464,7 @@ TEST(Session, StepScaleDampsTheUpdate)
 TEST(FramePipeline, RepeatedRunsAreIdentical)
 {
     apps::BenchmarkApp bench =
-        apps::buildApp(apps::AppKind::MobileRobot, /*seed=*/9);
+        apps::buildMission(apps::AppKind::MobileRobot, /*seed=*/9);
     bench.app.compile();
 
     std::vector<hw::PeriodicStream> streams;
