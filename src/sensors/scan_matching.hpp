@@ -46,12 +46,16 @@ struct IcpResult
  * scans (the LiDAR scan-matching front end that produces the
  * LiDARFactor measurements of Tbl. 2). Nearest-neighbor
  * correspondences alternate with the closed-form 2-D alignment
- * (centroid shift plus the cross-correlation angle).
+ * (centroid shift plus the cross-correlation angle). Each `to` point
+ * pairs with the first `from` point at the least distance, found by
+ * an x-ordered search that skips only points that cannot win.
  *
  * @param from          scan taken at the earlier pose.
  * @param to            scan taken at the later pose.
  * @param initial_guess motion prior (e.g. from odometry); identity
  *                      works for small motions.
+ * @throws std::invalid_argument on an empty scan, a non-planar
+ *         guess, or a point that is not finite and 2-D.
  */
 IcpResult icp2d(const Scan &from, const Scan &to,
                 const Pose &initial_guess, const IcpParams &params = {});
