@@ -29,10 +29,13 @@ uniformVector(std::size_t n, std::mt19937 &rng, double scale)
 inline Vector
 gaussianVector(std::size_t n, std::mt19937 &rng, double sigma)
 {
-    std::normal_distribution<double> dist(0.0, sigma);
+    // A unit normal scaled by hand: std::normal_distribution needs a
+    // positive stddev, and z * sigma + 0.0 is exactly what it would
+    // compute, so draws keep their bits and sigma 0 is allowed.
+    std::normal_distribution<double> unit(0.0, 1.0);
     Vector out(n);
     for (std::size_t i = 0; i < n; ++i)
-        out[i] = dist(rng);
+        out[i] = unit(rng) * sigma + 0.0;
     return out;
 }
 

@@ -62,8 +62,11 @@ synthesizeImuSegment(const Pose &a, const Pose &b, std::size_t steps,
         s += lie::expSo(relative.phi() * (static_cast<double>(k) * inv));
     const Vector u = mat::leastSquares(s, relative.t());
 
-    std::normal_distribution<double> gyro_dist(0.0, gyro_noise);
-    std::normal_distribution<double> vel_dist(0.0, velocity_noise);
+    // Unit normals scaled by hand: std::normal_distribution needs a
+    // positive stddev, and z * sigma + 0.0 is exactly what it would
+    // compute, so noisy samples keep their bits and noise 0 is allowed.
+    std::normal_distribution<double> gyro_unit(0.0, 1.0);
+    std::normal_distribution<double> vel_unit(0.0, 1.0);
 
     std::vector<ImuSample> samples;
     samples.reserve(steps);
@@ -72,10 +75,10 @@ synthesizeImuSegment(const Pose &a, const Pose &b, std::size_t steps,
         sample.dt = dt;
         sample.gyro = gyro;
         for (std::size_t i = 0; i < sample.gyro.size(); ++i)
-            sample.gyro[i] += gyro_dist(rng);
+            sample.gyro[i] += gyro_unit(rng) * gyro_noise + 0.0;
         sample.velocity = u * (1.0 / dt);
         for (std::size_t i = 0; i < sample.velocity.size(); ++i)
-            sample.velocity[i] += vel_dist(rng);
+            sample.velocity[i] += vel_unit(rng) * velocity_noise + 0.0;
         samples.push_back(std::move(sample));
     }
     return samples;

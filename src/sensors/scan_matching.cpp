@@ -18,7 +18,11 @@ renderScan(const Pose &pose, const std::vector<Vector> &landmarks,
 {
     if (pose.spaceDim() != 2)
         throw std::invalid_argument("renderScan: pose must be planar");
-    std::normal_distribution<double> dist(0.0, noise);
+    // A unit normal scaled by hand: std::normal_distribution needs a
+    // positive stddev, and z * noise + 0.0 is exactly what it would
+    // compute, so noisy scans keep their bits and noise 0 is allowed.
+    std::normal_distribution<double> unit(0.0, 1.0);
+    const auto draw = [&] { return unit(rng) * noise + 0.0; };
     const mat::Matrix rt = pose.rotation().transpose();
 
     Scan scan;
@@ -26,8 +30,7 @@ renderScan(const Pose &pose, const std::vector<Vector> &landmarks,
         const Vector local = rt * (landmark - pose.t());
         if (local.norm() > max_range)
             continue;
-        scan.points.push_back(
-            local + Vector{dist(rng), dist(rng)});
+        scan.points.push_back(local + Vector{draw(), draw()});
     }
     return scan;
 }
