@@ -56,21 +56,34 @@ class Builder
     emit(Instruction inst, Shape out_shape, std::uint32_t factor = 0)
     {
         inst.dst = newSlot(out_shape);
-        inst.rows = out_shape.rows;
-        inst.cols = out_shape.cols;
+        inst.rows = static_cast<std::uint32_t>(out_shape.rows);
+        inst.cols = static_cast<std::uint32_t>(out_shape.cols);
         inst.algorithm = algorithm_;
         inst.factor = factor;
         inst.phase = phase_;
+        // Sized once, so a spilled GATHER's deps take one exact block.
+        inst.deps.resize(inst.srcs.size());
+        std::size_t ndeps = 0;
         for (std::uint32_t src : inst.srcs) {
             const std::uint32_t p = producer_[src];
             if (p != kNoProducer)
-                inst.deps.push_back(p);
+                inst.deps[ndeps++] = p;
         }
+        inst.deps.resize(ndeps);
         const std::uint32_t dst = inst.dst;
         program_.instructions.push_back(std::move(inst));
         producer_[dst] =
             static_cast<std::uint32_t>(program_.instructions.size() - 1);
         return dst;
+    }
+
+    /** Emit @p inst carrying @p payload (appended to the table). */
+    std::uint32_t
+    emit(Instruction inst, Payload payload, Shape out_shape,
+         std::uint32_t factor = 0)
+    {
+        inst.payload = program_.addPayload(std::move(payload));
+        return emit(std::move(inst), out_shape, factor);
     }
 
     /** Emit a STORE marking @p slot as a host-visible result. */
@@ -81,8 +94,8 @@ class Builder
         inst.op = IsaOp::STORE;
         inst.srcs = {slot};
         inst.dst = slot;
-        inst.rows = shapes_[slot].rows;
-        inst.cols = shapes_[slot].cols;
+        inst.rows = static_cast<std::uint32_t>(shapes_[slot].rows);
+        inst.cols = static_cast<std::uint32_t>(shapes_[slot].cols);
         inst.algorithm = algorithm_;
         inst.phase = phase_;
         const std::uint32_t p = producer_[slot];
@@ -165,8 +178,9 @@ loadConstMatrix(Builder &b, Matrix m)
     Instruction inst;
     inst.op = IsaOp::LOADC;
     const Shape shape = Shape::matrix(m.rows(), m.cols());
-    inst.constMat = std::move(m);
-    return b.emit(std::move(inst), shape);
+    Payload payload;
+    payload.constMat = std::move(m);
+    return b.emit(std::move(inst), std::move(payload), shape);
 }
 
 std::uint32_t
@@ -175,8 +189,9 @@ loadConstVector(Builder &b, Vector v)
     Instruction inst;
     inst.op = IsaOp::LOADC;
     const Shape shape = Shape::vec(v.size());
-    inst.constVec = std::move(v);
-    return b.emit(std::move(inst), shape);
+    Payload payload;
+    payload.constVec = std::move(v);
+    return b.emit(std::move(inst), std::move(payload), shape);
 }
 
 std::uint32_t
@@ -209,7 +224,7 @@ emitMatMul(Builder &b, IsaOp op, std::uint32_t s0, std::uint32_t s1,
     Instruction inst;
     inst.op = op;
     inst.srcs = {s0, s1};
-    inst.depth = a.cols;
+    inst.depth = static_cast<std::uint32_t>(a.cols);
     Shape out = c.isVector ? ((op == IsaOp::MM || op == IsaOp::RR)
                                   ? Shape::matrix(a.rows, 1)
                                   : Shape::vec(a.rows))
@@ -303,27 +318,30 @@ lowerForward(Builder &b, VarSlots &vars, const fg::Values &values,
             Instruction inst;
             inst.op = IsaOp::PROJ;
             inst.srcs = {in(0)};
-            inst.camera = node.camera;
-            state.nodeSlot[id] =
-                b.emit(std::move(inst), Shape::vec(2), fi);
+            Payload payload;
+            payload.camera = node.camera;
+            state.nodeSlot[id] = b.emit(std::move(inst), std::move(payload),
+                                        Shape::vec(2), fi);
             break;
           }
           case Op::Sdf: {
             Instruction inst;
             inst.op = IsaOp::SDF;
             inst.srcs = {in(0)};
-            inst.sdf = node.sdf;
-            state.nodeSlot[id] =
-                b.emit(std::move(inst), Shape::vec(1), fi);
+            Payload payload;
+            payload.sdf = node.sdf;
+            state.nodeSlot[id] = b.emit(std::move(inst), std::move(payload),
+                                        Shape::vec(1), fi);
             break;
           }
           case Op::Hinge: {
             Instruction inst;
             inst.op = IsaOp::HINGE;
             inst.srcs = {in(0)};
-            inst.hingeEps = node.hingeEps;
-            state.nodeSlot[id] =
-                b.emit(std::move(inst), b.shape(in(0)), fi);
+            Payload payload;
+            payload.hingeEps = node.hingeEps;
+            state.nodeSlot[id] = b.emit(std::move(inst), std::move(payload),
+                                        b.shape(in(0)), fi);
             break;
           }
           case Op::Norm:
@@ -501,9 +519,10 @@ lowerBackward(Builder &b, const fg::Values &values,
             Instruction inst;
             inst.op = IsaOp::PROJJ;
             inst.srcs = {inSlot(0)};
-            inst.camera = node.camera;
-            const std::uint32_t j =
-                b.emit(std::move(inst), Shape::matrix(2, 3), fi);
+            Payload payload;
+            payload.camera = node.camera;
+            const std::uint32_t j = b.emit(
+                std::move(inst), std::move(payload), Shape::matrix(2, 3), fi);
             accumulate(inId(0), emitMatMul(b, IsaOp::MM, g, j, fi));
             break;
           }
@@ -511,9 +530,10 @@ lowerBackward(Builder &b, const fg::Values &values,
             Instruction inst;
             inst.op = IsaOp::SDFJ;
             inst.srcs = {inSlot(0)};
-            inst.sdf = node.sdf;
+            Payload payload;
+            payload.sdf = node.sdf;
             const std::uint32_t j = b.emit(
-                std::move(inst),
+                std::move(inst), std::move(payload),
                 Shape::matrix(1, b.shape(inSlot(0)).rows), fi);
             accumulate(inId(0), emitMatMul(b, IsaOp::MM, g, j, fi));
             break;
@@ -522,10 +542,11 @@ lowerBackward(Builder &b, const fg::Values &values,
             Instruction inst;
             inst.op = IsaOp::HINGEJ;
             inst.srcs = {inSlot(0)};
-            inst.hingeEps = node.hingeEps;
+            Payload payload;
+            payload.hingeEps = node.hingeEps;
             const std::size_t n = b.shape(inSlot(0)).rows;
-            const std::uint32_t j =
-                b.emit(std::move(inst), Shape::matrix(n, n), fi);
+            const std::uint32_t j = b.emit(
+                std::move(inst), std::move(payload), Shape::matrix(n, n), fi);
             accumulate(inId(0), emitMatMul(b, IsaOp::MM, g, j, fi));
             break;
           }
@@ -561,18 +582,21 @@ lowerBackward(Builder &b, const fg::Values &values,
 
         Instruction inst;
         inst.op = IsaOp::GATHER;
+        Payload layout;
         if (phi_it != var_grad.end()) {
             inst.srcs.push_back(phi_it->second);
-            inst.placements.push_back({phi_it->second, 0, 0, false});
+            layout.placements.push_back({phi_it->second, 0, 0, false});
         }
         if (t_it != var_grad.end()) {
             inst.srcs.push_back(t_it->second);
-            inst.placements.push_back({t_it->second, 0, tdim, false});
+            layout.placements.push_back(
+                {t_it->second, 0, static_cast<std::uint32_t>(tdim), false});
         }
         if (inst.srcs.empty())
             throw std::logic_error("codegen: missing pose grad");
-        jacobian_slots[key] = b.emit(
-            std::move(inst), Shape::matrix(error_dim, tdim + n), fi);
+        jacobian_slots[key] =
+            b.emit(std::move(inst), std::move(layout),
+                   Shape::matrix(error_dim, tdim + n), fi);
     }
 }
 
@@ -584,8 +608,9 @@ emitWhiten(Builder &b, std::uint32_t slot, const Vector &sigmas,
     Instruction inst;
     inst.op = IsaOp::SCALER;
     inst.srcs = {slot};
-    inst.constVec = sigmas;
-    return b.emit(std::move(inst), b.shape(slot), fi);
+    Payload payload;
+    payload.constVec = sigmas;
+    return b.emit(std::move(inst), std::move(payload), b.shape(slot), fi);
 }
 
 /** A symbolic linearized factor row: one Jacobian block per key. */
@@ -678,29 +703,42 @@ class Elimination
             offset_.at(position) = ncols_;
             ncols_ += dofs_[position];
         }
+        // One placement per block and rhs; sized up front so the
+        // operand list and the layout each take one exact block.
+        std::size_t nplacements = 0;
+        for (const auto ref : refs)
+            nplacements += rows_.at(ref).blocks.size() + 1;
         Instruction gather;
         gather.op = IsaOp::GATHER;
+        gather.srcs.resize(nplacements);
+        Payload layout;
+        layout.placements.reserve(nplacements);
+        const auto place = [&](std::uint32_t slot, std::size_t row,
+                               std::size_t col, bool is_rhs) {
+            gather.srcs[layout.placements.size()] = slot;
+            layout.placements.push_back(
+                {slot, static_cast<std::uint32_t>(row),
+                 static_cast<std::uint32_t>(col), is_rhs});
+        };
         std::size_t nrows = 0;
         for (const auto ref : refs) {
             const ElimRow &row = rows_.at(ref);
-            for (const RowBlock &block : row.blocks) {
-                gather.srcs.push_back(block.slot);
-                gather.placements.push_back(
-                    {block.slot, nrows,
-                     offset_.at(block.position) + block.column,
-                     block.streamed});
-            }
-            gather.srcs.push_back(row.rhs);
-            gather.placements.push_back({row.rhs, nrows, ncols_, true});
+            for (const RowBlock &block : row.blocks)
+                place(block.slot, nrows,
+                      offset_.at(block.position) + block.column,
+                      block.streamed);
+            place(row.rhs, nrows, ncols_, true);
             nrows += row.dim;
         }
-        const std::uint32_t abar = b_.emit(
-            std::move(gather), Shape::matrix(nrows, ncols_ + 1));
+        const std::uint32_t abar =
+            b_.emit(std::move(gather), std::move(layout),
+                    Shape::matrix(nrows, ncols_ + 1));
 
         Instruction qr;
         qr.op = IsaOp::QR;
         qr.srcs = {abar};
-        qr.depth = ncols_; // Columns actually triangularized.
+        // Columns actually triangularized.
+        qr.depth = static_cast<std::uint32_t>(ncols_);
         r_ = b_.emit(std::move(qr), Shape::matrix(nrows, ncols_ + 1));
         return nrows;
     }
@@ -713,8 +751,8 @@ class Elimination
         Instruction inst;
         inst.op = IsaOp::EXTRACT;
         inst.srcs = {r_};
-        inst.extractRow = i0;
-        inst.extractCol = j0;
+        inst.extractRow = static_cast<std::uint32_t>(i0);
+        inst.extractCol = static_cast<std::uint32_t>(j0);
         inst.extractVector = as_vector;
         return b_.emit(std::move(inst), as_vector
                                             ? Shape::vec(rows)
@@ -822,15 +860,18 @@ lowerConstruction(Builder &b, VarSlots &vars, const fg::FactorGraph &graph,
         // Stack the output slots into the factor's error vector.
         Instruction stack;
         stack.op = IsaOp::GATHER;
+        Payload layout;
         std::size_t row_offset = 0;
         for (fg::NodeId out : factor.dfg().outputs()) {
             const std::uint32_t slot = state.nodeSlot[out];
             stack.srcs.push_back(slot);
-            stack.placements.push_back({slot, row_offset, 0, true});
+            layout.placements.push_back(
+                {slot, static_cast<std::uint32_t>(row_offset), 0, true});
             row_offset += b.shape(slot).rows;
         }
-        std::uint32_t error_slot = b.emit(
-            std::move(stack), Shape::vec(factor.dim()), tag);
+        std::uint32_t error_slot =
+            b.emit(std::move(stack), std::move(layout),
+                   Shape::vec(factor.dim()), tag);
 
         std::map<Key, std::uint32_t> jac;
         lowerBackward(b, values, factor, tag, state, jac);
@@ -846,8 +887,10 @@ lowerConstruction(Builder &b, VarSlots &vars, const fg::FactorGraph &graph,
             Instruction hub;
             hub.op = IsaOp::HUBERW;
             hub.srcs = {white_e};
-            hub.hingeEps = factor.robustK();
-            weight_slot = b.emit(std::move(hub), Shape::vec(1), tag);
+            Payload payload;
+            payload.hingeEps = factor.robustK();
+            weight_slot = b.emit(std::move(hub), std::move(payload),
+                                 Shape::vec(1), tag);
             Instruction smul;
             smul.op = IsaOp::SMUL;
             smul.srcs = {white_e, weight_slot};

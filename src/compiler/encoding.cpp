@@ -1,5 +1,6 @@
 #include "compiler/encoding.hpp"
 
+#include <bit>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -118,6 +119,20 @@ class Reader
         return m;
     }
 
+    /**
+     * A u32 element count, checked against the bytes left: each
+     * element takes at least @p element_bytes, so a corrupt count
+     * fails as truncation before anything is sized from it.
+     */
+    std::uint32_t
+    count(std::size_t element_bytes)
+    {
+        const auto n = pod<std::uint32_t>();
+        if (n > (bytes_.size() - offset_) / element_bytes)
+            throw std::runtime_error("decodeProgram: truncated input");
+        return n;
+    }
+
     bool done() const { return offset_ == bytes_.size(); }
 
   private:
@@ -125,16 +140,22 @@ class Reader
     std::size_t offset_ = 0;
 };
 
+/**
+ * One instruction with its payload inlined, exactly as every version
+ * lays it out: an instruction without a payload writes the empty one
+ * (unit camera, eps 0, empty constants, no placements, no SDF).
+ */
 void
-encodeInstruction(Writer &w, const Instruction &inst)
+encodeInstruction(Writer &w, const Instruction &inst,
+                  const Payload &payload)
 {
     w.pod(static_cast<std::uint8_t>(inst.op));
     w.pod(inst.algorithm);
     w.pod(inst.phase);
     w.pod(static_cast<std::uint8_t>(inst.extractVector ? 1 : 0));
-    w.pod(static_cast<std::uint32_t>(inst.rows));
-    w.pod(static_cast<std::uint32_t>(inst.cols));
-    w.pod(static_cast<std::uint32_t>(inst.depth));
+    w.pod(inst.rows);
+    w.pod(inst.cols);
+    w.pod(inst.depth);
     w.pod(inst.dst);
     w.pod(static_cast<std::uint32_t>(inst.srcs.size()));
     for (std::uint32_t s : inst.srcs)
@@ -145,24 +166,24 @@ encodeInstruction(Writer &w, const Instruction &inst)
     w.pod(inst.key);
     w.pod(static_cast<std::uint8_t>(inst.component));
     w.pod(inst.factor);
-    w.pod(inst.hingeEps);
-    w.pod(inst.camera.fx);
-    w.pod(inst.camera.fy);
-    w.pod(inst.camera.cx);
-    w.pod(inst.camera.cy);
-    w.pod(static_cast<std::uint32_t>(inst.extractRow));
-    w.pod(static_cast<std::uint32_t>(inst.extractCol));
-    w.matrix(inst.constMat);
-    w.vec(inst.constVec);
-    w.pod(static_cast<std::uint32_t>(inst.placements.size()));
-    for (const GatherPlacement &p : inst.placements) {
+    w.pod(payload.hingeEps);
+    w.pod(payload.camera.fx);
+    w.pod(payload.camera.fy);
+    w.pod(payload.camera.cx);
+    w.pod(payload.camera.cy);
+    w.pod(inst.extractRow);
+    w.pod(inst.extractCol);
+    w.matrix(payload.constMat);
+    w.vec(payload.constVec);
+    w.pod(static_cast<std::uint32_t>(payload.placements.size()));
+    for (const GatherPlacement &p : payload.placements) {
         w.pod(p.src);
-        w.pod(static_cast<std::uint32_t>(p.rowBegin));
-        w.pod(static_cast<std::uint32_t>(p.colBegin));
+        w.pod(p.rowBegin);
+        w.pod(p.colBegin);
         w.pod(static_cast<std::uint8_t>(p.isRhs ? 1 : 0));
     }
-    if (inst.sdf) {
-        const auto obstacles = inst.sdf->obstacles();
+    if (payload.sdf) {
+        const auto obstacles = payload.sdf->obstacles();
         w.pod(static_cast<std::uint32_t>(obstacles.size() + 1));
         for (const auto &[center, radius] : obstacles) {
             w.vec(center);
@@ -173,10 +194,34 @@ encodeInstruction(Writer &w, const Instruction &inst)
     }
 }
 
-Instruction
-decodeInstruction(Reader &r)
+/**
+ * Whether @p payload encodes differently from the empty one, and so
+ * needs a table entry. Doubles compare by bits: -0.0 is content.
+ */
+bool
+hasContent(const Payload &payload)
+{
+    const Payload &empty = Program::emptyPayload();
+    const auto same = [](double a, double b) {
+        return std::bit_cast<std::uint64_t>(a) ==
+               std::bit_cast<std::uint64_t>(b);
+    };
+    return payload.constMat.rows() > 0 || payload.constMat.cols() > 0 ||
+           payload.constVec.size() > 0 || payload.sdf != nullptr ||
+           !payload.placements.empty() ||
+           !same(payload.hingeEps, empty.hingeEps) ||
+           !same(payload.camera.fx, empty.camera.fx) ||
+           !same(payload.camera.fy, empty.camera.fy) ||
+           !same(payload.camera.cx, empty.camera.cx) ||
+           !same(payload.camera.cy, empty.camera.cy);
+}
+
+/** Decode one instruction into @p program, payload and all. */
+void
+decodeInstruction(Reader &r, Program &program)
 {
     Instruction inst;
+    Payload payload;
     const auto raw_op = r.pod<std::uint8_t>();
     if (raw_op >= kIsaOpCount)
         throw std::runtime_error("decodeProgram: bad opcode");
@@ -188,32 +233,33 @@ decodeInstruction(Reader &r)
     inst.cols = r.pod<std::uint32_t>();
     inst.depth = r.pod<std::uint32_t>();
     inst.dst = r.pod<std::uint32_t>();
-    const auto nsrcs = r.pod<std::uint32_t>();
-    for (std::uint32_t i = 0; i < nsrcs; ++i)
-        inst.srcs.push_back(r.pod<std::uint32_t>());
-    const auto ndeps = r.pod<std::uint32_t>();
-    for (std::uint32_t i = 0; i < ndeps; ++i)
-        inst.deps.push_back(r.pod<std::uint32_t>());
+    inst.srcs.resize(r.count(sizeof(std::uint32_t)));
+    for (std::uint32_t &src : inst.srcs)
+        src = r.pod<std::uint32_t>();
+    inst.deps.resize(r.count(sizeof(std::uint32_t)));
+    for (std::uint32_t &dep : inst.deps)
+        dep = r.pod<std::uint32_t>();
     inst.key = r.pod<Key>();
     inst.component = static_cast<VarComponent>(r.pod<std::uint8_t>());
     inst.factor = r.pod<std::uint32_t>();
-    inst.hingeEps = r.pod<double>();
-    inst.camera.fx = r.pod<double>();
-    inst.camera.fy = r.pod<double>();
-    inst.camera.cx = r.pod<double>();
-    inst.camera.cy = r.pod<double>();
+    payload.hingeEps = r.pod<double>();
+    payload.camera.fx = r.pod<double>();
+    payload.camera.fy = r.pod<double>();
+    payload.camera.cx = r.pod<double>();
+    payload.camera.cy = r.pod<double>();
     inst.extractRow = r.pod<std::uint32_t>();
     inst.extractCol = r.pod<std::uint32_t>();
-    inst.constMat = r.matrix();
-    inst.constVec = r.vec();
-    const auto nplace = r.pod<std::uint32_t>();
+    payload.constMat = r.matrix();
+    payload.constVec = r.vec();
+    const auto nplace = r.count(3 * sizeof(std::uint32_t) + 1);
+    payload.placements.reserve(nplace);
     for (std::uint32_t i = 0; i < nplace; ++i) {
         GatherPlacement p;
         p.src = r.pod<std::uint32_t>();
         p.rowBegin = r.pod<std::uint32_t>();
         p.colBegin = r.pod<std::uint32_t>();
         p.isRhs = r.pod<std::uint8_t>() != 0;
-        inst.placements.push_back(p);
+        payload.placements.push_back(p);
     }
     const auto sdf_marker = r.pod<std::uint32_t>();
     if (sdf_marker > 0) {
@@ -223,9 +269,11 @@ decodeInstruction(Reader &r)
             const double radius = r.pod<double>();
             map->addObstacle(std::move(center), radius);
         }
-        inst.sdf = std::move(map);
+        payload.sdf = std::move(map);
     }
-    return inst;
+    if (hasContent(payload))
+        inst.payload = program.addPayload(std::move(payload));
+    program.instructions.push_back(std::move(inst));
 }
 
 } // namespace
@@ -259,7 +307,7 @@ encodeProgram(const Program &program)
     }
     w.pod(static_cast<std::uint32_t>(program.instructions.size()));
     for (const Instruction &inst : program.instructions)
-        encodeInstruction(w, inst);
+        encodeInstruction(w, inst, program.payload(inst));
     return w.take();
 }
 
@@ -294,7 +342,7 @@ decodeProgram(const std::vector<std::uint8_t> &bytes)
     const auto ninstr = r.pod<std::uint32_t>();
     program.instructions.reserve(ninstr);
     for (std::uint32_t i = 0; i < ninstr; ++i)
-        program.instructions.push_back(decodeInstruction(r));
+        decodeInstruction(r, program);
     if (!r.done())
         throw std::runtime_error("decodeProgram: trailing bytes");
     return program;

@@ -181,12 +181,14 @@ ExecutorT<T>::step(std::size_t index, const fg::Values &values)
     };
 
     switch (inst.op) {
-      case IsaOp::LOADC:
-        if (inst.constVec.size() > 0)
-            dst = Ext<T>::out(inst.constVec);
+      case IsaOp::LOADC: {
+        const Payload &constant = program_->payload(inst);
+        if (constant.constVec.size() > 0)
+            dst = Ext<T>::out(constant.constVec);
         else
-            dst = Ext<T>::out(inst.constMat);
+            dst = Ext<T>::out(constant.constMat);
         break;
+      }
       case IsaOp::LOADV:
         switch (inst.component) {
           case VarComponent::Phi:
@@ -254,20 +256,21 @@ ExecutorT<T>::step(std::size_t index, const fg::Values &values)
             lie::rightJacobianInv(Ext<T>::in(vectorAt(inst.srcs[0]))));
         break;
       case IsaOp::PROJ:
-        dst = Ext<T>::out(
-            project(Ext<T>::in(vectorAt(inst.srcs[0])), inst.camera));
+        dst = Ext<T>::out(project(Ext<T>::in(vectorAt(inst.srcs[0])),
+                                  program_->payload(inst).camera));
         break;
       case IsaOp::PROJJ:
-        dst = Ext<T>::out(projectJacobian(
-            Ext<T>::in(vectorAt(inst.srcs[0])), inst.camera));
+        dst = Ext<T>::out(
+            projectJacobian(Ext<T>::in(vectorAt(inst.srcs[0])),
+                            program_->payload(inst).camera));
         break;
       case IsaOp::SDF:
-        dst = Ext<T>::out(Vector{
-            inst.sdf->distance(Ext<T>::in(vectorAt(inst.srcs[0])))});
+        dst = Ext<T>::out(Vector{program_->payload(inst).sdf->distance(
+            Ext<T>::in(vectorAt(inst.srcs[0])))});
         break;
       case IsaOp::SDFJ: {
-        const Vector g =
-            inst.sdf->gradient(Ext<T>::in(vectorAt(inst.srcs[0])));
+        const Vector g = program_->payload(inst).sdf->gradient(
+            Ext<T>::in(vectorAt(inst.srcs[0])));
         Matrix j(1, g.size());
         for (std::size_t i = 0; i < g.size(); ++i)
             j(0, i) = g[i];
@@ -275,17 +278,19 @@ ExecutorT<T>::step(std::size_t index, const fg::Values &values)
         break;
       }
       case IsaOp::HINGE:
-        dst = hinge(vectorAt(inst.srcs[0]), inst.hingeEps);
+        dst = hinge(vectorAt(inst.srcs[0]),
+                    program_->payload(inst).hingeEps);
         break;
       case IsaOp::HINGEJ:
-        dst = hingeJacobian(vectorAt(inst.srcs[0]), inst.hingeEps);
+        dst = hingeJacobian(vectorAt(inst.srcs[0]),
+                            program_->payload(inst).hingeEps);
         break;
       case IsaOp::NORM:
         dst = mat::VectorT<T>{vectorAt(inst.srcs[0]).norm()};
         break;
       case IsaOp::HUBERW: {
         const T norm = vectorAt(inst.srcs[0]).norm();
-        const T k = T(inst.hingeEps);
+        const T k = T(program_->payload(inst).hingeEps);
         dst = mat::VectorT<T>{(k <= T(0) || norm <= k)
                                   ? T(1)
                                   : std::sqrt(k / norm)};
@@ -309,12 +314,14 @@ ExecutorT<T>::step(std::size_t index, const fg::Values &values)
         dst = std::move(j);
         break;
       }
-      case IsaOp::SCALER:
+      case IsaOp::SCALER: {
+        const Vector &sigmas = program_->payload(inst).constVec;
         if (isVec(inst.srcs[0]))
-            dst = scaleRows(vectorAt(inst.srcs[0]), inst.constVec);
+            dst = scaleRows(vectorAt(inst.srcs[0]), sigmas);
         else
-            dst = scaleRows(matrixAt(inst.srcs[0]), inst.constVec);
+            dst = scaleRows(matrixAt(inst.srcs[0]), sigmas);
         break;
+      }
       case IsaOp::GATHER:
       case IsaOp::GSCALE: {
         // All-rhs placements at column zero assemble a vector;
@@ -323,21 +330,22 @@ ExecutorT<T>::step(std::size_t index, const fg::Values &values)
         // then whitens rows exactly like SCALER — same FLOPs, same
         // order, so fusion stays bit-identical.
         const bool whiten = inst.op == IsaOp::GSCALE;
-        bool vector_gather = !inst.placements.empty();
-        for (const GatherPlacement &p : inst.placements)
+        const Payload &layout = program_->payload(inst);
+        bool vector_gather = !layout.placements.empty();
+        for (const GatherPlacement &p : layout.placements)
             vector_gather = vector_gather && p.isRhs && p.colBegin == 0;
         if (vector_gather) {
             mat::VectorT<T> out(inst.rows);
-            for (const GatherPlacement &p : inst.placements)
+            for (const GatherPlacement &p : layout.placements)
                 out.setSegment(p.rowBegin, vectorAt(p.src));
             if (whiten)
-                dst = scaleRows(out, inst.constVec);
+                dst = scaleRows(out, layout.constVec);
             else
                 dst = std::move(out);
             break;
         }
         mat::MatrixT<T> &out = zeroedMatrix(dst, inst.rows, inst.cols);
-        for (const GatherPlacement &p : inst.placements) {
+        for (const GatherPlacement &p : layout.placements) {
             if (p.isRhs) {
                 const mat::VectorT<T> &v = vectorAt(p.src);
                 for (std::size_t i = 0; i < v.size(); ++i)
@@ -347,7 +355,7 @@ ExecutorT<T>::step(std::size_t index, const fg::Values &values)
             }
         }
         if (whiten)
-            scaleRowsInPlace(out, inst.constVec);
+            scaleRowsInPlace(out, layout.constVec);
         break;
       }
       case IsaOp::QR:
@@ -366,8 +374,8 @@ ExecutorT<T>::step(std::size_t index, const fg::Values &values)
             dst = std::move(out);
             break;
         }
-        if (inst.extractRow + inst.rows > src.rows() ||
-            inst.extractCol + inst.cols > src.cols())
+        if (std::size_t{inst.extractRow} + inst.rows > src.rows() ||
+            std::size_t{inst.extractCol} + inst.cols > src.cols())
             throw std::out_of_range("EXTRACT: block out of range");
         mat::MatrixT<T> &out = zeroedMatrix(dst, inst.rows, inst.cols);
         for (std::size_t i = 0; i < inst.rows; ++i)

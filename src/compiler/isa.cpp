@@ -1,6 +1,8 @@
 #include "compiler/isa.hpp"
 
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 namespace orianna::comp {
 
@@ -69,6 +71,138 @@ isaOpName(IsaOp op)
       case IsaOp::MVSUB: return "MVSUB";
     }
     return "?";
+}
+
+OperandList::OperandList(std::initializer_list<std::uint32_t> values)
+{
+    resize(values.size());
+    std::copy(values.begin(), values.end(), data());
+}
+
+OperandList::OperandList(const OperandList &other)
+{
+    resize(other.size_);
+    std::copy(other.begin(), other.end(), data());
+}
+
+OperandList::OperandList(OperandList &&other) noexcept
+    : size_(other.size_)
+{
+    std::copy(other.words_, other.words_ + kInline, words_);
+    other.size_ = 0; // The block, if any, is ours now.
+}
+
+OperandList &
+OperandList::operator=(const OperandList &other)
+{
+    if (this != &other) {
+        resize(other.size_);
+        std::copy(other.begin(), other.end(), data());
+    }
+    return *this;
+}
+
+OperandList &
+OperandList::operator=(OperandList &&other) noexcept
+{
+    if (this != &other) {
+        release();
+        size_ = other.size_;
+        std::copy(other.words_, other.words_ + kInline, words_);
+        other.size_ = 0;
+    }
+    return *this;
+}
+
+void
+OperandList::push_back(std::uint32_t value)
+{
+    if (size_ < kInline) {
+        words_[size_++] = value;
+        return;
+    }
+    if (size_ == capacity()) {
+        // Full (inline, or a full block): double into a new block.
+        if (size_ > std::numeric_limits<std::uint32_t>::max() / 2)
+            throw std::length_error("OperandList: too many operands");
+        const std::uint32_t grown = 2 * size_;
+        auto *block = new std::uint32_t[grown];
+        std::copy(begin(), end(), block);
+        release();
+        setHeap(block, grown);
+        block[size_++] = value; // size_ > kInline: spilled from here.
+        return;
+    }
+    heap()[size_++] = value;
+}
+
+void
+OperandList::resize(std::size_t n)
+{
+    if (n > std::numeric_limits<std::uint32_t>::max() / 2)
+        throw std::length_error("OperandList: too many operands");
+    const auto count = static_cast<std::uint32_t>(n);
+    if (count <= kInline) {
+        if (spilled()) {
+            std::uint32_t *block = heap();
+            std::copy(block, block + count, words_);
+            delete[] block;
+        } else if (count > size_) {
+            std::fill(words_ + size_, words_ + count, 0u);
+        }
+    } else if (count > capacity()) {
+        auto *block = new std::uint32_t[count];
+        std::copy(begin(), end(), block);
+        std::fill(block + size_, block + count, 0u);
+        release();
+        setHeap(block, count);
+    } else if (count > size_) {
+        std::fill(heap() + size_, heap() + count, 0u);
+    }
+    size_ = count;
+}
+
+std::size_t
+Payload::heapBytes() const
+{
+    return (constMat.rows() * constMat.cols() + constVec.size()) *
+               sizeof(double) +
+           placements.capacity() * sizeof(GatherPlacement);
+}
+
+const Payload &
+Program::emptyPayload()
+{
+    static const Payload empty;
+    return empty;
+}
+
+std::uint32_t
+Program::addPayload(Payload entry)
+{
+    payloads.push_back(std::move(entry));
+    return static_cast<std::uint32_t>(payloads.size());
+}
+
+Payload &
+Program::editPayload(Instruction &inst)
+{
+    if (inst.payload == 0)
+        inst.payload = addPayload({});
+    return payloads[inst.payload - 1];
+}
+
+std::size_t
+Program::footprintBytes() const
+{
+    std::size_t bytes = instructions.capacity() * sizeof(Instruction) +
+                        payloads.capacity() * sizeof(Payload) +
+                        deltas.capacity() * sizeof(DeltaBinding);
+    for (const Instruction &inst : instructions)
+        bytes += inst.srcs.spillBytes() + inst.deps.spillBytes();
+    for (const Payload &entry : payloads)
+        bytes += entry.heapBytes();
+    return bytes;
 }
 
 std::vector<std::size_t>

@@ -1,6 +1,10 @@
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
+#include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -106,48 +110,181 @@ enum class VarComponent : std::uint8_t {
 /** One placement of a GATHER: copy a block into the dense [A|b]. */
 struct GatherPlacement
 {
-    std::uint32_t src;    //!< Value slot holding the block.
-    std::size_t rowBegin; //!< Destination row offset.
-    std::size_t colBegin; //!< Destination column offset.
-    bool isRhs = false;   //!< Source is a vector going to the b column.
+    std::uint32_t src = 0;      //!< Value slot holding the block.
+    std::uint32_t rowBegin = 0; //!< Destination row offset.
+    std::uint32_t colBegin = 0; //!< Destination column offset.
+    bool isRhs = false; //!< Source is a vector going to the b column.
 };
 
 /**
- * One ORIANNA instruction. Operands address a flat value table whose
- * slots are assigned statically by the compiler; `deps` lists the
- * producing instructions (the data-flow edges the out-of-order
- * scheduler honours, Sec. 6.3).
+ * The srcs or deps of one instruction. Up to kInline entries live in
+ * the list itself, so the common instruction owns no heap memory;
+ * longer lists (GATHER, GSCALE) spill to one heap block. Element
+ * access is bounds-checked in builds with assertions.
+ */
+class OperandList
+{
+  public:
+    using value_type = std::uint32_t;
+    using iterator = std::uint32_t *;
+    using const_iterator = const std::uint32_t *;
+
+    static constexpr std::uint32_t kInline = 3;
+
+    OperandList() = default;
+    OperandList(std::initializer_list<std::uint32_t> values);
+    OperandList(const OperandList &other);
+    OperandList(OperandList &&other) noexcept;
+    OperandList &operator=(const OperandList &other);
+    OperandList &operator=(OperandList &&other) noexcept;
+    ~OperandList() { release(); }
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+    std::uint32_t *data() { return spilled() ? heap() : words_; }
+    const std::uint32_t *data() const
+    {
+        return spilled() ? heap() : words_;
+    }
+
+    iterator begin() { return data(); }
+    iterator end() { return data() + size_; }
+    const_iterator begin() const { return data(); }
+    const_iterator end() const { return data() + size_; }
+
+    std::uint32_t &
+    operator[](std::size_t i)
+    {
+        assert(i < size_);
+        return data()[i];
+    }
+
+    std::uint32_t
+    operator[](std::size_t i) const
+    {
+        assert(i < size_);
+        return data()[i];
+    }
+
+    void push_back(std::uint32_t value);
+
+    /**
+     * Resize to @p n entries, new ones zero. Growing past kInline
+     * spills to a block of exactly @p n entries (a spilled list keeps
+     * its block while @p n fits it); shrinking to kInline or fewer
+     * moves the entries back inline and frees the block.
+     */
+    void resize(std::size_t n);
+
+    /** Heap bytes the list owns: 0 while it fits inline. */
+    std::size_t spillBytes() const
+    {
+        return spilled() ? capacity() * sizeof(std::uint32_t) : 0;
+    }
+
+    friend bool
+    operator==(const OperandList &a, const OperandList &b)
+    {
+        return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    }
+
+  private:
+    // A list is spilled exactly while it holds more than kInline
+    // entries. words_ then holds the block's capacity in words_[0]
+    // and the block pointer's bytes in words_[1..2]: a pointer member
+    // would force 8-byte alignment and pad the list to 24 bytes.
+    bool spilled() const { return size_ > kInline; }
+    std::uint32_t capacity() const
+    {
+        return spilled() ? words_[0] : kInline;
+    }
+
+    std::uint32_t *
+    heap() const
+    {
+        std::uint32_t *block = nullptr;
+        std::memcpy(&block, &words_[1], sizeof(block));
+        return block;
+    }
+
+    void
+    setHeap(std::uint32_t *block, std::uint32_t capacity)
+    {
+        words_[0] = capacity;
+        std::memcpy(&words_[1], &block, sizeof(block));
+    }
+
+    /** Free the block of a spilled list (size_ is the caller's). */
+    void
+    release()
+    {
+        if (spilled())
+            delete[] heap();
+    }
+
+    std::uint32_t size_ = 0;
+    std::uint32_t words_[kInline] = {};
+
+    static_assert(sizeof(std::uint32_t *) <= 2 * sizeof(std::uint32_t));
+};
+
+/**
+ * The op-specific operands of one instruction, kept out of the
+ * record in its Program's payload table. Only the fields its opcode
+ * reads are meaningful; the rest keep their defaults.
+ */
+struct Payload
+{
+    Matrix constMat;        //!< LOADC matrix payload.
+    Vector constVec;        //!< LOADC vector, SCALER/GSCALE row scales.
+    fg::CameraModel camera; //!< PROJ / PROJJ.
+    fg::SdfMapPtr sdf;      //!< SDF / SDFJ.
+    double hingeEps = 0.0;  //!< HINGE / HINGEJ (eps), HUBERW (k).
+    std::vector<GatherPlacement> placements; //!< GATHER/GSCALE layout.
+
+    /** Heap bytes the entry owns (an SDF map is shared, not owned). */
+    std::size_t heapBytes() const;
+};
+
+/**
+ * One ORIANNA instruction: a fixed 80-byte record. Operands address a
+ * flat value table whose slots are assigned statically by the
+ * compiler; `deps` lists the producing instructions (the data-flow
+ * edges the out-of-order scheduler honours, Sec. 6.3). Op-specific
+ * payloads (constants, camera, SDF map, hinge eps, gather layout)
+ * live in the owning Program's payload table (Program::payload).
  */
 struct Instruction
 {
     IsaOp op = IsaOp::LOADC;
-    std::vector<std::uint32_t> srcs;
-    std::uint32_t dst = 0;
-    std::vector<std::uint32_t> deps;
-
-    // Shape of the produced value (latency / energy model input).
-    std::size_t rows = 0;
-    std::size_t cols = 0;
-    std::size_t depth = 0; //!< Inner dimension for matmul-type ops.
-
     std::uint8_t algorithm = 0; //!< Coarse-grained OoO tag (Sec. 6.3).
-    std::uint32_t factor = 0;   //!< Originating factor, for listings.
     std::uint8_t phase = 0;     //!< 0 construction, 1 decomposition,
                                 //!< 2 back substitution.
-
-    // Op-specific payloads.
-    Matrix constMat;                        //!< LOADC matrix payload.
-    Vector constVec;                        //!< LOADC/SCALER payload.
-    Key key = 0;                            //!< LOADV variable.
-    VarComponent component = VarComponent::Whole;
-    fg::CameraModel camera;                 //!< PROJ / PROJJ.
-    fg::SdfMapPtr sdf;                      //!< SDF / SDFJ.
-    double hingeEps = 0.0;                  //!< HINGE / HINGEJ.
-    std::vector<GatherPlacement> placements; //!< GATHER layout.
-    std::size_t extractRow = 0;             //!< EXTRACT block origin.
-    std::size_t extractCol = 0;
+    VarComponent component = VarComponent::Whole; //!< LOADV component.
     bool extractVector = false; //!< EXTRACT a single column as a vector.
+    std::uint32_t dst = 0;
+    OperandList srcs;
+    OperandList deps;
+
+    // Shape of the produced value (latency / energy model input).
+    std::uint32_t rows = 0;
+    std::uint32_t cols = 0;
+    std::uint32_t depth = 0; //!< Inner dimension for matmul-type ops.
+
+    std::uint32_t factor = 0;     //!< Originating factor, for listings.
+    std::uint32_t extractRow = 0; //!< EXTRACT block origin.
+    std::uint32_t extractCol = 0;
+    /** 1-based index into Program::payloads; 0 means no payload. */
+    std::uint32_t payload = 0;
+    Key key = 0; //!< LOADV variable.
 };
+
+static_assert(sizeof(GatherPlacement) == 16);
+static_assert(sizeof(OperandList) == 16);
+static_assert(sizeof(Instruction) <= 80,
+              "instruction records stay small: payloads belong in "
+              "Program::payloads");
 
 /** Result binding: which slot holds delta for which variable. */
 struct DeltaBinding
@@ -164,6 +301,12 @@ struct DeltaBinding
 struct Program
 {
     std::vector<Instruction> instructions;
+    /**
+     * Payload table: one entry per instruction that carries a payload,
+     * in emission order, each referenced by exactly one instruction
+     * (Instruction::payload). Passes keep it compact (DESIGN.md §7).
+     */
+    std::vector<Payload> payloads;
     std::size_t valueSlots = 0;          //!< Size of the value table.
     std::vector<DeltaBinding> deltas;    //!< Output bindings.
     std::uint8_t algorithm = 0;          //!< Tag of every instruction.
@@ -171,11 +314,34 @@ struct Program
     Precision precision = Precision::Fp64;
     std::string name;                    //!< For listings.
 
+    /** @p inst's payload, or an empty one when it has none. */
+    const Payload &
+    payload(const Instruction &inst) const
+    {
+        return inst.payload == 0 ? emptyPayload()
+                                 : payloads[inst.payload - 1];
+    }
+
+    /** Append @p entry to the payload table; returns its index. */
+    std::uint32_t addPayload(Payload entry);
+
+    /** @p inst's payload entry, appended empty first if it has none. */
+    Payload &editPayload(Instruction &inst);
+
+    /**
+     * Heap bytes the program holds: instruction records, operand
+     * spill, the payload table and the delta bindings.
+     */
+    std::size_t footprintBytes() const;
+
     /** Counts per opcode, for the listings and resource sizing. */
     std::vector<std::size_t> opHistogram() const;
 
     /** Pretty listing (one line per instruction). */
     std::string str() const;
+
+    /** The payload of an instruction that has none. */
+    static const Payload &emptyPayload();
 };
 
 } // namespace orianna::comp

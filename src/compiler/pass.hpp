@@ -36,8 +36,10 @@ struct PassStats
  *    PassManager's verification hook enforces both on a probe input);
  *  - the rewritten program must be well formed: SSA slots (each slot
  *    written by exactly one instruction before any use), deps naming
- *    the producing instruction of every src, compact slot numbering.
- *    Passes built on rewriteProgram() get this for free;
+ *    the producing instruction of every src, compact slot numbering,
+ *    and a compact payload table (every entry referenced by exactly
+ *    one instruction). Passes built on rewriteProgram() get this for
+ *    free;
  *  - run() must be deterministic and stateless (one pass object may
  *    be shared by concurrent compiles).
  */
@@ -66,8 +68,11 @@ class Pass
  * slot: old dst slot -> replacement dst slot, for merge-style passes;
  * identity for unmerged slots, or empty when nothing merges), value
  * slots are renumbered compactly in definition order, and deps are
- * rebuilt from the surviving producers. @p drop has one entry per
- * instruction; slots are compact, so every slot is below valueSlots.
+ * rebuilt from the surviving producers. The payload table keeps only
+ * the survivors' entries, in instruction order, so no entry of a
+ * dropped instruction (or no entry at all) is left behind. @p drop
+ * has one entry per instruction; slots are compact, so every slot is
+ * below valueSlots.
  *
  * Every operand and delta binding is checked before anything
  * changes, so a throw leaves @p program untouched.
@@ -75,8 +80,9 @@ class Pass
  * @throws std::logic_error when a surviving instruction (or delta
  *         binding) reads a slot with no surviving producer — the
  *         use-of-undefined-slot detection the pipeline relies on to
- *         reject a broken pass immediately — or when a surviving
- *         STORE has no source.
+ *         reject a broken pass immediately — when a surviving STORE
+ *         has no source, or when a surviving payload index is out of
+ *         range or shared by two survivors.
  */
 void rewriteProgram(Program &program, const std::vector<bool> &drop,
                     const std::vector<std::uint32_t> &slot_remap);

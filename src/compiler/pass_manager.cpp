@@ -206,8 +206,9 @@ PassManager::run(Program &program, const RunOptions &options) const
         stats.push_back(std::move(entry));
     }
     // Codegen's growth slack survives in-place compaction; drop it so
-    // cached programs hold exactly their instructions.
+    // cached programs hold exactly their instructions and payloads.
     program.instructions.shrink_to_fit();
+    program.payloads.shrink_to_fit();
     return stats;
 }
 

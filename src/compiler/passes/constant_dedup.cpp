@@ -9,28 +9,27 @@ namespace {
 
 /** Byte-exact key of a LOADC payload. */
 std::string
-constantKey(const Instruction &inst)
+constantKey(const Payload &constant)
 {
     std::string key;
     auto append = [&key](const void *data, std::size_t n) {
         key.append(static_cast<const char *>(data), n);
     };
-    const std::uint32_t rows =
-        static_cast<std::uint32_t>(inst.constMat.rows());
-    const std::uint32_t cols =
-        static_cast<std::uint32_t>(inst.constMat.cols());
+    const Matrix &m = constant.constMat;
+    const std::uint32_t rows = static_cast<std::uint32_t>(m.rows());
+    const std::uint32_t cols = static_cast<std::uint32_t>(m.cols());
     append(&rows, sizeof(rows));
     append(&cols, sizeof(cols));
-    for (std::size_t i = 0; i < inst.constMat.rows(); ++i)
-        for (std::size_t j = 0; j < inst.constMat.cols(); ++j) {
-            const double v = inst.constMat(i, j);
+    for (std::size_t i = 0; i < m.rows(); ++i)
+        for (std::size_t j = 0; j < m.cols(); ++j) {
+            const double v = m(i, j);
             append(&v, sizeof(v));
         }
-    const std::uint32_t n =
-        static_cast<std::uint32_t>(inst.constVec.size());
+    const Vector &vec = constant.constVec;
+    const std::uint32_t n = static_cast<std::uint32_t>(vec.size());
     append(&n, sizeof(n));
-    for (std::size_t i = 0; i < inst.constVec.size(); ++i) {
-        const double v = inst.constVec[i];
+    for (std::size_t i = 0; i < vec.size(); ++i) {
+        const double v = vec[i];
         append(&v, sizeof(v));
     }
     return key;
@@ -63,8 +62,8 @@ class ConstantDedupPass final : public Pass
         for (std::size_t i = 0; i < n; ++i) {
             if (instrs[i].op != IsaOp::LOADC)
                 continue;
-            auto [it, inserted] =
-                seen.emplace(constantKey(instrs[i]), instrs[i].dst);
+            auto [it, inserted] = seen.emplace(
+                constantKey(program.payload(instrs[i])), instrs[i].dst);
             if (!inserted) {
                 slot_remap[instrs[i].dst] = it->second;
                 drop[i] = true;

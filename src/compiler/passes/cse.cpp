@@ -99,30 +99,31 @@ class CsePass final : public Pass
             kb.value(static_cast<std::uint32_t>(inst.srcs.size()));
             for (std::uint32_t src : inst.srcs)
                 kb.value(resolve(src));
-            kb.value(static_cast<std::uint32_t>(inst.rows));
-            kb.value(static_cast<std::uint32_t>(inst.cols));
-            kb.value(static_cast<std::uint32_t>(inst.depth));
+            kb.value(inst.rows);
+            kb.value(inst.cols);
+            kb.value(inst.depth);
+            const Payload &payload = program.payload(inst);
             kb.value(inst.key);
             kb.value(static_cast<std::uint8_t>(inst.component));
-            kb.value(inst.hingeEps);
-            kb.value(inst.camera.fx);
-            kb.value(inst.camera.fy);
-            kb.value(inst.camera.cx);
-            kb.value(inst.camera.cy);
+            kb.value(payload.hingeEps);
+            kb.value(payload.camera.fx);
+            kb.value(payload.camera.fy);
+            kb.value(payload.camera.cx);
+            kb.value(payload.camera.cy);
             // SDF maps compare by identity, like the engine
             // fingerprint: one shared map object, one compiled lookup.
-            kb.value(reinterpret_cast<std::uintptr_t>(inst.sdf.get()));
-            kb.value(static_cast<std::uint32_t>(inst.extractRow));
-            kb.value(static_cast<std::uint32_t>(inst.extractCol));
+            kb.value(reinterpret_cast<std::uintptr_t>(payload.sdf.get()));
+            kb.value(inst.extractRow);
+            kb.value(inst.extractCol);
             kb.value(static_cast<std::uint8_t>(inst.extractVector));
-            kb.matrix(inst.constMat);
-            kb.vector(inst.constVec);
+            kb.matrix(payload.constMat);
+            kb.vector(payload.constVec);
             kb.value(
-                static_cast<std::uint32_t>(inst.placements.size()));
-            for (const GatherPlacement &p : inst.placements) {
+                static_cast<std::uint32_t>(payload.placements.size()));
+            for (const GatherPlacement &p : payload.placements) {
                 kb.value(resolve(p.src));
-                kb.value(static_cast<std::uint32_t>(p.rowBegin));
-                kb.value(static_cast<std::uint32_t>(p.colBegin));
+                kb.value(p.rowBegin);
+                kb.value(p.colBegin);
                 kb.value(static_cast<std::uint8_t>(p.isRhs));
             }
 

@@ -48,7 +48,8 @@ class DeadCodeEliminationPass final : public Pass
             };
             for (std::uint32_t src : instrs[i].srcs)
                 visit(src);
-            for (const GatherPlacement &p : instrs[i].placements)
+            for (const GatherPlacement &p :
+                 program.payload(instrs[i]).placements)
                 visit(p.src);
         }
 

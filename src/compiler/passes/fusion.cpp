@@ -45,7 +45,7 @@ class PeepholeFusionPass final : public Pass
         for (const Instruction &inst : instrs) {
             for (std::uint32_t src : inst.srcs)
                 ++uses[src];
-            for (const GatherPlacement &p : inst.placements)
+            for (const GatherPlacement &p : program.payload(inst).placements)
                 ++uses[p.src];
         }
         for (const DeltaBinding &binding : program.deltas)
@@ -69,10 +69,13 @@ class PeepholeFusionPass final : public Pass
                 Instruction &gather = instrs[p];
                 if (gather.op != IsaOp::GATHER)
                     continue;
-                // The GATHER is dropped: its layout moves, not copies.
+                // The GATHER is dropped: its operands and layout move
+                // to the GSCALE, which keeps its own row scales.
+                std::vector<GatherPlacement> layout =
+                    std::move(program.editPayload(gather).placements);
                 inst.op = IsaOp::GSCALE;
                 inst.srcs = std::move(gather.srcs);
-                inst.placements = std::move(gather.placements);
+                program.editPayload(inst).placements = std::move(layout);
                 drop[p] = true;
                 ++fused;
             } else if (inst.op == IsaOp::VSUB) {

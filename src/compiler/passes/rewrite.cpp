@@ -20,6 +20,7 @@ rewriteProgram(Program &program, const std::vector<bool> &drop,
     auto &instrs = program.instructions;
     const std::size_t n = instrs.size();
     const std::size_t slots = program.valueSlots;
+    const std::size_t entries = program.payloads.size();
     if (drop.size() != n)
         throw std::logic_error("rewriteProgram: drop mask size");
     if (!slot_remap.empty() && slot_remap.size() != slots)
@@ -42,13 +43,26 @@ rewriteProgram(Program &program, const std::vector<bool> &drop,
     };
 
     std::uint32_t defined = 0;
+    std::size_t kept_entries = 0;
+    std::vector<bool> referenced(entries, false);
     for (std::size_t i = 0; i < n; ++i) {
         if (drop[i])
             continue;
         const Instruction &inst = instrs[i];
         for (std::uint32_t src : inst.srcs)
             finalSlot(src);
-        for (const GatherPlacement &p : inst.placements)
+        if (inst.payload != 0) {
+            if (inst.payload > entries)
+                throw std::logic_error(
+                    "rewriteProgram: payload index out of range");
+            if (referenced[inst.payload - 1])
+                throw std::logic_error(
+                    "rewriteProgram: payload entry shared by two "
+                    "instructions");
+            referenced[inst.payload - 1] = true;
+            ++kept_entries;
+        }
+        for (const GatherPlacement &p : program.payload(inst).placements)
             finalSlot(p.src);
         if (inst.op == IsaOp::STORE) {
             if (inst.srcs.empty())
@@ -69,24 +83,31 @@ rewriteProgram(Program &program, const std::vector<bool> &drop,
     // finalSlot() resolves exactly as it did above and cannot throw):
     // operands through the remap onto the compact numbering, deps from
     // the surviving producers, survivors moved down over the dropped
-    // instructions.
+    // instructions, and their payload entries moved, in instruction
+    // order, into a table that holds nothing else.
     std::fill(new_slot.begin(), new_slot.end(), kUndefined);
     // producer[new slot] = index of its defining instruction after
     // compaction.
     std::vector<std::uint32_t> producer;
     producer.reserve(defined);
+    std::vector<Payload> payloads;
+    payloads.reserve(kept_entries);
     std::size_t out = 0;
     for (std::size_t i = 0; i < n; ++i) {
         if (drop[i])
             continue;
         Instruction &inst = instrs[i];
-        inst.deps.clear();
-        for (std::uint32_t &src : inst.srcs) {
-            src = finalSlot(src);
-            inst.deps.push_back(producer[src]);
+        inst.deps.resize(inst.srcs.size());
+        for (std::size_t k = 0; k < inst.srcs.size(); ++k) {
+            inst.srcs[k] = finalSlot(inst.srcs[k]);
+            inst.deps[k] = producer[inst.srcs[k]];
         }
-        for (GatherPlacement &p : inst.placements)
-            p.src = finalSlot(p.src);
+        if (inst.payload != 0) {
+            payloads.push_back(std::move(program.payloads[inst.payload - 1]));
+            inst.payload = static_cast<std::uint32_t>(payloads.size());
+            for (GatherPlacement &p : payloads.back().placements)
+                p.src = finalSlot(p.src);
+        }
         if (inst.op == IsaOp::STORE) {
             inst.dst = inst.srcs[0];
         } else {
@@ -101,6 +122,7 @@ rewriteProgram(Program &program, const std::vector<bool> &drop,
     }
     instrs.erase(instrs.begin() + static_cast<std::ptrdiff_t>(out),
                  instrs.end());
+    program.payloads = std::move(payloads);
     program.valueSlots = producer.size();
     for (DeltaBinding &binding : program.deltas)
         binding.slot = finalSlot(binding.slot);

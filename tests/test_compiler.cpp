@@ -2,6 +2,7 @@
 // and factor-graph inference, and functional equivalence between the
 // compiled program (accelerator path) and the software solver.
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 
@@ -111,6 +112,61 @@ TEST(Codegen, InstructionStreamStructure)
     for (std::size_t i = 0; i < program.instructions.size(); ++i)
         for (std::uint32_t dep : program.instructions[i].deps)
             EXPECT_LT(dep, i);
+}
+
+TEST(OperandList, SpillsPastThreeEntriesAndComesBackInline)
+{
+    comp::OperandList list;
+    std::vector<std::uint32_t> expected;
+    for (std::uint32_t v = 0; v < 40; ++v) {
+        list.push_back(v * 7);
+        expected.push_back(v * 7);
+        ASSERT_TRUE(std::equal(list.begin(), list.end(),
+                               expected.begin(), expected.end()))
+            << v;
+        // Three entries fit in the record; the fourth spills.
+        EXPECT_EQ(list.spillBytes() == 0, v < 3) << v;
+    }
+
+    // A copy takes one exact block and owns it; a move steals it.
+    comp::OperandList copy = list;
+    EXPECT_EQ(copy, list);
+    EXPECT_EQ(copy.spillBytes(), 40 * sizeof(std::uint32_t));
+    copy[0] = 99;
+    EXPECT_EQ(list[0], 0u);
+    const comp::OperandList moved = std::move(copy);
+    EXPECT_EQ(moved[0], 99u);
+    EXPECT_EQ(moved.size(), 40u);
+
+    // Resizing keeps the entries, zero-fills new ones, keeps the block
+    // while the entries fit it and frees it at three or fewer.
+    const std::size_t block = list.spillBytes();
+    list.resize(10);
+    EXPECT_EQ(list.spillBytes(), block);
+    list.resize(12);
+    EXPECT_TRUE(std::equal(list.begin(), list.begin() + 10,
+                           expected.begin()));
+    EXPECT_EQ(list[10], 0u);
+    EXPECT_EQ(list[11], 0u);
+    list.resize(2);
+    EXPECT_EQ(list.spillBytes(), 0u);
+    EXPECT_EQ(list, (comp::OperandList{0, 7}));
+    list.resize(3);
+    EXPECT_EQ(list, (comp::OperandList{0, 7, 0}));
+
+    // Assignment in both directions between inline and spilled lists.
+    comp::OperandList target = moved;
+    target = list;
+    EXPECT_EQ(target, list);
+    EXPECT_EQ(target.spillBytes(), 0u);
+    const comp::OperandList &alias = target;
+    target = alias;
+    EXPECT_EQ(target, list);
+    target = moved;
+    EXPECT_EQ(target, moved);
+    target = comp::OperandList{5};
+    EXPECT_EQ(target.size(), 1u);
+    EXPECT_EQ(target[0], 5u);
 }
 
 TEST(Codegen, ListingIsPrintable)

@@ -262,6 +262,8 @@ TEST(MetricsRegistryJson, DisabledRecordingLeavesRegistryUntouched)
     EXPECT_EQ(registry.counter("frame.count").value(), 0u);
     EXPECT_EQ(registry.counter("engine.compiles").value(), 0u);
     EXPECT_EQ(registry.histogram("frame.simulate_us").count(), 0u);
+    EXPECT_EQ(registry.gauge("engine.cached_bytes").value(), 0);
+    EXPECT_GT(engine.stats().cachedBytes, 0u); // Always maintained.
 
     // Recording is observation only: a metrics-on session lands on the
     // same values and cycles.
@@ -279,6 +281,23 @@ TEST(MetricsRegistryJson, DisabledRecordingLeavesRegistryUntouched)
                       session.values().pose(key).t()[c])
                 << "pose " << key;
         }
+}
+
+TEST(MetricsRegistryJson, CachedBytesGaugeFollowsTheEngine)
+{
+    SKIP_WITHOUT_METRICS();
+    GateGuard guard;
+    MetricsRegistry::setEnabled(true);
+    auto &registry = MetricsRegistry::global();
+    registry.reset();
+
+    const auto truth = chainTruth();
+    runtime::Engine engine(hw::AcceleratorConfig::minimal(true));
+    const auto program =
+        engine.program(chainGraph(truth), chainInitial(truth, 0.02));
+    EXPECT_EQ(engine.stats().cachedBytes, program->footprintBytes());
+    EXPECT_EQ(registry.gauge("engine.cached_bytes").value(),
+              static_cast<std::int64_t>(engine.stats().cachedBytes));
 }
 
 // --- Unified trace sink ---------------------------------------------

@@ -112,7 +112,7 @@ TEST(Optimize, RemovesUnreachableWork)
     program.valueSlots = 4;
     comp::Instruction load;
     load.op = IsaOp::LOADC;
-    load.constVec = Vector{1.0, 2.0};
+    program.editPayload(load).constVec = Vector{1.0, 2.0};
     load.dst = 0;
     load.rows = 2;
     load.cols = 1;
@@ -181,7 +181,7 @@ TEST(Optimize, ProgramWithoutStoresIsEntirelyDead)
 
     comp::Instruction load;
     load.op = IsaOp::LOADC;
-    load.constVec = Vector{3.0, 4.0};
+    program.editPayload(load).constVec = Vector{3.0, 4.0};
     load.dst = 0;
     load.rows = 2;
     load.cols = 1;
@@ -214,7 +214,7 @@ TEST(Optimize, MergesLoadsThatDifferOnlyInSlot)
     for (std::uint32_t slot : {0u, 1u}) {
         comp::Instruction load;
         load.op = IsaOp::LOADC;
-        load.constVec = Vector{1.5, -2.5};
+        program.editPayload(load).constVec = Vector{1.5, -2.5};
         load.dst = slot;
         load.rows = 2;
         load.cols = 1;
@@ -250,13 +250,13 @@ TEST(Optimize, MergesLoadsThatDifferOnlyInSlot)
               1e-15);
 }
 
-/** A one-element LOADC defining @p slot. */
+/** A one-element LOADC defining @p slot, its payload in @p program. */
 comp::Instruction
-loadConstant(std::uint32_t slot, double value)
+loadConstant(Program &program, std::uint32_t slot, double value)
 {
     comp::Instruction load;
     load.op = IsaOp::LOADC;
-    load.constVec = Vector{value};
+    program.editPayload(load).constVec = Vector{value};
     load.dst = slot;
     load.rows = 1;
     load.cols = 1;
@@ -296,7 +296,7 @@ TEST(Optimize, RewriteDetectsUseOfUndefinedSlot)
     Program program;
     program.name = "undefined-slot";
     program.valueSlots = 2;
-    program.instructions.push_back(loadConstant(0, 1.0));
+    program.instructions.push_back(loadConstant(program, 0, 1.0));
     program.instructions.push_back(storeSlot(0));
     program.deltas.push_back({1, 0});
     expectRejectedUntouched(program, {true, false}); // The only producer.
@@ -306,8 +306,10 @@ TEST(Optimize, RewriteDetectsUseOfUndefinedSlot)
     Program delta_only;
     delta_only.name = "undefined-delta";
     delta_only.valueSlots = 2;
-    delta_only.instructions.push_back(loadConstant(0, 1.0));
-    delta_only.instructions.push_back(loadConstant(1, 2.0));
+    delta_only.instructions.push_back(
+        loadConstant(delta_only, 0, 1.0));
+    delta_only.instructions.push_back(
+        loadConstant(delta_only, 1, 2.0));
     delta_only.instructions.push_back(storeSlot(1));
     delta_only.deltas.push_back({1, 1});
     delta_only.deltas.push_back({2, 0});
@@ -317,7 +319,8 @@ TEST(Optimize, RewriteDetectsUseOfUndefinedSlot)
     Program sourceless;
     sourceless.name = "sourceless-store";
     sourceless.valueSlots = 1;
-    sourceless.instructions.push_back(loadConstant(0, 1.0));
+    sourceless.instructions.push_back(
+        loadConstant(sourceless, 0, 1.0));
     comp::Instruction store;
     store.op = IsaOp::STORE;
     sourceless.instructions.push_back(store);
@@ -329,8 +332,21 @@ TEST(Optimize, RewriteDetectsUseOfUndefinedSlot)
     expectRejectedUntouched(delta_only, {false, false, false}, {0});
     Program out_of_range;
     out_of_range.valueSlots = 1;
-    out_of_range.instructions.push_back(loadConstant(1, 1.0));
+    out_of_range.instructions.push_back(
+        loadConstant(out_of_range, 1, 1.0));
     expectRejectedUntouched(out_of_range, {false});
+
+    // Payload indices must name an entry of the table (an index past
+    // it cannot be encoded, so only the throw is checked), each entry
+    // owned by one instruction.
+    Program bad_payload = delta_only;
+    bad_payload.instructions[1].payload = 3;
+    EXPECT_THROW(comp::rewriteProgram(bad_payload, {false, false, false},
+                                      {}),
+                 std::logic_error);
+    EXPECT_EQ(bad_payload.payloads.size(), 2u);
+    bad_payload.instructions[1].payload = 1;
+    expectRejectedUntouched(bad_payload, {false, false, false});
 }
 
 TEST(Optimize, AcceleratesOnTheSimulatedHardware)

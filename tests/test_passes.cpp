@@ -37,13 +37,16 @@
 #include "runtime/program_store.hpp"
 #include "test_fg_common.hpp"
 #include "test_golden.hpp"
+#include "test_payloads.hpp"
 
 namespace {
 
 using namespace orianna;
+using orianna::test::expectCompactPayloads;
 using orianna::test::expectGolden;
 using orianna::test::fnv1a;
 using orianna::test::hex;
+using orianna::test::payloadPipelines;
 using orianna::test::randomPose;
 using orianna::test::randomVector;
 using comp::IsaOp;
@@ -366,6 +369,93 @@ TEST(Passes, UpdateProgramBytesMatchCheckedInDigest)
     expectGolden(kUpdateGoldenPath, digest);
 }
 
+// --- Compact instruction records -----------------------------------
+
+TEST(Passes, PayloadTablesStayCompactOnEveryStream)
+{
+    // Codegen appends one payload entry per payload-carrying
+    // instruction and every pass drops the entries of the
+    // instructions it drops: after each pipeline, every entry has
+    // exactly one owner and the program round-trips the encoding.
+    for (const apps::BenchmarkApp &bench : compiledApps()) {
+        for (std::size_t a = 0; a < bench.app.size(); ++a) {
+            const core::Algorithm &algo = bench.app.algorithm(a);
+            const std::string label = bench.app.name() + "/" + algo.name;
+            expectCompactPayloads(algo.program, label + " program");
+            expectCompactPayloads(algo.referenceProgram,
+                                  label + " reference");
+            expectCompactPayloads(algo.denseProgram, label + " dense");
+
+            comp::CompileOptions options;
+            options.ordering = fg::ordering::minDegree(algo.graph);
+            const Program graph_stream =
+                comp::compileGraph(algo.graph, algo.values, options);
+            const Program dense_stream = comp::compileDenseGraph(
+                algo.graph, algo.values, options);
+            for (const std::string &spec : payloadPipelines()) {
+                const PassManager pipeline = PassManager::parse(spec);
+                Program program = graph_stream;
+                pipeline.run(program);
+                expectCompactPayloads(program, label + " " + spec);
+                Program dense = dense_stream;
+                pipeline.run(dense);
+                expectCompactPayloads(dense,
+                                      label + " dense " + spec);
+            }
+        }
+    }
+
+    // The update programs of a streamed mission: an engine without
+    // passes publishes the raw codegen output of its main rung to its
+    // store, from where each pipeline starts.
+    const std::string dir = testing::TempDir() + "orianna_payload_tables";
+    std::filesystem::remove_all(dir);
+    runtime::EngineOptions options = missionOptions();
+    options.passes = "none";
+    options.storeDir = dir;
+    runtime::Engine engine(hw::AcceleratorConfig::minimal(true), options);
+    streamMission(engine);
+    runtime::ProgramStore store(dir);
+    std::size_t streamed = 0;
+    for (const runtime::Engine::CompileRecord &record :
+         engine.compileLog()) {
+        if (record.name.ends_with(" (reference)"))
+            continue;
+        const auto raw = store.load(record.fingerprint, "none");
+        ASSERT_NE(raw, nullptr) << record.name;
+        for (const std::string &spec : payloadPipelines()) {
+            Program program = *raw;
+            PassManager::parse(spec).run(program);
+            expectCompactPayloads(program,
+                                  "update " + record.name + " " + spec);
+        }
+        ++streamed;
+    }
+    EXPECT_GT(streamed, 0u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Passes, UpdateProgramsTakeAtMost112BytesPerInstruction)
+{
+    // Update programs are three quarters EXTRACT/STORE pairs with no
+    // payload, so their footprint is about one 80-byte record per
+    // instruction; only GATHERs spill operands and carry a layout.
+    runtime::Engine engine(hw::AcceleratorConfig::minimal(true),
+                           missionOptions());
+    streamMission(engine);
+    // Without a store every cached program is one compile.
+    std::size_t instructions = 0;
+    for (const runtime::Engine::CompileRecord &record :
+         engine.compileLog())
+        instructions += record.instructions;
+    ASSERT_GT(instructions, 0u);
+    const std::size_t bytes = engine.stats().cachedBytes;
+    EXPECT_LE(static_cast<double>(bytes) /
+                  static_cast<double>(instructions),
+              112.0)
+        << bytes << " bytes over " << instructions << " instructions";
+}
+
 // --- PassManager parsing and pipeline construction -------------------
 
 TEST(Passes, ParsesSpecsAndRejectsUnknownNames)
@@ -424,8 +514,10 @@ class BrokenPass final : public comp::Pass
     std::size_t run(Program &program) const override
     {
         for (comp::Instruction &inst : program.instructions) {
-            if (inst.op == IsaOp::LOADC && inst.constVec.size() > 0) {
-                inst.constVec[0] = inst.constVec[0] + 1.0;
+            if (inst.op == IsaOp::LOADC &&
+                program.payload(inst).constVec.size() > 0) {
+                Vector &constant = program.editPayload(inst).constVec;
+                constant[0] = constant[0] + 1.0;
                 return 1;
             }
         }

@@ -16,10 +16,12 @@
 #include "compiler/codegen.hpp"
 #include "compiler/encoding.hpp"
 #include "compiler/executor.hpp"
+#include "compiler/pass_manager.hpp"
 #include "fg/factors.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/program_store.hpp"
 #include "test_fg_common.hpp"
+#include "test_payloads.hpp"
 
 namespace {
 
@@ -137,6 +139,23 @@ TEST(EncodingFuzz, RandomProgramsRoundTripBitIdentically)
         const Program decoded = comp::decodeProgram(bytes);
         EXPECT_EQ(comp::encodeProgram(decoded), bytes)
             << "round " << round;
+    }
+}
+
+TEST(EncodingFuzz, RichPayloadTablesStayCompactThroughEveryPipeline)
+{
+    // Camera, SDF, hinge and kinematics payloads: each pipeline keeps
+    // one table entry per payload-carrying survivor, and the program
+    // re-encodes to the same bytes after a decode.
+    std::mt19937 rng(31);
+    Values values;
+    const FactorGraph graph = richGraph(values, rng);
+    const Program raw = comp::compileGraph(graph, values);
+    ASSERT_FALSE(raw.payloads.empty());
+    for (const std::string &spec : orianna::test::payloadPipelines()) {
+        Program program = raw;
+        comp::PassManager::parse(spec).run(program);
+        orianna::test::expectCompactPayloads(program, "rich " + spec);
     }
 }
 

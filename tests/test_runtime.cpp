@@ -361,6 +361,29 @@ TEST(Engine, SharesCompiledProgramsBetweenEqualGraphs)
     EXPECT_EQ(engine.cachedPrograms(), 2u);
 }
 
+TEST(Engine, CachedBytesCountEveryCachedProgramOnce)
+{
+    const auto truth = chainTruth();
+    const fg::FactorGraph graph = chainGraph(truth);
+
+    runtime::Engine engine(hw::AcceleratorConfig::minimal(true));
+    EXPECT_EQ(engine.stats().cachedBytes, 0u);
+    const auto program = engine.program(graph, chainInitial(truth, 0.01));
+    const std::size_t footprint = program->footprintBytes();
+    EXPECT_GE(footprint,
+              program->instructions.size() * sizeof(comp::Instruction));
+    EXPECT_EQ(engine.stats().cachedBytes, footprint); // A miss.
+
+    engine.program(graph, chainInitial(truth, 0.05));
+    EXPECT_EQ(engine.stats().cachedBytes, footprint); // A hit.
+
+    const auto reference =
+        engine.referenceProgram(graph, chainInitial(truth, 0.01));
+    EXPECT_EQ(engine.stats().cachedBytes,
+              footprint + reference->footprintBytes());
+    EXPECT_EQ(engine.cachedPrograms(), 2u);
+}
+
 TEST(Engine, SessionsIterateThroughTheSharedProgram)
 {
     const auto truth = chainTruth();
