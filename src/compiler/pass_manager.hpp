@@ -21,7 +21,10 @@ namespace orianna::comp {
  * executes the program on a probe input before and after every pass
  * through the reference Executor and rejects the rewrite unless the
  * deltas are bit-identical and the executed MAC count did not grow —
- * the contract every pass must honour (DESIGN.md §7).
+ * the contract every pass must honour (DESIGN.md §7). A probe run
+ * that throws is an outcome too: the pass must leave the exception
+ * (type and message) unchanged, and the compile goes on, so the
+ * verifier never decides whether a compile succeeds.
  *
  * Pipelines are cheap to build and immutable once built; one manager
  * may serve concurrent compiles (passes are stateless).
@@ -78,8 +81,8 @@ class PassManager
      * per pass, in pipeline order.
      *
      * @throws std::runtime_error when verification is enabled and a
-     *         pass changes the probe deltas or increases the executed
-     *         MAC count.
+     *         pass changes the probe deltas or whether (or what) the
+     *         probe throws, or increases the executed MAC count.
      */
     std::vector<PassStats> run(Program &program,
                                const RunOptions &options) const;

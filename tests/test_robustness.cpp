@@ -438,6 +438,33 @@ TEST(Degradation, FrameThatThrowsCountsAsAFailure)
     EXPECT_EQ(json->at("failures").asNumber(), 1.0);
 }
 
+// The pass verifier runs the program on the session's values while
+// the session compiles. On this graph that probe throws, before and
+// after every pass alike: the compile must still succeed, and the
+// frame is what fails.
+TEST(Degradation, VerifiedCompileOfAProgramThatThrowsSucceeds)
+{
+    const auto truth = chainTruth();
+    fg::FactorGraph graph;
+    graph.emplace<fg::PriorFactor>(1, truth[0],
+                                   fg::isotropicSigmas(6, 1e14));
+    fg::Values initial;
+    initial.insert(1, truth[0]);
+
+    runtime::EngineOptions options;
+    options.precision = comp::Precision::Fp64;
+    options.verifyPasses = true;
+    runtime::Engine engine(hw::AcceleratorConfig::minimal(true), options);
+    std::optional<runtime::Session> session;
+    ASSERT_NO_THROW(session.emplace(engine.session(graph, initial)));
+    const auto log = engine.compileLog();
+    ASSERT_FALSE(log.empty());
+    for (const comp::PassStats &stat : log.front().passes)
+        EXPECT_TRUE(stat.verified) << stat.pass;
+    EXPECT_THROW(session->step(), std::runtime_error);
+    EXPECT_EQ(engine.health().failures.load(), 1u);
+}
+
 // Session::step forces the trace on while the unified trace collects;
 // a frame that throws must hand the caller's setting back, or every
 // later frame returns a schedule trace nobody asked for.
