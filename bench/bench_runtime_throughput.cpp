@@ -30,6 +30,7 @@
 // exactly one run.
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -40,6 +41,7 @@
 
 #include "apps/benchmark_apps.hpp"
 #include "bench_common.hpp"
+#include "compiler/fnv.hpp"
 #include "matrix/simd.hpp"
 #include "runtime/admission.hpp"
 #include "runtime/engine.hpp"
@@ -73,16 +75,8 @@ secondsSince(Clock::time_point start)
 std::uint64_t
 valuesDigest(const fg::Values &values)
 {
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](double d) {
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(d));
-        __builtin_memcpy(&bits, &d, sizeof(bits));
-        for (int b = 0; b < 8; ++b) {
-            h ^= (bits >> (8 * b)) & 0xffu;
-            h *= 1099511628211ull;
-        }
-    };
+    comp::Fnv1a h;
+    auto mix = [&h](double d) { h.u64(std::bit_cast<std::uint64_t>(d)); };
     for (fg::Key key : values.keys()) {
         if (values.isPose(key)) {
             const lie::Pose &pose = values.pose(key);
@@ -95,7 +89,7 @@ valuesDigest(const fg::Values &values)
                 mix(d);
         }
     }
-    return h;
+    return h.value();
 }
 
 /** One mission template: the localization graph of a distinct seed. */

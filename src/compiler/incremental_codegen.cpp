@@ -1,5 +1,9 @@
 #include "compiler/incremental_codegen.hpp"
 
+#include <string_view>
+
+#include "compiler/fnv.hpp"
+
 namespace orianna::comp {
 
 namespace {
@@ -8,30 +12,6 @@ namespace {
 constexpr Key kInputBase = 1ull << 40;
 constexpr Key kOutputBase = 1ull << 41;
 constexpr Key kDeltaBase = 1ull << 42;
-
-/** FNV-1a mixer (same scheme as the engine's graph fingerprint). */
-struct Fnv
-{
-    std::uint64_t h = 1469598103934665603ull;
-
-    void
-    mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    }
-
-    void
-    mix(const char *s)
-    {
-        for (; *s; ++s) {
-            h ^= static_cast<unsigned char>(*s);
-            h *= 1099511628211ull;
-        }
-    }
-};
 
 } // namespace
 
@@ -74,29 +54,31 @@ updateLayout(const UpdateSpec &spec)
 std::uint64_t
 updateFingerprint(const UpdateSpec &spec)
 {
-    Fnv f;
-    f.mix("orianna-update-v1");
-    f.mix(spec.dofs.size());
+    Fnv1a f;
+    // The domain tag mixes its characters only, no length.
+    const std::string_view tag = "orianna-update-v1";
+    f.bytes(tag.data(), tag.size());
+    f.u64(spec.dofs.size());
     for (std::uint32_t d : spec.dofs)
-        f.mix(d);
-    f.mix(spec.rows.size());
+        f.u64(d);
+    f.u64(spec.rows.size());
     for (const UpdateSpec::Row &row : spec.rows) {
-        f.mix(row.dim);
-        f.mix(row.blocks.size());
+        f.u64(row.dim);
+        f.u64(row.blocks.size());
         for (std::uint32_t p : row.blocks)
-            f.mix(p);
+            f.u64(p);
     }
-    f.mix(spec.steps.size());
+    f.u64(spec.steps.size());
     for (const UpdateSpec::Step &step : spec.steps) {
-        f.mix(step.rowRefs.size());
+        f.u64(step.rowRefs.size());
         for (std::uint32_t r : step.rowRefs)
-            f.mix(r);
-        f.mix(step.columns.size());
+            f.u64(r);
+        f.u64(step.columns.size());
         for (std::uint32_t c : step.columns)
-            f.mix(c);
-        f.mix(step.kept);
+            f.u64(c);
+        f.u64(step.kept);
     }
-    return f.h;
+    return f.value();
 }
 
 } // namespace orianna::comp

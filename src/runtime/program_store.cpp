@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include "compiler/encoding.hpp"
+#include "compiler/fnv.hpp"
 
 namespace orianna::runtime {
 
@@ -23,14 +24,11 @@ constexpr const char *kEntrySuffix = ".oprog";
 constexpr const char *kTempPrefix = ".tmp.";
 
 std::uint64_t
-fnv1a(const std::uint8_t *data, std::size_t size)
+checksum(const std::uint8_t *data, std::size_t size)
 {
-    std::uint64_t state = 1469598103934665603ull;
-    for (std::size_t i = 0; i < size; ++i) {
-        state ^= data[i];
-        state *= 1099511628211ull;
-    }
-    return state;
+    comp::Fnv1a hash;
+    hash.bytes(data, size);
+    return hash.value();
 }
 
 /** Little-endian POD append (mirrors the program encoding's writer). */
@@ -152,13 +150,14 @@ ProgramStore::load(std::uint64_t fingerprint,
     if (stored_spec != passSpec)
         return miss(/*present=*/true);
     std::uint64_t payload_size = 0;
-    std::uint64_t checksum = 0;
+    std::uint64_t stored_checksum = 0;
     if (!getPod(bytes, offset, payload_size) ||
-        !getPod(bytes, offset, checksum))
+        !getPod(bytes, offset, stored_checksum))
         return miss(/*present=*/true);
     if (payload_size != bytes.size() - offset)
         return miss(/*present=*/true);
-    if (checksum != fnv1a(bytes.data() + offset, payload_size))
+    if (stored_checksum !=
+        checksum(bytes.data() + offset, payload_size))
         return miss(/*present=*/true);
 
     try {
@@ -198,7 +197,7 @@ ProgramStore::store(std::uint64_t fingerprint,
         putPod(bytes, static_cast<std::uint32_t>(passSpec.size()));
         bytes.insert(bytes.end(), passSpec.begin(), passSpec.end());
         putPod(bytes, static_cast<std::uint64_t>(payload.size()));
-        putPod(bytes, fnv1a(payload.data(), payload.size()));
+        putPod(bytes, checksum(payload.data(), payload.size()));
         bytes.insert(bytes.end(), payload.begin(), payload.end());
     } catch (const std::exception &) {
         return fail();
