@@ -65,11 +65,15 @@ main()
 
     // Level schedule: instructions whose dependences are satisfied at
     // the same depth can execute in parallel (the L1..Ln of Fig. 11).
+    // Dependences are the producers of each instruction's operands.
+    const std::vector<std::uint32_t> producers = program.producers();
     std::vector<std::size_t> level(program.instructions.size(), 0);
     std::map<std::size_t, std::size_t> width;
     for (std::size_t i = 0; i < program.instructions.size(); ++i) {
-        for (std::uint32_t dep : program.instructions[i].deps)
-            level[i] = std::max(level[i], level[dep] + 1);
+        comp::forEachDep(program.instructions[i], producers,
+                         [&](std::uint32_t dep) {
+                             level[i] = std::max(level[i], level[dep] + 1);
+                         });
         ++width[level[i]];
     }
     std::printf("dependence levels: %zu, widest level has %zu parallel "

@@ -96,6 +96,8 @@ runOnGpu(const GpuSpec &gpu, const std::vector<WorkItem> &work)
     PlatformResult out;
     for (const WorkItem &item : work) {
         const auto &instructions = item.program->instructions;
+        const std::vector<std::uint32_t> producers =
+            item.program->producers();
 
         // Construction: dependence levels batch into one kernel each
         // (the cuBLAS batched-small-matrix pattern).
@@ -106,9 +108,10 @@ runOnGpu(const GpuSpec &gpu, const std::vector<WorkItem> &work)
             const Instruction &inst = instructions[i];
             if (inst.phase != 0)
                 continue;
-            for (std::uint32_t dep : inst.deps)
+            comp::forEachDep(inst, producers, [&](std::uint32_t dep) {
                 if (instructions[dep].phase == 0)
                     level[i] = std::max(level[i], level[dep] + 1);
+            });
             construction_levels =
                 std::max(construction_levels, level[i] + 1);
             if (!isDataMovement(inst))

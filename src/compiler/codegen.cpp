@@ -32,22 +32,14 @@ struct Shape
 };
 
 /**
- * Incremental program builder: allocates value slots, tracks slot
- * shapes and producers, and derives instruction dependences from the
- * operands.
+ * Incremental program builder: allocates value slots and tracks their
+ * shapes. Dependences are not recorded: they derive from the srcs
+ * (Program::producers).
  */
 class Builder
 {
   public:
     explicit Builder(std::uint8_t algorithm) : algorithm_(algorithm) {}
-
-    std::uint32_t
-    newSlot(Shape shape)
-    {
-        shapes_.push_back(shape);
-        producer_.push_back(kNoProducer);
-        return static_cast<std::uint32_t>(shapes_.size() - 1);
-    }
 
     const Shape &shape(std::uint32_t slot) const { return shapes_[slot]; }
 
@@ -55,26 +47,15 @@ class Builder
     std::uint32_t
     emit(Instruction inst, Shape out_shape, std::uint32_t factor = 0)
     {
-        inst.dst = newSlot(out_shape);
+        inst.dst = static_cast<std::uint32_t>(shapes_.size());
+        shapes_.push_back(out_shape);
         inst.rows = static_cast<std::uint32_t>(out_shape.rows);
         inst.cols = static_cast<std::uint32_t>(out_shape.cols);
         inst.algorithm = algorithm_;
         inst.factor = factor;
         inst.phase = phase_;
-        // Sized once, so a spilled GATHER's deps take one exact block.
-        inst.deps.resize(inst.srcs.size());
-        std::size_t ndeps = 0;
-        for (std::uint32_t src : inst.srcs) {
-            const std::uint32_t p = producer_[src];
-            if (p != kNoProducer)
-                inst.deps[ndeps++] = p;
-        }
-        inst.deps.resize(ndeps);
-        const std::uint32_t dst = inst.dst;
         program_.instructions.push_back(std::move(inst));
-        producer_[dst] =
-            static_cast<std::uint32_t>(program_.instructions.size() - 1);
-        return dst;
+        return program_.instructions.back().dst;
     }
 
     /** Emit @p inst carrying @p payload (appended to the table). */
@@ -98,9 +79,6 @@ class Builder
         inst.cols = static_cast<std::uint32_t>(shapes_[slot].cols);
         inst.algorithm = algorithm_;
         inst.phase = phase_;
-        const std::uint32_t p = producer_[slot];
-        if (p != kNoProducer)
-            inst.deps.push_back(p);
         program_.instructions.push_back(std::move(inst));
     }
 
@@ -120,13 +98,10 @@ class Builder
     void setPhase(std::uint8_t phase) { phase_ = phase; }
 
   private:
-    static constexpr std::uint32_t kNoProducer = 0xffffffffu;
-
     Program program_;
     std::uint8_t algorithm_;
     std::uint8_t phase_ = 0;
     std::vector<Shape> shapes_;
-    std::vector<std::uint32_t> producer_;
 };
 
 /** Per-(key, component) LOADV cache so variables stream in once. */
@@ -585,12 +560,12 @@ lowerBackward(Builder &b, const fg::Values &values,
         Payload layout;
         if (phi_it != var_grad.end()) {
             inst.srcs.push_back(phi_it->second);
-            layout.placements.push_back({phi_it->second, 0, 0, false});
+            layout.placements.push_back({0, 0, false});
         }
         if (t_it != var_grad.end()) {
             inst.srcs.push_back(t_it->second);
             layout.placements.push_back(
-                {t_it->second, 0, static_cast<std::uint32_t>(tdim), false});
+                {0, static_cast<std::uint32_t>(tdim), false});
         }
         if (inst.srcs.empty())
             throw std::logic_error("codegen: missing pose grad");
@@ -717,7 +692,7 @@ class Elimination
                                std::size_t col, bool is_rhs) {
             gather.srcs[layout.placements.size()] = slot;
             layout.placements.push_back(
-                {slot, static_cast<std::uint32_t>(row),
+                {static_cast<std::uint32_t>(row),
                  static_cast<std::uint32_t>(col), is_rhs});
         };
         std::size_t nrows = 0;
@@ -866,7 +841,7 @@ lowerConstruction(Builder &b, VarSlots &vars, const fg::FactorGraph &graph,
             const std::uint32_t slot = state.nodeSlot[out];
             stack.srcs.push_back(slot);
             layout.placements.push_back(
-                {slot, static_cast<std::uint32_t>(row_offset), 0, true});
+                {static_cast<std::uint32_t>(row_offset), 0, true});
             row_offset += b.shape(slot).rows;
         }
         std::uint32_t error_slot =

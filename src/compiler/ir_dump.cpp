@@ -29,6 +29,7 @@ programToDot(const Program &program)
        << (program.name.empty() ? "program" : program.name) << "\" {\n"
        << "  rankdir=LR;\n"
        << "  node [fontsize=10, shape=box, style=filled];\n";
+    const std::vector<std::uint32_t> producers = program.producers();
     for (std::size_t i = 0; i < program.instructions.size(); ++i) {
         const Instruction &inst = program.instructions[i];
         os << "  i" << i << " [label=\"%" << i << " "
@@ -38,8 +39,9 @@ programToDot(const Program &program)
             os << "x" << inst.depth;
         os << " -> v" << inst.dst << "\", fillcolor="
            << phaseColor(inst.phase) << "];\n";
-        for (std::uint32_t dep : inst.deps)
+        forEachDep(inst, producers, [&](std::uint32_t dep) {
             os << "  i" << dep << " -> i" << i << ";\n";
+        });
     }
     os << "}\n";
     return os.str();

@@ -9,8 +9,8 @@ namespace orianna::comp {
 /**
  * Graphviz rendering of an instruction stream: one node per
  * instruction (opcode, shape, destination slot), one edge per slot
- * dependence (producer -> consumer, from the deps recorded by the
- * Builder/rewriteProgram). Nodes are coloured by phase — forward
+ * dependence (producer -> consumer, as the srcs imply them:
+ * Program::producers). Nodes are coloured by phase — forward
  * lowering, elimination and back-substitution — so the three bands of
  * a Gauss-Newton program are visible at a glance.
  */

@@ -177,6 +177,26 @@ Program::emptyPayload()
     return empty;
 }
 
+std::vector<std::uint32_t>
+Program::producers() const
+{
+    std::vector<std::uint32_t> producer(valueSlots, kNoProducer);
+    for (std::size_t i = 0; i < instructions.size(); ++i) {
+        const Instruction &inst = instructions[i];
+        if (inst.dst >= valueSlots)
+            throw std::logic_error("program: dst out of range");
+        for (std::uint32_t src : inst.srcs)
+            if (src >= valueSlots)
+                throw std::logic_error("program: src out of range");
+        if (inst.op == IsaOp::STORE)
+            continue;
+        if (producer[inst.dst] != kNoProducer)
+            throw std::logic_error("program: slot defined twice");
+        producer[inst.dst] = static_cast<std::uint32_t>(i);
+    }
+    return producer;
+}
+
 std::uint32_t
 Program::addPayload(Payload entry)
 {
@@ -199,7 +219,7 @@ Program::footprintBytes() const
                         payloads.capacity() * sizeof(Payload) +
                         deltas.capacity() * sizeof(DeltaBinding);
     for (const Instruction &inst : instructions)
-        bytes += inst.srcs.spillBytes() + inst.deps.spillBytes();
+        bytes += inst.srcs.spillBytes();
     for (const Payload &entry : payloads)
         bytes += entry.heapBytes();
     return bytes;
@@ -217,6 +237,7 @@ Program::opHistogram() const
 std::string
 Program::str() const
 {
+    const std::vector<std::uint32_t> producer = producers();
     std::ostringstream os;
     os << "program " << name << " (" << instructions.size()
        << " instructions, " << valueSlots << " slots)\n";
@@ -232,11 +253,11 @@ Program::str() const
             for (std::uint32_t s : inst.srcs)
                 os << " v" << s;
         }
-        if (!inst.deps.empty()) {
-            os << " deps";
-            for (std::uint32_t d : inst.deps)
-                os << " %" << d;
-        }
+        const char *sep = " deps";
+        forEachDep(inst, producer, [&](std::uint32_t d) {
+            os << sep << " %" << d;
+            sep = "";
+        });
         os << "\n";
     }
     return os.str();

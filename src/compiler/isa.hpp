@@ -107,17 +107,16 @@ enum class VarComponent : std::uint8_t {
     Whole,       //!< A plain vector variable.
 };
 
-/** One placement of a GATHER: copy a block into the dense [A|b]. */
+/** Placement k of a GATHER/GSCALE copies srcs[k] into the [A|b]. */
 struct GatherPlacement
 {
-    std::uint32_t src = 0;      //!< Value slot holding the block.
     std::uint32_t rowBegin = 0; //!< Destination row offset.
     std::uint32_t colBegin = 0; //!< Destination column offset.
     bool isRhs = false; //!< Source is a vector going to the b column.
 };
 
 /**
- * The srcs or deps of one instruction. Up to kInline entries live in
+ * The srcs of one instruction. Up to kInline entries live in
  * the list itself, so the common instruction owns no heap memory;
  * longer lists (GATHER, GSCALE) spill to one heap block. Element
  * access is bounds-checked in builds with assertions.
@@ -248,12 +247,13 @@ struct Payload
 };
 
 /**
- * One ORIANNA instruction: a fixed 80-byte record. Operands address a
+ * One ORIANNA instruction: a fixed 64-byte record. Operands address a
  * flat value table whose slots are assigned statically by the
- * compiler; `deps` lists the producing instructions (the data-flow
- * edges the out-of-order scheduler honours, Sec. 6.3). Op-specific
- * payloads (constants, camera, SDF map, hinge eps, gather layout)
- * live in the owning Program's payload table (Program::payload).
+ * compiler; the data-flow edges the out-of-order scheduler honours
+ * (Sec. 6.3) are not stored but derived from the srcs
+ * (Program::producers, forEachDep). Op-specific payloads (constants,
+ * camera, SDF map, hinge eps, gather layout) live in the owning
+ * Program's payload table (Program::payload).
  */
 struct Instruction
 {
@@ -265,7 +265,6 @@ struct Instruction
     bool extractVector = false; //!< EXTRACT a single column as a vector.
     std::uint32_t dst = 0;
     OperandList srcs;
-    OperandList deps;
 
     // Shape of the produced value (latency / energy model input).
     std::uint32_t rows = 0;
@@ -280,11 +279,14 @@ struct Instruction
     Key key = 0; //!< LOADV variable.
 };
 
-static_assert(sizeof(GatherPlacement) == 16);
+static_assert(sizeof(GatherPlacement) == 12);
 static_assert(sizeof(OperandList) == 16);
-static_assert(sizeof(Instruction) <= 80,
+static_assert(sizeof(Instruction) <= 64,
               "instruction records stay small: payloads belong in "
               "Program::payloads");
+
+/** producers() entry of a slot no instruction defines. */
+constexpr std::uint32_t kNoProducer = 0xffffffffu;
 
 /** Result binding: which slot holds delta for which variable. */
 struct DeltaBinding
@@ -322,6 +324,15 @@ struct Program
                                  : payloads[inst.payload - 1];
     }
 
+    /**
+     * The instruction defining each slot (kNoProducer if none; a
+     * STORE defines nothing): the data-flow edges of Sec. 6.3 run
+     * from the producers of an instruction's srcs (forEachDep).
+     * @throws std::logic_error on a src or dst at or above
+     *         valueSlots, or a slot two instructions define.
+     */
+    std::vector<std::uint32_t> producers() const;
+
     /** Append @p entry to the payload table; returns its index. */
     std::uint32_t addPayload(Payload entry);
 
@@ -343,5 +354,19 @@ struct Program
     /** The payload of an instruction that has none. */
     static const Payload &emptyPayload();
 };
+
+/**
+ * Call @p fn with the producer of each src of @p inst that has one,
+ * in srcs order, repeats included: its dependences.
+ */
+template <typename Fn>
+void
+forEachDep(const Instruction &inst,
+           const std::vector<std::uint32_t> &producers, Fn &&fn)
+{
+    for (std::uint32_t src : inst.srcs)
+        if (producers[src] != kNoProducer)
+            fn(producers[src]);
+}
 
 } // namespace orianna::comp

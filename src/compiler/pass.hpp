@@ -35,11 +35,11 @@ struct PassStats
  *    input, and must not execute more MACs than before (the
  *    PassManager's verification hook enforces both on a probe input);
  *  - the rewritten program must be well formed: SSA slots (each slot
- *    written by exactly one instruction before any use), deps naming
- *    the producing instruction of every src, compact slot numbering,
- *    and a compact payload table (every entry referenced by exactly
- *    one instruction). Passes built on rewriteProgram() get this for
- *    free;
+ *    written by exactly one instruction before any use), compact slot
+ *    numbering, and a compact payload table (every entry referenced
+ *    by exactly one instruction). Passes built on rewriteProgram()
+ *    get this for free. Dependences are not stored: they derive from
+ *    the srcs (Program::producers), so a pass never maintains them;
  *  - run() must be deterministic and stateless (one pass object may
  *    be shared by concurrent compiles).
  */
@@ -63,13 +63,12 @@ class Pass
  *
  * Compacts @p program in place, keeping instruction order:
  * instructions with @p drop set are removed and the survivors moved
- * down (never copied), every operand (srcs, gather placements, delta
- * bindings) is first redirected through @p slot_remap (indexed by
- * slot: old dst slot -> replacement dst slot, for merge-style passes;
- * identity for unmerged slots, or empty when nothing merges), value
- * slots are renumbered compactly in definition order, and deps are
- * rebuilt from the surviving producers. The payload table keeps only
- * the survivors' entries, in instruction order, so no entry of a
+ * down (never copied), every operand (srcs, delta bindings) is first
+ * redirected through @p slot_remap (indexed by slot: old dst slot ->
+ * replacement dst slot, for merge-style passes; identity for
+ * unmerged slots, or empty when nothing merges), and value slots are
+ * renumbered compactly in definition order. The payload table keeps
+ * only the survivors' entries, in instruction order, so no entry of a
  * dropped instruction (or no entry at all) is left behind. @p drop
  * has one entry per instruction; slots are compact, so every slot is
  * below valueSlots.
@@ -81,8 +80,9 @@ class Pass
  *         binding) reads a slot with no surviving producer — the
  *         use-of-undefined-slot detection the pipeline relies on to
  *         reject a broken pass immediately — when a surviving STORE
- *         has no source, or when a surviving payload index is out of
- *         range or shared by two survivors.
+ *         has no source, when two survivors define one slot, or when
+ *         a surviving payload index is out of range or shared by two
+ *         survivors.
  */
 void rewriteProgram(Program &program, const std::vector<bool> &drop,
                     const std::vector<std::uint32_t> &slot_remap);

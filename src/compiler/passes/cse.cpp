@@ -78,9 +78,6 @@ class CsePass final : public Pass
         std::vector<bool> drop(n, false);
         std::vector<std::uint32_t> slot_remap(program.valueSlots);
         std::iota(slot_remap.begin(), slot_remap.end(), 0u);
-        auto resolve = [&](std::uint32_t slot) {
-            return slot_remap[slot];
-        };
 
         // First occurrence wins: later duplicates read its slot.
         std::unordered_map<std::string, std::uint32_t> seen;
@@ -98,7 +95,7 @@ class CsePass final : public Pass
             kb.value(static_cast<std::uint8_t>(inst.op));
             kb.value(static_cast<std::uint32_t>(inst.srcs.size()));
             for (std::uint32_t src : inst.srcs)
-                kb.value(resolve(src));
+                kb.value(slot_remap[src]);
             kb.value(inst.rows);
             kb.value(inst.cols);
             kb.value(inst.depth);
@@ -121,7 +118,6 @@ class CsePass final : public Pass
             kb.value(
                 static_cast<std::uint32_t>(payload.placements.size()));
             for (const GatherPlacement &p : payload.placements) {
-                kb.value(resolve(p.src));
                 kb.value(p.rowBegin);
                 kb.value(p.colBegin);
                 kb.value(static_cast<std::uint8_t>(p.isRhs));

@@ -1,5 +1,7 @@
 #include "compiler/passes/passes.hpp"
 
+#include <algorithm>
+
 namespace orianna::comp::passes {
 
 namespace {
@@ -20,47 +22,30 @@ class DeadCodeEliminationPass final : public Pass
     {
         const auto &instrs = program.instructions;
         const std::size_t n = instrs.size();
+        const std::vector<std::uint32_t> producer = program.producers();
 
-        // producer[slot] = instruction index defining it.
-        std::vector<std::size_t> producer(program.valueSlots, SIZE_MAX);
-        for (std::size_t i = 0; i < n; ++i)
-            if (instrs[i].op != IsaOp::STORE)
-                producer[instrs[i].dst] = i;
-
-        // Liveness from the STORE roots.
-        std::vector<bool> live(n, false);
+        // Liveness from the STORE roots, along the dependences:
+        // everything not reached is dropped.
+        std::vector<bool> drop(n, true);
         std::vector<std::size_t> worklist;
         for (std::size_t i = 0; i < n; ++i) {
             if (instrs[i].op == IsaOp::STORE) {
-                live[i] = true;
+                drop[i] = false;
                 worklist.push_back(i);
             }
         }
         while (!worklist.empty()) {
             const std::size_t i = worklist.back();
             worklist.pop_back();
-            auto visit = [&](std::uint32_t src) {
-                const std::size_t p = producer[src];
-                if (p != SIZE_MAX && !live[p]) {
-                    live[p] = true;
+            forEachDep(instrs[i], producer, [&](std::uint32_t p) {
+                if (drop[p]) {
+                    drop[p] = false;
                     worklist.push_back(p);
                 }
-            };
-            for (std::uint32_t src : instrs[i].srcs)
-                visit(src);
-            for (const GatherPlacement &p :
-                 program.payload(instrs[i]).placements)
-                visit(p.src);
+            });
         }
-
-        std::vector<bool> drop(n, false);
-        std::size_t removed = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!live[i]) {
-                drop[i] = true;
-                ++removed;
-            }
-        }
+        const auto removed = static_cast<std::size_t>(
+            std::count(drop.begin(), drop.end(), true));
         if (removed > 0)
             rewriteProgram(program, drop, {});
         return removed;

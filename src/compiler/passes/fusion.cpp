@@ -38,24 +38,17 @@ class PeepholeFusionPass final : public Pass
         auto &instrs = program.instructions;
         const std::size_t n = instrs.size();
 
-        // References to each slot, from operands, gather placements
-        // and delta bindings. A producer fuses only when its sole
-        // reference is the consumer being rewritten.
+        // References to each slot, from operands and delta bindings.
+        // A producer fuses only when its sole reference is the
+        // consumer being rewritten.
         std::vector<std::size_t> uses(program.valueSlots, 0);
-        for (const Instruction &inst : instrs) {
+        for (const Instruction &inst : instrs)
             for (std::uint32_t src : inst.srcs)
                 ++uses[src];
-            for (const GatherPlacement &p : program.payload(inst).placements)
-                ++uses[p.src];
-        }
         for (const DeltaBinding &binding : program.deltas)
             ++uses[binding.slot];
 
-        std::vector<std::size_t> producer(program.valueSlots,
-                                          SIZE_MAX);
-        for (std::size_t i = 0; i < n; ++i)
-            if (instrs[i].op != IsaOp::STORE)
-                producer[instrs[i].dst] = i;
+        const std::vector<std::uint32_t> producer = program.producers();
 
         std::vector<bool> drop(n, false);
         std::size_t fused = 0;
@@ -63,8 +56,8 @@ class PeepholeFusionPass final : public Pass
             Instruction &inst = instrs[i];
             if (inst.op == IsaOp::SCALER) {
                 const std::uint32_t src = inst.srcs[0];
-                const std::size_t p = producer[src];
-                if (p == SIZE_MAX || drop[p] || uses[src] != 1)
+                const std::uint32_t p = producer[src];
+                if (p == kNoProducer || drop[p] || uses[src] != 1)
                     continue;
                 Instruction &gather = instrs[p];
                 if (gather.op != IsaOp::GATHER)
@@ -80,8 +73,8 @@ class PeepholeFusionPass final : public Pass
                 ++fused;
             } else if (inst.op == IsaOp::VSUB) {
                 const std::uint32_t src = inst.srcs[1];
-                const std::size_t p = producer[src];
-                if (p == SIZE_MAX || drop[p] || uses[src] != 1)
+                const std::uint32_t p = producer[src];
+                if (p == kNoProducer || drop[p] || uses[src] != 1)
                     continue;
                 const Instruction &mv = instrs[p];
                 if (mv.op != IsaOp::MV && mv.op != IsaOp::RV)

@@ -62,8 +62,6 @@ rewriteProgram(Program &program, const std::vector<bool> &drop,
             referenced[inst.payload - 1] = true;
             ++kept_entries;
         }
-        for (const GatherPlacement &p : program.payload(inst).placements)
-            finalSlot(p.src);
         if (inst.op == IsaOp::STORE) {
             if (inst.srcs.empty())
                 throw std::logic_error(
@@ -73,23 +71,20 @@ rewriteProgram(Program &program, const std::vector<bool> &drop,
                 throw std::logic_error(
                     "rewriteProgram: definition of an out-of-range "
                     "slot");
+            if (new_slot[inst.dst] != kUndefined)
+                throw std::logic_error(
+                    "rewriteProgram: slot defined twice");
             new_slot[inst.dst] = defined++;
         }
     }
     for (const DeltaBinding &binding : program.deltas)
         finalSlot(binding.slot);
 
-    // Compact in place, renumbering in the same definition order (so
-    // finalSlot() resolves exactly as it did above and cannot throw):
-    // operands through the remap onto the compact numbering, deps from
-    // the surviving producers, survivors moved down over the dropped
-    // instructions, and their payload entries moved, in instruction
-    // order, into a table that holds nothing else.
-    std::fill(new_slot.begin(), new_slot.end(), kUndefined);
-    // producer[new slot] = index of its defining instruction after
-    // compaction.
-    std::vector<std::uint32_t> producer;
-    producer.reserve(defined);
+    // Compact in place with that numbering (finalSlot() cannot throw
+    // now): operands through the remap onto the compact numbering,
+    // survivors moved down over the dropped instructions, and their
+    // payload entries moved, in instruction order, into a table that
+    // holds nothing else.
     std::vector<Payload> payloads;
     payloads.reserve(kept_entries);
     std::size_t out = 0;
@@ -97,25 +92,14 @@ rewriteProgram(Program &program, const std::vector<bool> &drop,
         if (drop[i])
             continue;
         Instruction &inst = instrs[i];
-        inst.deps.resize(inst.srcs.size());
-        for (std::size_t k = 0; k < inst.srcs.size(); ++k) {
-            inst.srcs[k] = finalSlot(inst.srcs[k]);
-            inst.deps[k] = producer[inst.srcs[k]];
-        }
+        for (std::uint32_t &src : inst.srcs)
+            src = finalSlot(src);
         if (inst.payload != 0) {
             payloads.push_back(std::move(program.payloads[inst.payload - 1]));
             inst.payload = static_cast<std::uint32_t>(payloads.size());
-            for (GatherPlacement &p : payloads.back().placements)
-                p.src = finalSlot(p.src);
         }
-        if (inst.op == IsaOp::STORE) {
-            inst.dst = inst.srcs[0];
-        } else {
-            const auto slot = static_cast<std::uint32_t>(producer.size());
-            producer.push_back(static_cast<std::uint32_t>(out));
-            new_slot[inst.dst] = slot;
-            inst.dst = slot;
-        }
+        inst.dst = inst.op == IsaOp::STORE ? inst.srcs[0]
+                                           : new_slot[inst.dst];
         if (out != i)
             instrs[out] = std::move(inst);
         ++out;
@@ -123,7 +107,7 @@ rewriteProgram(Program &program, const std::vector<bool> &drop,
     instrs.erase(instrs.begin() + static_cast<std::ptrdiff_t>(out),
                  instrs.end());
     program.payloads = std::move(payloads);
-    program.valueSlots = producer.size();
+    program.valueSlots = defined;
     for (DeltaBinding &binding : program.deltas)
         binding.slot = finalSlot(binding.slot);
 }

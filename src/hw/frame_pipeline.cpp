@@ -42,15 +42,19 @@ FramePipeline::FramePipeline(std::vector<PeriodicStream> streams,
             throw std::invalid_argument(
                 "FramePipeline: rate must be positive");
 
-    // The dependence adjacency shared by all of a stream's frames.
+    // The dependence adjacency shared by all of a stream's frames,
+    // from the dependences the srcs imply.
     dependents_.resize(streams_.size());
     for (std::size_t s = 0; s < streams_.size(); ++s) {
-        const auto &instrs = streams_[s].program->instructions;
+        const comp::Program &program = *streams_[s].program;
+        const std::vector<std::uint32_t> producers = program.producers();
+        const auto &instrs = program.instructions;
         dependents_[s].resize(instrs.size());
         for (std::size_t j = 0; j < instrs.size(); ++j)
-            for (std::uint32_t dep : instrs[j].deps)
+            comp::forEachDep(instrs[j], producers, [&](std::uint32_t dep) {
                 dependents_[s][dep].push_back(
                     static_cast<std::uint32_t>(j));
+            });
     }
 }
 
@@ -119,14 +123,10 @@ FramePipeline::run(double horizon_s)
 
     std::vector<std::uint32_t> pending(total, 0);
     std::vector<bool> issued(total, false);
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-        const Frame &frame = frames[i];
-        const auto &instrs =
-            streams_[frame.stream].program->instructions;
-        for (std::size_t j = 0; j < instrs.size(); ++j)
-            pending[frame.firstInstr + j] =
-                static_cast<std::uint32_t>(instrs[j].deps.size());
-    }
+    for (const Frame &frame : frames)
+        for (const auto &users : dependents_[frame.stream])
+            for (std::uint32_t j : users)
+                ++pending[frame.firstInstr + j];
 
     // Gate: a frame may start only after the previous frame of the
     // same stream completed.

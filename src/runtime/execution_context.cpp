@@ -73,6 +73,8 @@ struct ExecutionContext::Live
     /** Global index -> (work item, local instruction index). */
     std::vector<std::uint32_t> orderWork;
     std::vector<std::uint32_t> orderIndex;
+    /** Program::producers() of each work item. */
+    std::vector<std::vector<std::uint32_t>> producers;
     std::vector<std::uint32_t> depCount; //!< Static producer counts.
     /** CSR dependents adjacency over global indices. */
     std::vector<std::uint32_t> dependentsBegin;
@@ -143,30 +145,29 @@ ExecutionContext::Live::Live(std::vector<const comp::Program *> programs_in,
     dynamicNj.resize(total);
     words.resize(total);
     wordEnergyScale.resize(programs.size());
+    producers.resize(programs.size());
+    // Dependents adjacency in CSR form, from the dependences the
+    // srcs imply (they are intra-program): counts first.
+    dependentsBegin.assign(total + 1, 0);
     for (std::size_t w = 0; w < programs.size(); ++w) {
         const comp::Precision precision = programs[w]->precision;
         wordEnergyScale[w] = CostModel::wordEnergyScale(precision);
+        producers[w] = programs[w]->producers();
         const auto &instrs = programs[w]->instructions;
         for (std::size_t i = 0; i < instrs.size(); ++i) {
             const std::size_t g = base[w] + i;
             const Instruction &inst = instrs[i];
             orderWork[g] = static_cast<std::uint32_t>(w);
             orderIndex[g] = static_cast<std::uint32_t>(i);
-            depCount[g] = static_cast<std::uint32_t>(inst.deps.size());
+            comp::forEachDep(inst, producers[w], [&](std::uint32_t dep) {
+                ++depCount[g];
+                ++dependentsBegin[base[w] + dep + 1];
+            });
             unitKind[g] = static_cast<std::uint8_t>(hw::unitFor(inst.op));
             latency[g] = CostModel::latency(inst, precision);
             dynamicNj[g] = CostModel::dynamicEnergyNj(inst, precision);
             words[g] = hw::instructionWords(inst);
         }
-    }
-
-    // Dependents adjacency in CSR form (deps are intra-program).
-    dependentsBegin.assign(total + 1, 0);
-    for (std::size_t g = 0; g < total; ++g) {
-        const Instruction &inst =
-            programs[orderWork[g]]->instructions[orderIndex[g]];
-        for (std::uint32_t dep : inst.deps)
-            ++dependentsBegin[base[orderWork[g]] + dep + 1];
     }
     for (std::size_t g = 0; g < total; ++g)
         dependentsBegin[g + 1] += dependentsBegin[g];
@@ -174,11 +175,12 @@ ExecutionContext::Live::Live(std::vector<const comp::Program *> programs_in,
     std::vector<std::uint32_t> fill(dependentsBegin.begin(),
                                     dependentsBegin.end() - 1);
     for (std::size_t g = 0; g < total; ++g) {
-        const Instruction &inst =
-            programs[orderWork[g]]->instructions[orderIndex[g]];
-        for (std::uint32_t dep : inst.deps)
-            dependents[fill[base[orderWork[g]] + dep]++] =
-                static_cast<std::uint32_t>(g);
+        const std::size_t w = orderWork[g];
+        comp::forEachDep(programs[w]->instructions[orderIndex[g]],
+                         producers[w], [&](std::uint32_t dep) {
+                             dependents[fill[base[w] + dep]++] =
+                                 static_cast<std::uint32_t>(g);
+                         });
     }
 }
 
@@ -316,7 +318,7 @@ ExecutionContext::Live::schedule(const hw::AcceleratorConfig &config,
             (static_cast<UnitKind>(unitKind[g]) == UnitKind::Dma
                  ? dram
                  : buffer);
-        for (std::uint32_t dep : inst.deps) {
+        comp::forEachDep(inst, producers[w], [&](std::uint32_t dep) {
             const std::size_t producer = base[w] + dep;
             const bool spilled =
                 !config.outOfOrder &&
@@ -325,7 +327,7 @@ ExecutionContext::Live::schedule(const hw::AcceleratorConfig &config,
                 wordEnergyScale[w] *
                 static_cast<double>(words[producer]) *
                 (spilled ? 2.0 * dram : buffer);
-        }
+        });
     };
 
     auto complete = [&](std::size_t g) {

@@ -109,9 +109,10 @@ TEST(Codegen, InstructionStreamStructure)
     EXPECT_EQ(program.deltas.size(), 4u);
 
     // Dependences reference earlier instructions only.
+    const std::vector<std::uint32_t> producers = program.producers();
     for (std::size_t i = 0; i < program.instructions.size(); ++i)
-        for (std::uint32_t dep : program.instructions[i].deps)
-            EXPECT_LT(dep, i);
+        comp::forEachDep(program.instructions[i], producers,
+                         [&](std::uint32_t dep) { EXPECT_LT(dep, i); });
 }
 
 TEST(OperandList, SpillsPastThreeEntriesAndComesBackInline)
@@ -413,6 +414,54 @@ TEST(CompileUpdate, ReferenceToAnUnbuiltCarryThrows)
     EXPECT_THROW(comp::compileUpdate(spec), std::out_of_range);
 }
 
+TEST(Program, ProducersDeriveTheDependences)
+{
+    // Slot 4 has no producer (only hand-built programs have one),
+    // slot 1 is read twice, and the STORE defines nothing.
+    Program program;
+    program.valueSlots = 5;
+    comp::Instruction load;
+    load.op = IsaOp::LOADV;
+    load.dst = 1;
+    comp::Instruction twice;
+    twice.op = IsaOp::VADD;
+    twice.dst = 2;
+    twice.srcs = {1, 1};
+    comp::Instruction partial;
+    partial.op = IsaOp::VSUB;
+    partial.dst = 3;
+    partial.srcs = {4, 2};
+    comp::Instruction store;
+    store.op = IsaOp::STORE;
+    store.dst = 3;
+    store.srcs = {3};
+    program.instructions = {load, twice, partial, store};
+
+    const std::vector<std::uint32_t> producers = program.producers();
+    EXPECT_EQ(producers, (std::vector<std::uint32_t>{
+                             comp::kNoProducer, 0, 1, 2,
+                             comp::kNoProducer}));
+    std::vector<std::vector<std::uint32_t>> deps;
+    for (const comp::Instruction &inst : program.instructions) {
+        deps.emplace_back();
+        comp::forEachDep(inst, producers, [&](std::uint32_t dep) {
+            deps.back().push_back(dep);
+        });
+    }
+    EXPECT_EQ(deps, (std::vector<std::vector<std::uint32_t>>{
+                        {}, {0, 0}, {1}, {2}}));
+
+    Program bad = program;
+    bad.valueSlots = 3; // The VSUB's dst and src 4 fall outside.
+    EXPECT_THROW(bad.producers(), std::logic_error);
+    bad = program;
+    bad.instructions[2].dst = 1; // Defined twice.
+    EXPECT_THROW(bad.producers(), std::logic_error);
+    bad = program;
+    bad.instructions[1].srcs = {1, 5};
+    EXPECT_THROW(bad.producers(), std::logic_error);
+}
+
 TEST(Program, Fig11LevelParallelism)
 {
     // The Equ. 3 between-factor DFG must expose instruction-level
@@ -429,11 +478,14 @@ TEST(Program, Fig11LevelParallelism)
     const Program program = comp::compileGraph(graph, values);
 
     // Level-schedule the instructions by dependence depth.
+    const std::vector<std::uint32_t> producers = program.producers();
     std::vector<std::size_t> level(program.instructions.size(), 0);
     std::map<std::size_t, std::size_t> width;
     for (std::size_t i = 0; i < program.instructions.size(); ++i) {
-        for (std::uint32_t dep : program.instructions[i].deps)
-            level[i] = std::max(level[i], level[dep] + 1);
+        comp::forEachDep(program.instructions[i], producers,
+                         [&](std::uint32_t dep) {
+                             level[i] = std::max(level[i], level[dep] + 1);
+                         });
         ++width[level[i]];
     }
     std::size_t max_width = 0;

@@ -82,9 +82,10 @@ TEST(Optimize, MergesConstantsAndShrinksProgram)
     EXPECT_LE(optimized.valueSlots, original.valueSlots);
 
     // Dependences stay well formed.
+    const std::vector<std::uint32_t> producers = optimized.producers();
     for (std::size_t i = 0; i < optimized.instructions.size(); ++i)
-        for (std::uint32_t dep : optimized.instructions[i].deps)
-            EXPECT_LT(dep, i);
+        comp::forEachDep(optimized.instructions[i], producers,
+                         [&](std::uint32_t dep) { EXPECT_LT(dep, i); });
 }
 
 TEST(Optimize, PreservesSemantics)
@@ -122,7 +123,6 @@ TEST(Optimize, RemovesUnreachableWork)
     dead.op = IsaOp::NEG;
     dead.srcs = {0};
     dead.dst = 1;
-    dead.deps = {0};
     dead.rows = 2;
     dead.cols = 1;
     program.instructions.push_back(dead); // Result never stored.
@@ -131,7 +131,6 @@ TEST(Optimize, RemovesUnreachableWork)
     live.op = IsaOp::VADD;
     live.srcs = {0, 0};
     live.dst = 2;
-    live.deps = {0, 0};
     live.rows = 2;
     live.cols = 1;
     program.instructions.push_back(live);
@@ -140,7 +139,6 @@ TEST(Optimize, RemovesUnreachableWork)
     store.op = IsaOp::STORE;
     store.srcs = {2};
     store.dst = 2;
-    store.deps = {2};
     program.instructions.push_back(store);
     program.deltas.push_back({7, 2});
 
@@ -191,7 +189,6 @@ TEST(Optimize, ProgramWithoutStoresIsEntirelyDead)
     neg.op = IsaOp::NEG;
     neg.srcs = {0};
     neg.dst = 1;
-    neg.deps = {0};
     neg.rows = 2;
     neg.cols = 1;
     program.instructions.push_back(neg);
@@ -225,7 +222,6 @@ TEST(Optimize, MergesLoadsThatDifferOnlyInSlot)
     add.op = IsaOp::VADD;
     add.srcs = {0, 1};
     add.dst = 2;
-    add.deps = {0, 1};
     add.rows = 2;
     add.cols = 1;
     program.instructions.push_back(add);
@@ -234,7 +230,6 @@ TEST(Optimize, MergesLoadsThatDifferOnlyInSlot)
     store.op = IsaOp::STORE;
     store.srcs = {2};
     store.dst = 2;
-    store.deps = {2};
     program.instructions.push_back(store);
     program.deltas.push_back({3, 2});
 
@@ -330,11 +325,29 @@ TEST(Optimize, RewriteDetectsUseOfUndefinedSlot)
     // sized for another program, or a definition beyond valueSlots.
     expectRejectedUntouched(delta_only, {false, false});
     expectRejectedUntouched(delta_only, {false, false, false}, {0});
+    // The encoder rejects that definition as well (it derives deps
+    // from Program::producers), so the program is compared field by
+    // field.
     Program out_of_range;
     out_of_range.valueSlots = 1;
     out_of_range.instructions.push_back(
         loadConstant(out_of_range, 1, 1.0));
-    expectRejectedUntouched(out_of_range, {false});
+    EXPECT_THROW(comp::encodeProgram(out_of_range), std::logic_error);
+    EXPECT_THROW(comp::rewriteProgram(out_of_range, {false}, {}),
+                 std::logic_error);
+    ASSERT_EQ(out_of_range.instructions.size(), 1u);
+    EXPECT_EQ(out_of_range.instructions[0].dst, 1u);
+    EXPECT_EQ(out_of_range.instructions[0].payload, 1u);
+    ASSERT_EQ(out_of_range.payloads.size(), 1u);
+    EXPECT_EQ(out_of_range.payloads[0].constVec.size(), 1u);
+    EXPECT_EQ(out_of_range.valueSlots, 1u);
+
+    // Two survivors defining one slot break SSA; the encoder rejects
+    // that program too, so only the throw is checked.
+    Program twice = delta_only;
+    twice.instructions[1].dst = 0;
+    EXPECT_THROW(comp::rewriteProgram(twice, {false, false, false}, {}),
+                 std::logic_error);
 
     // Payload indices must name an entry of the table (an index past
     // it cannot be encoded, so only the throw is checked), each entry

@@ -317,12 +317,12 @@ TEST(ExecutionContext, DeadlockOnCircularDependencesIsDiagnosed)
     comp::Instruction a;
     a.op = comp::IsaOp::VADD;
     a.dst = 0;
-    a.deps = {1};
+    a.srcs = {1}; // Produced by b.
     a.rows = 3;
     comp::Instruction b;
     b.op = comp::IsaOp::VADD;
     b.dst = 1;
-    b.deps = {0};
+    b.srcs = {0}; // Produced by a.
     b.rows = 3;
     program.instructions = {a, b};
 
