@@ -1,5 +1,6 @@
 #include "runtime/engine.hpp"
 
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -237,13 +238,11 @@ Engine::compileCached(std::uint64_t key, const std::string &name,
                       const fg::Values *probe,
                       const std::function<comp::Program()> &build)
 {
-    Shard &s = shard(key);
-
-    // Fast path: shared lock, no contention between readers.
+    std::promise<std::shared_ptr<const comp::Program>> promise;
     {
-        std::shared_lock lock(s.mutex);
-        auto it = s.cache.find(key);
-        if (it != s.cache.end()) {
+        std::unique_lock lock(mutex_);
+        const auto [it, claimed] = cache_.try_emplace(key);
+        if (!claimed) {
             auto future = it->second;
             lock.unlock();
             cacheHits_.fetch_add(1, std::memory_order_relaxed);
@@ -262,33 +261,12 @@ Engine::compileCached(std::uint64_t key, const std::string &name,
                         .observe(wait.elapsedUs());
                     return program;
                 }
-                return future.get();
             }
             // Blocks only while the single-flight compile is still
             // running; afterwards this is a plain read.
             return future.get();
         }
-    }
-
-    // Miss: take the write lock just long enough to claim the key.
-    std::promise<std::shared_ptr<const comp::Program>> promise;
-    std::shared_future<std::shared_ptr<const comp::Program>> future;
-    {
-        std::unique_lock lock(s.mutex);
-        auto it = s.cache.find(key);
-        if (it != s.cache.end()) {
-            // Lost the race: someone claimed it between our locks.
-            auto other = it->second;
-            lock.unlock();
-            cacheHits_.fetch_add(1, std::memory_order_relaxed);
-            if (MetricsRegistry::enabled())
-                MetricsRegistry::global()
-                    .counter("engine.cache_hits")
-                    .add();
-            return other.get();
-        }
-        future = promise.get_future().share();
-        s.cache.emplace(key, future);
+        it->second = promise.get_future().share();
     }
 
     // Persistent tier, consulted inside the claimed single-flight
@@ -357,7 +335,7 @@ Engine::compileCached(std::uint64_t key, const std::string &name,
             }
         }
         {
-            std::lock_guard lock(logMutex_);
+            std::lock_guard lock(mutex_);
             log_.push_back({name, key, compiled->instructions.size(),
                             codegen_us, pass_stats});
         }
@@ -379,8 +357,8 @@ Engine::compileCached(std::uint64_t key, const std::string &name,
         // Propagate to every waiter, then drop the entry so a later
         // request retries instead of caching the failure forever.
         promise.set_exception(std::current_exception());
-        std::unique_lock lock(s.mutex);
-        s.cache.erase(key);
+        std::lock_guard lock(mutex_);
+        cache_.erase(key);
         throw;
     }
 }
@@ -389,8 +367,8 @@ void
 Engine::trackCached(const std::shared_ptr<const comp::Program> &program)
 {
     {
-        std::lock_guard lock(plansMutex_);
-        plans_.try_emplace(program, std::make_shared<PlanSlot>());
+        std::lock_guard lock(mutex_);
+        plans_.try_emplace(program);
     }
     const std::size_t footprint = program->footprintBytes();
     const std::size_t bytes =
@@ -409,39 +387,47 @@ Engine::plan(const std::shared_ptr<const comp::Program> &program)
     for (unsigned count : config_.units)
         if (count == 0)
             return nullptr;
-    std::shared_ptr<PlanSlot> slot;
+    std::promise<std::shared_ptr<const FramePlan>> promise;
     {
-        std::lock_guard lock(plansMutex_);
+        std::unique_lock lock(mutex_);
         const auto it = plans_.find(program);
         if (it == plans_.end())
             return nullptr;
-        slot = it->second;
+        if (it->second.valid()) {
+            auto future = it->second;
+            lock.unlock();
+            return future.get();
+        }
+        it->second = promise.get_future().share();
     }
-    std::lock_guard build(slot->mutex);
-    if (slot->plan == nullptr) {
-        slot->plan = ExecutionContext::schedule({program.get()}, config_);
+    try {
+        auto built = ExecutionContext::schedule({program.get()}, config_);
         plansBuilt_.fetch_add(1, std::memory_order_relaxed);
         if (MetricsRegistry::enabled())
             MetricsRegistry::global().counter("engine.plans_built").add();
+        promise.set_value(built);
+        return built;
+    } catch (...) {
+        // Like a failed compile: every waiter gets the error, and the
+        // slot is reset so a later request builds again.
+        promise.set_exception(std::current_exception());
+        std::lock_guard lock(mutex_);
+        plans_[program] = {};
+        throw;
     }
-    return slot->plan;
 }
 
 std::size_t
 Engine::cachedPrograms() const
 {
-    std::size_t total = 0;
-    for (const Shard &s : shards_) {
-        std::shared_lock lock(s.mutex);
-        total += s.cache.size();
-    }
-    return total;
+    std::lock_guard lock(mutex_);
+    return cache_.size();
 }
 
 std::vector<Engine::CompileRecord>
 Engine::compileLog() const
 {
-    std::lock_guard lock(logMutex_);
+    std::lock_guard lock(mutex_);
     return log_;
 }
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -9,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -98,25 +96,6 @@ struct EngineHealth
     std::atomic<std::uint64_t> failures{0}; //!< Frames that threw.
 };
 
-/**
- * The long-lived serving half of the runtime: owns an accelerator
- * configuration and a cache of compiled Programs keyed by graph
- * fingerprint. Sessions opened against the engine share cached
- * programs and each program's frame plan (its schedule, built once);
- * each session holds only its private mutable Values and a reusable
- * ExecutionContext, which is the shape needed to serve many
- * concurrent robot streams from one compiled artifact set.
- *
- * Thread safety: every public method may be called from any number of
- * threads concurrently (the ServerPool drives one Engine from all its
- * workers). The program cache is sharded by fingerprint — each shard
- * has its own reader/writer lock, so lookups of different programs
- * never contend — and compilation is single-flight: N clients
- * requesting the same fingerprint at once trigger exactly one
- * compile, with the others blocking on the shared future until the
- * program lands. Plans are single-flight the same way, per program.
- * Stats are atomic counters.
- */
 /** Compile-side knobs of an Engine (the pass pipeline). */
 struct EngineOptions
 {
@@ -172,6 +151,25 @@ struct EngineOptions
 
 class ProgramStore;
 
+/**
+ * The long-lived serving half of the runtime: owns an accelerator
+ * configuration and a cache of compiled Programs keyed by graph
+ * fingerprint. Sessions opened against the engine share cached
+ * programs and each program's frame plan (its schedule, built once);
+ * each session holds only its private mutable Values and a reusable
+ * ExecutionContext, which is the shape needed to serve many
+ * concurrent robot streams from one compiled artifact set.
+ *
+ * Thread safety: every public method may be called from any number of
+ * threads concurrently (the ServerPool drives one Engine from all its
+ * workers). One mutex guards the program cache, the plan slots and
+ * the compile log; it is held only for map lookups and inserts, never
+ * across a store load, a compile or a plan build. Compilation is
+ * single-flight: N clients requesting the same fingerprint at once
+ * trigger exactly one compile, with the others blocking on the shared
+ * future until the program lands. Plans are single-flight the same
+ * way, per program. Stats are atomic counters.
+ */
 class Engine
 {
   public:
@@ -371,7 +369,7 @@ class Engine
     /**
      * JSON snapshot of the serving metrics (the process-wide
      * MetricsRegistry): cache and single-flight counters, per-stage
-     * frame latency histograms with p50/p99, pool steal counts,
+     * frame latency histograms with p50/p99, pool task counts,
      * per-unit utilization. Always valid JSON — before any session
      * ran it reports zeroed instruments and null derived rates.
      */
@@ -400,39 +398,11 @@ class Engine
 
   private:
     /**
-     * Cache entries hold a future so racing requesters of one
-     * fingerprint share a single in-flight compile.
-     *
-     * Cache-line aligned: adjacent shards are locked by different
-     * threads at once (that is the whole point of sharding), so a
-     * shard's mutex word must not share a line with its neighbor's.
-     */
-    struct alignas(64) Shard
-    {
-        mutable std::shared_mutex mutex;
-        std::map<std::uint64_t,
-                 std::shared_future<
-                     std::shared_ptr<const comp::Program>>>
-            cache;
-    };
-
-    static constexpr std::size_t kShards = 16;
-
-    /**
      * Cache-key salt for reference (cleanup-only) programs, so both
      * artifacts of one graph live in the shared program cache.
      */
     static constexpr std::uint64_t kReferenceSalt =
         0xfa11bacc00000001ull;
-
-    Shard &shard(std::uint64_t key) { return shards_[key % kShards]; }
-
-    /** One published program's plan, built under its own lock. */
-    struct PlanSlot
-    {
-        std::mutex mutex;
-        std::shared_ptr<const FramePlan> plan;
-    };
 
     /**
      * Account a freshly cached program: give it its (empty) plan slot
@@ -442,7 +412,7 @@ class Engine
 
     /**
      * Shared compile-or-fetch path of every program entry point:
-     * sharded single-flight cache, persistent-store consult, then
+     * single-flight cache, persistent-store consult, then
      * @p build (which produces the raw codegen output the pipeline
      * runs over). @p probe seeds the per-pass verifier; it must bind
      * every LOADV key of the built program.
@@ -460,7 +430,6 @@ class Engine
     std::shared_ptr<const hw::FaultInjector> injector_;
     std::shared_ptr<EngineHealth> health_;
     std::unique_ptr<ProgramStore> store_;
-    std::array<Shard, kShards> shards_;
     std::atomic<std::size_t> compiles_{0};
     std::atomic<std::size_t> cacheHits_{0};
     std::atomic<std::size_t> storeHits_{0};
@@ -468,16 +437,26 @@ class Engine
     std::atomic<std::size_t> storeWrites_{0};
     std::atomic<std::size_t> plansBuilt_{0};
     std::atomic<std::size_t> cachedBytes_{0};
+
+    /** Guards cache_, plans_ and log_. */
+    mutable std::mutex mutex_;
+    /**
+     * Entries hold a future so racing requesters of one fingerprint
+     * share a single in-flight compile.
+     */
+    std::map<std::uint64_t,
+             std::shared_future<std::shared_ptr<const comp::Program>>>
+        cache_;
     /**
      * Plan slots keyed by program ownership (the shared_ptr control
      * block), never by address: the cache keeps every published
      * program alive, so a key cannot be reused while its slot exists.
+     * An invalid future marks a plan nobody has started to build.
      */
-    std::mutex plansMutex_;
-    std::map<std::weak_ptr<const comp::Program>, std::shared_ptr<PlanSlot>,
+    std::map<std::weak_ptr<const comp::Program>,
+             std::shared_future<std::shared_ptr<const FramePlan>>,
              std::owner_less<>>
         plans_;
-    mutable std::mutex logMutex_;
     std::vector<CompileRecord> log_;
 };
 

@@ -235,7 +235,7 @@ class Histogram
  *
  * Naming convention (see DESIGN.md §6): dotted lowercase paths,
  * "engine.*" for the program cache, "frame.*_us" histograms for
- * per-stage frame timings, "pool.*" for the work-stealing pool, and
+ * per-stage frame timings, "pool.*" for the ServerPool, and
  * "hw.*" for simulator-side totals ("hw.busy_cycles.<unit>[.i]").
  */
 class MetricsRegistry

@@ -1,7 +1,6 @@
 #include "runtime/server_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 
 #include "runtime/metrics.hpp"
@@ -18,24 +17,22 @@ thread_local const void *tls_pool = nullptr;
 
 } // namespace
 
-/** Completion state of one parallelFor call. */
+/**
+ * One parallelFor call. Lives on the caller's stack; every field but
+ * the two constants is guarded by the pool mutex.
+ */
 struct ServerPool::Batch
 {
-    std::mutex mutex;
+    const std::function<void(std::size_t)> &body;
+    const std::size_t count;
+    std::size_t next = 0;      //!< First unclaimed index.
+    std::size_t remaining;     //!< Indices not yet finished.
+    std::exception_ptr error;  //!< First failure, rethrown by caller.
     std::condition_variable done;
-    std::size_t remaining;
-    std::exception_ptr error; //!< First failure, rethrown by caller.
 
-    explicit Batch(std::size_t count) : remaining(count) {}
-
-    void
-    finishOne(std::exception_ptr e)
+    Batch(const std::function<void(std::size_t)> &fn, std::size_t n)
+        : body(fn), count(n), remaining(n)
     {
-        std::lock_guard lock(mutex);
-        if (e && !error)
-            error = std::move(e);
-        if (--remaining == 0)
-            done.notify_all();
     }
 };
 
@@ -43,9 +40,8 @@ ServerPool::ServerPool(unsigned threads)
 {
     if (threads == 0)
         threads = std::max(1u, std::thread::hardware_concurrency());
-    workers_.reserve(threads);
-    for (unsigned w = 0; w < threads; ++w)
-        workers_.push_back(std::make_unique<Worker>());
+    pinned_.resize(threads);
+    executed_.assign(threads, 0);
     threads_.reserve(threads);
     for (unsigned w = 0; w < threads; ++w)
         threads_.emplace_back([this, w] { workerLoop(w); });
@@ -54,7 +50,7 @@ ServerPool::ServerPool(unsigned threads)
 ServerPool::~ServerPool()
 {
     {
-        std::lock_guard lock(wakeMutex_);
+        std::lock_guard lock(mutex_);
         stop_ = true;
     }
     wake_.notify_all();
@@ -68,129 +64,32 @@ ServerPool::currentWorker()
     return tls_worker;
 }
 
-bool
-ServerPool::popPinned(unsigned self, Task &task)
+void
+ServerPool::runIndex(std::unique_lock<std::mutex> &lock, Batch &batch,
+                     unsigned self)
 {
-    Worker &worker = *workers_[self];
-    std::lock_guard lock(worker.mutex);
-    if (worker.pinned.empty())
-        return false;
-    task = std::move(worker.pinned.front());
-    worker.pinned.pop_front();
-    ++worker.executed;
-    if (MetricsRegistry::enabled()) {
-        auto &metrics = MetricsRegistry::global();
-        metrics.counter("pool.tasks").add();
-        metrics.counter("pool.pinned_tasks").add();
-    }
-    return true;
-}
+    const std::size_t index = batch.next++;
+    if (batch.next == batch.count)
+        open_.erase(std::find(open_.begin(), open_.end(), &batch));
+    ++executed_[self];
+    lock.unlock();
 
-bool
-ServerPool::popLocal(unsigned self, Task &task)
-{
-    Worker &worker = *workers_[self];
-    std::lock_guard lock(worker.mutex);
-    if (worker.queue.empty())
-        return false;
-    task = std::move(worker.queue.back());
-    worker.queue.pop_back();
-    ++worker.executed;
     if (MetricsRegistry::enabled())
         MetricsRegistry::global().counter("pool.tasks").add();
-    return true;
-}
-
-bool
-ServerPool::popLocalBatch(unsigned self, const Batch *batch,
-                          Task &task)
-{
-    Worker &worker = *workers_[self];
-    std::lock_guard lock(worker.mutex);
-    for (std::size_t i = 0; i < worker.queue.size(); ++i) {
-        if (worker.queue[i].batch != batch)
-            continue;
-        task = std::move(worker.queue[i]);
-        worker.queue.erase(worker.queue.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-        ++worker.executed;
-        if (MetricsRegistry::enabled())
-            MetricsRegistry::global().counter("pool.tasks").add();
-        return true;
+    std::exception_ptr error;
+    try {
+        batch.body(index);
+    } catch (...) {
+        error = std::current_exception();
     }
-    return false;
-}
 
-bool
-ServerPool::steal(unsigned self, Task &task)
-{
-    const unsigned n = threads();
-    for (unsigned step = 1; step < n; ++step) {
-        Worker &victim = *workers_[(self + step) % n];
-        {
-            std::lock_guard lock(victim.mutex);
-            if (victim.queue.empty())
-                continue;
-            // Steal the oldest task: it is the farthest from the
-            // victim's working set and the largest remaining chunk of
-            // the batch.
-            task = std::move(victim.queue.front());
-            victim.queue.pop_front();
-        }
-        // Book the theft under the thief's own mutex — the victim's
-        // lock guards the victim's counters, not ours.
-        Worker &me = *workers_[self];
-        {
-            std::lock_guard lock(me.mutex);
-            ++me.executed;
-            ++me.stolen;
-        }
-        if (MetricsRegistry::enabled()) {
-            auto &metrics = MetricsRegistry::global();
-            metrics.counter("pool.tasks").add();
-            metrics.counter("pool.steals").add();
-        }
-        return true;
-    }
-    return false;
-}
-
-bool
-ServerPool::stealBatch(unsigned self, const Batch *batch, Task &task)
-{
-    const unsigned n = threads();
-    for (unsigned step = 1; step < n; ++step) {
-        Worker &victim = *workers_[(self + step) % n];
-        bool took = false;
-        {
-            std::lock_guard lock(victim.mutex);
-            for (std::size_t i = 0; i < victim.queue.size(); ++i) {
-                if (victim.queue[i].batch != batch)
-                    continue;
-                task = std::move(victim.queue[i]);
-                victim.queue.erase(
-                    victim.queue.begin() +
-                    static_cast<std::ptrdiff_t>(i));
-                took = true;
-                break;
-            }
-        }
-        if (!took)
-            continue;
-        Worker &me = *workers_[self];
-        {
-            std::lock_guard lock(me.mutex);
-            ++me.executed;
-            ++me.stolen;
-        }
-        if (MetricsRegistry::enabled()) {
-            auto &metrics = MetricsRegistry::global();
-            metrics.counter("pool.tasks").add();
-            metrics.counter("pool.steals").add();
-        }
-        return true;
-    }
-    return false;
+    lock.lock();
+    if (error && !batch.error)
+        batch.error = std::move(error);
+    // Notify under the lock: the waiter may destroy the batch as soon
+    // as it can reacquire the mutex.
+    if (--batch.remaining == 0)
+        batch.done.notify_all();
 }
 
 void
@@ -198,35 +97,32 @@ ServerPool::workerLoop(unsigned self)
 {
     tls_worker = static_cast<int>(self);
     tls_pool = this;
-    Task task;
+    std::unique_lock lock(mutex_);
     while (true) {
         // Pinned work first: it is latency-sensitive client traffic
         // routed specifically to this worker, and nobody else can
         // run it.
-        if (popPinned(self, task) || popLocal(self, task) ||
-            steal(self, task)) {
-            task.fn();
-            task.fn = nullptr;
-            continue;
-        }
-        std::unique_lock lock(wakeMutex_);
-        if (stop_)
-            return;
-        // Re-check the queues under the wake lock: a submitter
-        // publishes tasks before notifying, so missing a task here
-        // would mean it was pushed after this check and the notify is
-        // still pending.
-        bool any = false;
-        for (const auto &worker : workers_) {
-            std::lock_guard inner(worker->mutex);
-            if (!worker->queue.empty() || !worker->pinned.empty()) {
-                any = true;
-                break;
+        std::deque<std::function<void()>> &lane = pinned_[self];
+        if (!lane.empty()) {
+            std::function<void()> task = std::move(lane.front());
+            lane.pop_front();
+            ++executed_[self];
+            lock.unlock();
+            if (MetricsRegistry::enabled()) {
+                auto &metrics = MetricsRegistry::global();
+                metrics.counter("pool.tasks").add();
+                metrics.counter("pool.pinned_tasks").add();
             }
+            task();
+            task = nullptr;
+            lock.lock();
+        } else if (!open_.empty()) {
+            runIndex(lock, *open_.front(), self);
+        } else if (stop_) {
+            return;
+        } else {
+            wake_.wait(lock);
         }
-        if (any)
-            continue;
-        wake_.wait(lock);
     }
 }
 
@@ -236,87 +132,25 @@ ServerPool::parallelFor(std::size_t count,
 {
     if (count == 0)
         return;
-    Batch batch(count);
+    Batch batch(body, count);
+    if (MetricsRegistry::enabled())
+        MetricsRegistry::global().counter("pool.batches").add();
 
-    // Round-robin initial placement; stealing rebalances skew. Tasks
-    // only borrow `body` and `batch`, both alive until the wait below
-    // returns.
-    const unsigned n = threads();
-    const bool metrics_on = MetricsRegistry::enabled();
-    std::size_t deepest = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        Worker &worker = *workers_[i % n];
-        Task task;
-        task.fn = [&body, &batch, i] {
-            std::exception_ptr error;
-            try {
-                body(i);
-            } catch (...) {
-                error = std::current_exception();
-            }
-            batch.finishOne(std::move(error));
-        };
-        task.batch = &batch;
-        std::lock_guard lock(worker.mutex);
-        worker.queue.push_back(std::move(task));
-        deepest = std::max(deepest, worker.queue.size());
-    }
-    if (metrics_on) {
-        auto &metrics = MetricsRegistry::global();
-        metrics.counter("pool.batches").add();
-        metrics.gauge("pool.queue_depth_peak")
-            .max(static_cast<std::int64_t>(deepest));
-    }
-    // Synchronize with sleeping workers: a worker holds wakeMutex_
-    // from its final empty-queue check until it blocks, so acquiring
-    // it here guarantees either the worker re-checks after the pushes
-    // above or the notification reaches its wait.
-    {
-        std::lock_guard lock(wakeMutex_);
-    }
+    std::unique_lock lock(mutex_);
+    open_.push_back(&batch);
     wake_.notify_all();
-
-    // A pool worker that submits a batch must not block on it: every
-    // other worker may equally be a submitter waiting on its own
-    // nested batch, leaving no thread to run any queued task — the
-    // classic nested-fork-join deadlock. A waiting worker instead
-    // helps execute pending tasks until its batch completes — and it
-    // prefers tasks *of the batch it is waiting on* (its own queue
-    // first, then steals) over unrelated work, so its return is
-    // delayed only by this batch's stragglers, never by a long
-    // unrelated task it happened to pick up. Pinned tasks are left to
-    // their owning worker: they are long-running client work and
-    // never gate batch completion.
-    if (tls_pool == this && tls_worker >= 0) {
-        const unsigned self = static_cast<unsigned>(tls_worker);
-        Task task;
-        for (;;) {
-            {
-                std::lock_guard done_lock(batch.mutex);
-                if (batch.remaining == 0)
-                    break;
-            }
-            if (popLocalBatch(self, &batch, task) ||
-                stealBatch(self, &batch, task) ||
-                popLocal(self, task) || steal(self, task)) {
-                task.fn();
-                task.fn = nullptr;
-                continue;
-            }
-            // Nothing runnable anywhere: the batch's stragglers are
-            // in flight on other workers. Doze on the batch condvar —
-            // with a timeout, so work queued between the scan above
-            // and this wait is picked up promptly.
-            std::unique_lock done_lock(batch.mutex);
-            batch.done.wait_for(
-                done_lock, std::chrono::microseconds(200),
-                [&batch] { return batch.remaining == 0; });
-        }
-    } else {
-        std::unique_lock done_lock(batch.mutex);
-        batch.done.wait(done_lock,
-                        [&batch] { return batch.remaining == 0; });
-    }
+    // A worker of this pool that submits a batch must not only block
+    // on it: every other worker may equally be a submitter waiting on
+    // its own nested batch, leaving no thread to run any index — the
+    // classic nested-fork-join deadlock. It claims its own indices
+    // instead, so it waits only for indices that other workers hold
+    // and are running. It runs no other batch's work and no pinned
+    // task, so its return is delayed only by this batch's stragglers.
+    if (tls_pool == this)
+        while (batch.next < batch.count)
+            runIndex(lock, batch, static_cast<unsigned>(tls_worker));
+    batch.done.wait(lock, [&batch] { return batch.remaining == 0; });
+    lock.unlock();
     if (batch.error)
         std::rethrow_exception(batch.error);
 }
@@ -324,17 +158,9 @@ ServerPool::parallelFor(std::size_t count,
 void
 ServerPool::submitPinned(unsigned worker, std::function<void()> task)
 {
-    Task pinned;
-    pinned.fn = std::move(task);
     {
-        Worker &lane = *workers_.at(worker);
-        std::lock_guard lock(lane.mutex);
-        lane.pinned.push_back(std::move(pinned));
-    }
-    // Same wake protocol as parallelFor: publish, then synchronize
-    // with any worker between its final queue check and its wait.
-    {
-        std::lock_guard lock(wakeMutex_);
+        std::lock_guard lock(mutex_);
+        pinned_.at(worker).push_back(std::move(task));
     }
     wake_.notify_all();
 }
@@ -342,34 +168,8 @@ ServerPool::submitPinned(unsigned worker, std::function<void()> task)
 std::vector<std::uint64_t>
 ServerPool::tasksExecuted() const
 {
-    std::vector<std::uint64_t> counts;
-    counts.reserve(workers_.size());
-    for (const auto &worker : workers_) {
-        std::lock_guard lock(worker->mutex);
-        counts.push_back(worker->executed);
-    }
-    return counts;
-}
-
-std::vector<std::uint64_t>
-ServerPool::stealsPerWorker() const
-{
-    std::vector<std::uint64_t> counts;
-    counts.reserve(workers_.size());
-    for (const auto &worker : workers_) {
-        std::lock_guard lock(worker->mutex);
-        counts.push_back(worker->stolen);
-    }
-    return counts;
-}
-
-std::uint64_t
-ServerPool::steals() const
-{
-    std::uint64_t total = 0;
-    for (std::uint64_t s : stealsPerWorker())
-        total += s;
-    return total;
+    std::lock_guard lock(mutex_);
+    return executed_;
 }
 
 } // namespace orianna::runtime

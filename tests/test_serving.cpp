@@ -8,8 +8,9 @@
 //   - admission rejection under saturation is typed and leaves the
 //     rejected client's state untouched;
 //   - a pinned lane drains in submission order;
-//   - a worker waiting in parallelFor drains its own batch before
-//     unrelated work, so nested-batch latency is bounded.
+//   - a worker waiting in parallelFor runs its own batch's indices
+//     and no unrelated work, so nested-batch latency is bounded and a
+//     nested batch finishes even while every other worker is pinned.
 
 #include <atomic>
 #include <chrono>
@@ -234,11 +235,11 @@ TEST(ServerPoolHelpTest, WaiterPrefersItsOwnBatchOverUnrelatedWork)
     // completion was gated on unrelated work. With batch-preference
     // helping, the wait is bounded by the nested batch itself.
     //
-    // Layout on 2 workers (round-robin + LIFO local pop): the outer
-    // batch is tasks {0,1,2,3}; worker 0 gets {0,2} and pops 2 first
-    // (the spawner), worker 1 gets {1,3} and pops 3 first (a long
-    // task). The spawner's nested batch must not wait on the long
-    // outer tasks 0/1/3.
+    // Layout on 2 workers (indices claimed in order): the outer batch
+    // is tasks {0,1,2,3}; the workers take the long tasks 0 and 1,
+    // then one takes 2 (the spawner) and the other 3 (a long task).
+    // The spawner's nested batch must not wait on the long outer
+    // tasks 0/1/3.
     constexpr auto kLongTask = std::chrono::milliseconds(150);
     runtime::ServerPool pool(2);
     std::atomic<double> nested_wait_ms{-1.0};
@@ -293,6 +294,48 @@ TEST(ServerPoolHelpTest, PinnedTasksNeverGateBatchCompletion)
     while (!pinned_ran.load() && Clock::now() < deadline)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     EXPECT_TRUE(pinned_ran.load());
+}
+
+TEST(ServerPoolHelpTest, NestedBatchFinishesWhileOtherWorkersArePinned)
+{
+    // A worker that submits a nested batch runs its indices itself:
+    // with every other worker held by pinned work, the nested batch
+    // still finishes, all on the submitter.
+    runtime::ServerPool pool(3);
+    std::vector<int> ran_on(8, -1);
+    std::future<void> outer;
+    // Declared after `outer`, so it releases the pinned workers before
+    // `outer` waits for its task on every path: a pool that waits on
+    // its peers fails the deadline below instead of hanging.
+    struct Release
+    {
+        std::promise<void> promise;
+        ~Release() { promise.set_value(); }
+    } release;
+    const std::shared_future<void> gate =
+        release.promise.get_future().share();
+
+    std::promise<void> started[2];
+    for (unsigned w = 1; w <= 2; ++w)
+        pool.submitPinned(w, [&started, w, gate] {
+            started[w - 1].set_value();
+            gate.wait();
+        });
+    for (std::promise<void> &s : started)
+        s.get_future().wait();
+
+    outer = std::async(std::launch::async, [&pool, &ran_on] {
+        pool.parallelFor(1, [&pool, &ran_on](std::size_t) {
+            pool.parallelFor(ran_on.size(), [&ran_on](std::size_t i) {
+                ran_on[i] = runtime::ServerPool::currentWorker();
+            });
+        });
+    });
+    ASSERT_EQ(outer.wait_for(std::chrono::seconds(5)),
+              std::future_status::ready)
+        << "the nested batch waited for the pinned workers";
+    outer.get();
+    EXPECT_EQ(ran_on, std::vector<int>(8, 0));
 }
 
 TEST(AdmissionTest, RejectsZeroCapacity)
