@@ -7,17 +7,17 @@
 //    sequential (no pool) run.
 //
 // 2. Paced (SLO) serving: the scaling-efficiency section, on the
-//    serving path — one shared Engine, sessions admitted round-robin
-//    into the FIFO pinned lanes of an AdmissionController. Sessions
-//    model a sensor-rate client: one frame per kPacedPeriodUs, the
-//    frame's compute a fraction of the period. On this workload
-//    throughput must scale with workers (the compute fits the
-//    period's budget even on one core), so the bench computes
-//    speedup_4t and the 8-thread p99 inflation, and
-//    `--gate-scaling X` turns them into a CI gate: fail when
-//    4-thread sessions/s < X * single-thread, or when the 8-thread
-//    step p99 exceeds kP99RatioLimit * the 1-thread p99. Each run
-//    times enough steps that the p99 has more than ten beyond it.
+//    serving path — one shared Engine, sessions run as the indices
+//    of one ServerPool::parallelFor. Sessions model a sensor-rate
+//    client: one frame per kPacedPeriodUs, the frame's compute a
+//    fraction of the period. On this workload throughput must scale
+//    with workers (the compute fits the period's budget even on one
+//    core), so the bench computes speedup_4t and the 8-thread p99
+//    inflation, and `--gate-scaling X` turns them into a CI gate:
+//    fail when 4-thread sessions/s < X * single-thread, or when the
+//    8-thread step p99 exceeds kP99RatioLimit * the 1-thread p99.
+//    Each run times enough steps that the p99 has more than ten
+//    beyond it.
 //
 // Emits BENCH_throughput.json (both sections) for CI trending.
 //
@@ -44,7 +44,6 @@
 #include "bench_common.hpp"
 #include "compiler/fnv.hpp"
 #include "matrix/simd.hpp"
-#include "runtime/admission.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/server_pool.hpp"
@@ -216,8 +215,8 @@ percentile(std::vector<double> sorted, double p)
 /**
  * Paced serving: every session steps once per kPacedPeriodUs (a
  * sensor-rate client), so a worker's capacity is sessions-per-period,
- * not raw compute. Sessions are admitted round-robin into the
- * workers' FIFO lanes and opened on one shared Engine.
+ * not raw compute. Idle workers claim the sessions in order and open
+ * them on one shared Engine.
  */
 PacedOutcome
 servePaced(const std::vector<Mission> &missions, unsigned threads)
@@ -225,33 +224,26 @@ servePaced(const std::vector<Mission> &missions, unsigned threads)
     runtime::MetricsRegistry::global().reset();
     runtime::ServerPool pool(threads);
     runtime::Engine engine(hw::AcceleratorConfig::minimal(true));
-    runtime::AdmissionController admission(
-        pool, {/*queueCapacity=*/kSessions});
 
     PacedOutcome out;
     out.digests.assign(kSessions, 0);
     std::vector<double> step_ms(kSessions * kPacedFrames, 0.0);
 
     const auto start = Clock::now();
-    for (std::size_t i = 0; i < kSessions; ++i) {
-        const std::size_t m = i % missions.size();
-        const unsigned worker =
-            static_cast<unsigned>(i % threads); // Balanced routing.
-        admission.submit(worker, [&, i, m] {
-            runtime::Session session =
-                engine.session(missions[m].graph, missions[m].initial);
-            auto next = Clock::now();
-            for (std::size_t f = 0; f < kPacedFrames; ++f) {
-                next += std::chrono::microseconds(kPacedPeriodUs);
-                const auto t0 = Clock::now();
-                session.step();
-                step_ms[i * kPacedFrames + f] = secondsSince(t0) * 1e3;
-                std::this_thread::sleep_until(next);
-            }
-            out.digests[i] = valuesDigest(session.values());
-        });
-    }
-    admission.drain();
+    pool.parallelFor(kSessions, [&](std::size_t i) {
+        const Mission &mission = missions[i % missions.size()];
+        runtime::Session session =
+            engine.session(mission.graph, mission.initial);
+        auto next = Clock::now();
+        for (std::size_t f = 0; f < kPacedFrames; ++f) {
+            next += std::chrono::microseconds(kPacedPeriodUs);
+            const auto t0 = Clock::now();
+            session.step();
+            step_ms[i * kPacedFrames + f] = secondsSince(t0) * 1e3;
+            std::this_thread::sleep_until(next);
+        }
+        out.digests[i] = valuesDigest(session.values());
+    });
     const double elapsed = secondsSince(start);
 
     out.sessions_per_s = static_cast<double>(kSessions) / elapsed;
@@ -359,11 +351,11 @@ main(int argc, char **argv)
     json << "\n  ],\n";
 
     // --- Section 2: paced (SLO) serving — the scaling gate ----------
-    std::printf("\npaced serving (one frame per %.1f ms, FIFO lanes, "
+    std::printf("\npaced serving (one frame per %.1f ms, "
                 "%zu steps per run):\n%8s %12s %10s %10s\n",
                 kPacedPeriodUs / 1000.0, kSessions * kPacedFrames,
                 "threads", "sessions/s", "p50 ms", "p99 ms");
-    // The paced digests must also match: pacing and admission may
+    // The paced digests must also match: pacing and the pool may
     // reorder *when* frames run, never what they compute. The
     // reference serves the same missions for kPacedFrames frames.
     std::vector<std::uint64_t> paced_reference(kSessions);

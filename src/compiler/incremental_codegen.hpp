@@ -14,8 +14,8 @@ namespace orianna::comp {
  * each elimination step gathers them, and what is carried forward —
  * with every numeric payload stripped. Two frames with the same
  * UpdateSpec run the same compiled program with different streamed
- * inputs, which is what lets the Engine cache, the ProgramStore and
- * the replica caches amortize update compiles across frames.
+ * inputs, which is what lets the Engine cache and the ProgramStore
+ * amortize update compiles across frames.
  *
  * All variables are named by *suffix position* (0 = first
  * re-eliminated variable), not by user key: the spec is a pure

@@ -6,6 +6,11 @@ namespace orianna::fg {
 
 namespace {
 
+/** Damping growth factor on a rejected step. */
+constexpr double kLambdaGrow = 10.0;
+/** Damping shrink factor on an accepted step. */
+constexpr double kLambdaShrink = 0.1;
+
 /** Append damping rows sqrt(lambda) * I for every variable. */
 void
 addDamping(LinearSystem &system, double lambda)
@@ -39,8 +44,7 @@ allFinite(const std::map<Key, Vector> &delta)
 bool
 growLambda(double &lambda, const GaussNewtonParams &params)
 {
-    lambda = lambda <= 0.0 ? params.lambdaFloor
-                           : lambda * params.lambdaGrow;
+    lambda = lambda <= 0.0 ? params.lambdaFloor : lambda * kLambdaGrow;
     return lambda <= params.lambdaMax;
 }
 
@@ -111,7 +115,7 @@ optimize(const FactorGraph &graph, Values initial,
                 // regularizes the system, so escalate like a rejected
                 // step before giving up.
                 ++rejects;
-                if (!params.adaptive || !growLambda(lambda, params)) {
+                if (!growLambda(lambda, params)) {
                     result.reason =
                         TerminationReason::NumericalFailure;
                     break;
@@ -129,7 +133,7 @@ optimize(const FactorGraph &graph, Values initial,
 
             const bool acceptable =
                 std::isfinite(new_error) && new_error <= error;
-            if (params.adaptive && !acceptable) {
+            if (!acceptable) {
                 ++rejects;
                 if (!growLambda(lambda, params)) {
                     result.reason =
@@ -140,13 +144,7 @@ optimize(const FactorGraph &graph, Values initial,
                 }
                 continue;
             }
-            if (!params.adaptive && !std::isfinite(new_error)) {
-                result.reason = TerminationReason::NumericalFailure;
-                break;
-            }
-
-            // Step taken (adaptive: strictly non-increasing; legacy
-            // fixed-damping mode applies it unconditionally).
+            // Step taken: the error did not increase.
             result.values = std::move(candidate);
             result.history.push_back(
                 {error, new_error, delta_norm, lambda, rejects});
@@ -164,9 +162,9 @@ optimize(const FactorGraph &graph, Values initial,
                   (error > 0.0 && decrease / error <
                                       params.relativeErrorTol)))) {
                 result.reason = TerminationReason::Converged;
-            } else if (params.adaptive) {
+            } else {
                 // Reward an accepted step with lighter damping.
-                lambda *= params.lambdaShrink;
+                lambda *= kLambdaShrink;
             }
         }
         result.rejectedSteps += rejects;

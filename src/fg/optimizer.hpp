@@ -42,17 +42,9 @@ struct GaussNewtonParams
     double stepScale = 1.0;
 
     // --- Adaptive trust-region control -------------------------------
-    /**
-     * Accept/reject steps: a step that does not decrease the error is
-     * rolled back and retried with grown damping (classic LM). Off
-     * reproduces the historical fixed-damping loop that applies every
-     * step unconditionally.
-     */
-    bool adaptive = true;
-    /** Damping growth factor on a rejected step. */
-    double lambdaGrow = 10.0;
-    /** Damping shrink factor on an accepted step. */
-    double lambdaShrink = 0.1;
+    // A step that does not decrease the error is rolled back and
+    // retried with 10x the damping (classic LM); an accepted step
+    // relaxes it to a tenth.
     /** First non-zero damping tried when lambda is still zero. */
     double lambdaFloor = 1e-4;
     /**

@@ -1,8 +1,10 @@
 #include "runtime/json.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace orianna::runtime::json {
@@ -189,15 +191,15 @@ class Parser
     parseNumber()
     {
         skipSpace();
-        const std::size_t start = pos_;
-        std::size_t consumed = 0;
-        double value = 0.0;
-        try {
-            value = std::stod(input_.substr(start), &consumed);
-        } catch (const std::exception &) {
+        // In place: copying the rest of the line per number would make
+        // a line of n numbers cost O(n^2) to parse.
+        const char *begin = input_.c_str() + pos_;
+        char *end = nullptr;
+        errno = 0;
+        const double value = std::strtod(begin, &end);
+        if (end == begin || errno == ERANGE)
             fail("malformed number");
-        }
-        pos_ = start + consumed;
+        pos_ += static_cast<std::size_t>(end - begin);
         return value;
     }
 

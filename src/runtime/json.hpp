@@ -9,11 +9,13 @@ namespace orianna::runtime::json {
 
 /**
  * Minimal JSON value model and recursive-descent parser for the
- * serving protocol (DESIGN.md §11). Parsing is strict JSON; *schema*
- * handling on top of it is deliberately tolerant in the openrave
- * jsonreader style — requests are read field by field, unknown fields
- * are ignored, and a missing or mistyped field is reported as a typed
- * protocol error instead of an exception tearing down the server.
+ * serving protocol (DESIGN.md §11). Parsing is strict JSON except for
+ * numbers, which std::strtod reads, so `inf`, `nan`, hexadecimal and
+ * a leading `+` parse too. *Schema* handling on top of it is
+ * deliberately tolerant in the openrave jsonreader style — requests
+ * are read field by field, unknown fields are ignored, and a missing
+ * or mistyped field is reported as a typed protocol error instead of
+ * an exception tearing down the server.
  *
  * parse() throws std::runtime_error with a byte offset on malformed
  * input, including arrays and objects nested more than 64 deep; the

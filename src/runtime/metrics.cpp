@@ -24,8 +24,6 @@ Counter::threadCell()
 double
 Histogram::percentile(double p) const
 {
-    if constexpr (!kMetricsCompiled)
-        return 0.0;
     const std::uint64_t total = count();
     if (total == 0)
         return 0.0;
@@ -150,9 +148,7 @@ MetricsRegistry::toJson() const
 {
     std::shared_lock lock(mutex_);
     std::string out;
-    out += "{\n  \"compiled\": ";
-    out += kMetricsCompiled ? "true" : "false";
-    out += ",\n  \"enabled\": ";
+    out += "{\n  \"enabled\": ";
     out += enabled() ? "true" : "false";
 
     out += ",\n  \"counters\": {";

@@ -13,19 +13,6 @@
 namespace orianna::runtime {
 
 /**
- * Compile-time metrics gate. Building with -DORIANNA_METRICS=OFF
- * (CMake option, defines ORIANNA_METRICS_OFF globally) turns every
- * instrument into a constexpr no-op: recording calls compile to
- * nothing and snapshot queries return zeros, so a metrics-free build
- * carries no atomics on the frame hot path at all.
- */
-#ifdef ORIANNA_METRICS_OFF
-inline constexpr bool kMetricsCompiled = false;
-#else
-inline constexpr bool kMetricsCompiled = true;
-#endif
-
-/**
  * Sharded relaxed counter: adds go to a per-thread cache-line-padded
  * cell (threads are spread over the cells on first use), reads sum
  * the cells. Serving threads therefore never contend on one cache
@@ -39,29 +26,24 @@ class Counter
     void
     add(std::uint64_t n = 1)
     {
-        if constexpr (kMetricsCompiled)
-            cells_[threadCell()].value.fetch_add(
-                n, std::memory_order_relaxed);
-        else
-            (void)n;
+        cells_[threadCell()].value.fetch_add(n,
+                                             std::memory_order_relaxed);
     }
 
     std::uint64_t
     value() const
     {
         std::uint64_t total = 0;
-        if constexpr (kMetricsCompiled)
-            for (const Cell &cell : cells_)
-                total += cell.value.load(std::memory_order_relaxed);
+        for (const Cell &cell : cells_)
+            total += cell.value.load(std::memory_order_relaxed);
         return total;
     }
 
     void
     reset()
     {
-        if constexpr (kMetricsCompiled)
-            for (Cell &cell : cells_)
-                cell.value.store(0, std::memory_order_relaxed);
+        for (Cell &cell : cells_)
+            cell.value.store(0, std::memory_order_relaxed);
     }
 
     /** Cell index of the calling thread (exposed for tests). */
@@ -83,41 +65,29 @@ class Gauge
     void
     set(std::int64_t v)
     {
-        if constexpr (kMetricsCompiled)
-            value_.store(v, std::memory_order_relaxed);
-        else
-            (void)v;
+        value_.store(v, std::memory_order_relaxed);
     }
 
     void
     add(std::int64_t delta)
     {
-        if constexpr (kMetricsCompiled)
-            value_.fetch_add(delta, std::memory_order_relaxed);
-        else
-            (void)delta;
+        value_.fetch_add(delta, std::memory_order_relaxed);
     }
 
     /** Raise to @p v if it exceeds the current value. */
     void
     max(std::int64_t v)
     {
-        if constexpr (kMetricsCompiled) {
-            std::int64_t cur = value_.load(std::memory_order_relaxed);
-            while (v > cur && !value_.compare_exchange_weak(
-                                  cur, v, std::memory_order_relaxed))
-                ;
-        } else {
-            (void)v;
-        }
+        std::int64_t cur = value_.load(std::memory_order_relaxed);
+        while (v > cur && !value_.compare_exchange_weak(
+                              cur, v, std::memory_order_relaxed))
+            ;
     }
 
     std::int64_t
     value() const
     {
-        if constexpr (kMetricsCompiled)
-            return value_.load(std::memory_order_relaxed);
-        return 0;
+        return value_.load(std::memory_order_relaxed);
     }
 
     void reset() { set(0); }
@@ -143,38 +113,27 @@ class Histogram
     void
     observe(std::uint64_t us)
     {
-        if constexpr (kMetricsCompiled) {
-            buckets_[bucketOf(us)].fetch_add(
-                1, std::memory_order_relaxed);
-            count_.fetch_add(1, std::memory_order_relaxed);
-            sum_.fetch_add(us, std::memory_order_relaxed);
-        } else {
-            (void)us;
-        }
+        buckets_[bucketOf(us)].fetch_add(1, std::memory_order_relaxed);
+        count_.fetch_add(1, std::memory_order_relaxed);
+        sum_.fetch_add(us, std::memory_order_relaxed);
     }
 
     std::uint64_t
     count() const
     {
-        if constexpr (kMetricsCompiled)
-            return count_.load(std::memory_order_relaxed);
-        return 0;
+        return count_.load(std::memory_order_relaxed);
     }
 
     std::uint64_t
     sumUs() const
     {
-        if constexpr (kMetricsCompiled)
-            return sum_.load(std::memory_order_relaxed);
-        return 0;
+        return sum_.load(std::memory_order_relaxed);
     }
 
     std::uint64_t
     bucketCount(std::size_t bucket) const
     {
-        if constexpr (kMetricsCompiled)
-            return buckets_.at(bucket).load(std::memory_order_relaxed);
-        return 0;
+        return buckets_.at(bucket).load(std::memory_order_relaxed);
     }
 
     std::uint64_t
@@ -189,12 +148,10 @@ class Histogram
     void
     reset()
     {
-        if constexpr (kMetricsCompiled) {
-            for (auto &bucket : buckets_)
-                bucket.store(0, std::memory_order_relaxed);
-            count_.store(0, std::memory_order_relaxed);
-            sum_.store(0, std::memory_order_relaxed);
-        }
+        for (auto &bucket : buckets_)
+            bucket.store(0, std::memory_order_relaxed);
+        count_.store(0, std::memory_order_relaxed);
+        sum_.store(0, std::memory_order_relaxed);
     }
 
     /** Inclusive lower bound of @p bucket, in microseconds. */
@@ -247,8 +204,6 @@ class MetricsRegistry
     static bool
     enabled()
     {
-        if constexpr (!kMetricsCompiled)
-            return false;
         return enabled_.load(std::memory_order_relaxed);
     }
 

@@ -40,7 +40,6 @@ ServerPool::ServerPool(unsigned threads)
 {
     if (threads == 0)
         threads = std::max(1u, std::thread::hardware_concurrency());
-    pinned_.resize(threads);
     executed_.assign(threads, 0);
     threads_.reserve(threads);
     for (unsigned w = 0; w < threads; ++w)
@@ -99,30 +98,12 @@ ServerPool::workerLoop(unsigned self)
     tls_pool = this;
     std::unique_lock lock(mutex_);
     while (true) {
-        // Pinned work first: it is latency-sensitive client traffic
-        // routed specifically to this worker, and nobody else can
-        // run it.
-        std::deque<std::function<void()>> &lane = pinned_[self];
-        if (!lane.empty()) {
-            std::function<void()> task = std::move(lane.front());
-            lane.pop_front();
-            ++executed_[self];
-            lock.unlock();
-            if (MetricsRegistry::enabled()) {
-                auto &metrics = MetricsRegistry::global();
-                metrics.counter("pool.tasks").add();
-                metrics.counter("pool.pinned_tasks").add();
-            }
-            task();
-            task = nullptr;
-            lock.lock();
-        } else if (!open_.empty()) {
+        if (!open_.empty())
             runIndex(lock, *open_.front(), self);
-        } else if (stop_) {
+        else if (stop_)
             return;
-        } else {
+        else
             wake_.wait(lock);
-        }
     }
 }
 
@@ -144,8 +125,8 @@ ServerPool::parallelFor(std::size_t count,
     // its own nested batch, leaving no thread to run any index — the
     // classic nested-fork-join deadlock. It claims its own indices
     // instead, so it waits only for indices that other workers hold
-    // and are running. It runs no other batch's work and no pinned
-    // task, so its return is delayed only by this batch's stragglers.
+    // and are running. It runs no other batch's work, so its return
+    // is delayed only by this batch's stragglers.
     if (tls_pool == this)
         while (batch.next < batch.count)
             runIndex(lock, batch, static_cast<unsigned>(tls_worker));
@@ -153,16 +134,6 @@ ServerPool::parallelFor(std::size_t count,
     lock.unlock();
     if (batch.error)
         std::rethrow_exception(batch.error);
-}
-
-void
-ServerPool::submitPinned(unsigned worker, std::function<void()> task)
-{
-    {
-        std::lock_guard lock(mutex_);
-        pinned_.at(worker).push_back(std::move(task));
-    }
-    wake_.notify_all();
 }
 
 std::vector<std::uint64_t>

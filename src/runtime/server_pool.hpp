@@ -11,20 +11,14 @@
 namespace orianna::runtime {
 
 /**
- * Thread pool for the serving runtime: drives many Sessions (or any
- * coarse batch of independent tasks) concurrently.
+ * Fork-join thread pool for the serving runtime: drives many Sessions
+ * (or any coarse batch of independent tasks) concurrently.
  *
- * One mutex guards every queue (DESIGN.md Sec. 5). Tasks are coarse —
+ * One mutex guards every batch (DESIGN.md Sec. 5). Tasks are coarse —
  * whole frames, sessions or candidate simulations, microseconds to
  * milliseconds each — so queue operations are not the bottleneck. A
  * parallelFor batch is one claim counter: workers take its indices in
  * order, one at a time, so no placement has to be rebalanced later.
- *
- * Besides the batches every worker owns a FIFO *pinned* lane
- * (submitPinned): tasks routed to a specific worker — the admitted
- * client sessions of AdmissionController — which no other worker
- * runs. An idle worker drains its pinned lane before claiming batch
- * work.
  *
  * Worker identity is exposed through currentWorker() so callers can
  * keep per-worker state — warm ExecutionContexts above all — without
@@ -32,12 +26,12 @@ namespace orianna::runtime {
  * by that worker's thread, and parallelFor()'s completion acts as the
  * release fence before the caller reads the slots back.
  *
- * parallelFor() is the batch submission interface: deterministic
- * index space, caller blocks until every index ran, first exception
- * is rethrown on the caller. Parallelism is always *across*
- * independent tasks (sessions, candidates, missions) — never inside
- * one frame's scoreboard — so schedules and numeric outputs are
- * byte-identical to sequential execution by construction.
+ * parallelFor() is the one submission interface: deterministic index
+ * space, caller blocks until every index ran, first exception is
+ * rethrown on the caller. Parallelism is always *across* independent
+ * tasks (sessions, candidates, missions) — never inside one frame's
+ * scoreboard — so schedules and numeric outputs are byte-identical to
+ * sequential execution by construction.
  */
 class ServerPool
 {
@@ -56,7 +50,7 @@ class ServerPool
     /** Number of worker threads. */
     unsigned threads() const
     {
-        return static_cast<unsigned>(pinned_.size());
+        return static_cast<unsigned>(threads_.size());
     }
 
     /**
@@ -83,16 +77,6 @@ class ServerPool
                      const std::function<void(std::size_t)> &body);
 
     /**
-     * Enqueue one task at the back of @p worker's pinned lane. Pinned
-     * tasks run only on their worker, in submission order, and ahead
-     * of the batch work it claims when idle. Returns immediately;
-     * completion tracking (and exception containment — a pinned task
-     * has no batch waiter to rethrow into, so it must not throw) is
-     * the caller's job: AdmissionController wraps both.
-     */
-    void submitPinned(unsigned worker, std::function<void()> task);
-
-    /**
      * Tasks executed per worker since construction (the per-thread
      * totals reported by the tools). Index = worker id.
      */
@@ -110,9 +94,8 @@ class ServerPool
                   unsigned self);
     void workerLoop(unsigned self);
 
-    /** Guards the four members below it and every Batch's state. */
+    /** Guards the three members below it and every Batch's state. */
     mutable std::mutex mutex_;
-    std::vector<std::deque<std::function<void()>>> pinned_;
     std::vector<std::uint64_t> executed_;
     /** Batches with unclaimed indices, oldest first. */
     std::deque<Batch *> open_;

@@ -90,16 +90,8 @@ chainInitial(const std::vector<lie::Pose> &truth, double perturb)
 
 // --- Instruments ----------------------------------------------------
 
-// Recording tests only make sense when the instruments are compiled
-// in; under -DORIANNA_METRICS=OFF every add/observe is a constexpr
-// no-op by design, which is covered by the *Zeroed* tests instead.
-#define SKIP_WITHOUT_METRICS()                                         \
-    if constexpr (!runtime::kMetricsCompiled)                          \
-    GTEST_SKIP() << "built with ORIANNA_METRICS=OFF"
-
 TEST(MetricsCounter, ShardedAddsSumExactly)
 {
-    SKIP_WITHOUT_METRICS();
     Counter counter;
     constexpr int kThreads = 8;
     constexpr std::uint64_t kPerThread = 10000;
@@ -118,7 +110,6 @@ TEST(MetricsCounter, ShardedAddsSumExactly)
 
 TEST(MetricsGauge, SetAddMax)
 {
-    SKIP_WITHOUT_METRICS();
     Gauge gauge;
     gauge.set(7);
     EXPECT_EQ(gauge.value(), 7);
@@ -147,7 +138,6 @@ TEST(MetricsHistogram, PowerOfTwoBucketBounds)
 
 TEST(MetricsHistogram, OverflowBucketCountsExtremeLatencies)
 {
-    SKIP_WITHOUT_METRICS();
     Histogram histogram;
     const std::uint64_t limit = std::uint64_t{1} << Histogram::kBuckets;
     histogram.observe(limit - 1); // Largest finite-bucket sample.
@@ -168,7 +158,6 @@ TEST(MetricsHistogram, OverflowBucketCountsExtremeLatencies)
 
 TEST(MetricsHistogram, PercentileInterpolatesWithinBucket)
 {
-    SKIP_WITHOUT_METRICS();
     Histogram histogram;
     for (int i = 0; i < 100; ++i)
         histogram.observe(10); // All in bucket [8, 16).
@@ -190,7 +179,7 @@ TEST(MetricsRegistryJson, ZeroedRegistryIsValidJson)
     // instrument reads zero, derived rates are null, and the document
     // still parses.
     const auto json = parseJson(runtime::Engine::metricsJson());
-    EXPECT_EQ(json->at("compiled").kind,
+    EXPECT_EQ(json->at("enabled").kind,
               orianna::test::JsonValue::Kind::Bool);
     for (const auto &[name, value] : json->at("counters").asObject())
         EXPECT_EQ(value->asNumber(), 0.0) << name;
@@ -201,7 +190,6 @@ TEST(MetricsRegistryJson, ZeroedRegistryIsValidJson)
 
 TEST(MetricsRegistryJson, ServedSessionsProduceDerivedRates)
 {
-    SKIP_WITHOUT_METRICS();
     GateGuard guard;
     MetricsRegistry::setEnabled(true);
     auto &registry = MetricsRegistry::global();
@@ -285,7 +273,6 @@ TEST(MetricsRegistryJson, DisabledRecordingLeavesRegistryUntouched)
 
 TEST(MetricsRegistryJson, CachedBytesGaugeFollowsTheEngine)
 {
-    SKIP_WITHOUT_METRICS();
     GateGuard guard;
     MetricsRegistry::setEnabled(true);
     auto &registry = MetricsRegistry::global();
@@ -361,7 +348,6 @@ TEST(TraceSink, HardwareFrameWithoutSpansWritesUnitRows)
 
 TEST(TraceSink, SpanSumsMatchHistogramSumsExactly)
 {
-    SKIP_WITHOUT_METRICS();
     GateGuard guard;
     MetricsRegistry::setEnabled(true);
     TraceCollector::setEnabled(true);
@@ -497,21 +483,19 @@ TEST(SchedulingFuzz, OutOfOrderMatchesInOrderResultsAndMacs)
         const hw::SimResult a = runtime::ExecutionContext(work).run(ooo);
         const std::uint64_t ooo_mac_count = ooo_macs.elapsed();
         // The simulator reported this frame's makespan and busy
-        // cycles into the registry as it ran (when compiled in).
-        if constexpr (runtime::kMetricsCompiled) {
-            EXPECT_EQ(registry.counter("hw.cycles").value(), a.cycles)
-                << "seed " << seed;
-            std::uint64_t busy_counters = 0;
-            std::uint64_t busy_result = 0;
-            for (std::size_t k = 0; k < hw::kUnitKindCount; ++k) {
-                const std::string name =
-                    std::string("hw.busy_cycles.") +
-                    hw::unitName(static_cast<hw::UnitKind>(k));
-                busy_counters += registry.counter(name).value();
-                busy_result += a.unitBusyCycles[k];
-            }
-            EXPECT_EQ(busy_counters, busy_result) << "seed " << seed;
+        // cycles into the registry as it ran.
+        EXPECT_EQ(registry.counter("hw.cycles").value(), a.cycles)
+            << "seed " << seed;
+        std::uint64_t busy_counters = 0;
+        std::uint64_t busy_result = 0;
+        for (std::size_t k = 0; k < hw::kUnitKindCount; ++k) {
+            const std::string name =
+                std::string("hw.busy_cycles.") +
+                hw::unitName(static_cast<hw::UnitKind>(k));
+            busy_counters += registry.counter(name).value();
+            busy_result += a.unitBusyCycles[k];
         }
+        EXPECT_EQ(busy_counters, busy_result) << "seed " << seed;
 
         mat::MacScope io_macs;
         const hw::SimResult b =

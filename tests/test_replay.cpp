@@ -173,10 +173,8 @@ expectReplayMatchesLive(const std::vector<hw::WorkItem> &work,
         expectSameFrame(got.frame, want.frame);
         EXPECT_EQ(got.hwDelta, want.hwDelta);
         EXPECT_EQ(got.kernelDelta, want.kernelDelta);
-        if constexpr (runtime::kMetricsCompiled) {
-            EXPECT_EQ(want.replayed, 0u);
-            EXPECT_EQ(got.replayed, 1u);
-        }
+        EXPECT_EQ(want.replayed, 0u);
+        EXPECT_EQ(got.replayed, 1u);
         for (std::size_t w = 0; w < work.size(); ++w) {
             live_values[w].retractAll(want.frame.deltas[w]);
             replay_values[w].retractAll(got.frame.deltas[w]);
@@ -291,20 +289,16 @@ TEST(Replay, FaultArmedFramesRunLiveAndTheNextCleanFrameReplays)
     context.armFaults(nullptr, 0, 0);
     const Observed clean = observe([&] { return context.run(config); });
     expectSameFrame(clean.frame, first.frame);
-    if constexpr (runtime::kMetricsCompiled) {
-        EXPECT_EQ(first.replayed, 0u);
-        EXPECT_EQ(attempt0.replayed, 0u);
-        EXPECT_EQ(attempt1.replayed, 0u);
-        EXPECT_EQ(clean.replayed, 1u);
-    }
+    EXPECT_EQ(first.replayed, 0u);
+    EXPECT_EQ(attempt0.replayed, 0u);
+    EXPECT_EQ(attempt1.replayed, 0u);
+    EXPECT_EQ(clean.replayed, 1u);
 }
 
 // The Engine schedules a program once, when the first session opens
 // on it; that session's frames and every later session's replay it.
 TEST(Replay, GarageSessionReplaysEveryFrameWithOnePlanBuiltAtOpen)
 {
-    if constexpr (!runtime::kMetricsCompiled)
-        GTEST_SKIP() << "built with ORIANNA_METRICS=OFF";
     const apps::PoseGraphScenario scenario = garageScenario();
     const fg::FactorGraph graph = scenario.graph();
     runtime::Engine engine(hw::AcceleratorConfig::minimal(true),
@@ -331,8 +325,6 @@ TEST(Replay, GarageSessionReplaysEveryFrameWithOnePlanBuiltAtOpen)
 
 TEST(Replay, FaultArmedSessionReplaysNoFrame)
 {
-    if constexpr (!runtime::kMetricsCompiled)
-        GTEST_SKIP() << "built with ORIANNA_METRICS=OFF";
     const apps::PoseGraphScenario scenario = garageScenario();
     const fg::FactorGraph graph = scenario.graph();
     // Latency spikes only and no deadline: every frame is healthy, so

@@ -394,40 +394,31 @@ TEST(CompileTool, CompilesAndExportsUnifiedTrace)
               0);
 
     // Metrics: the acceptance-criteria quantities must all be there.
-    // The export self-reports whether instrumentation was compiled in
-    // (ORIANNA_METRICS=OFF still emits a valid, empty registry).
     const JsonPtr metrics = parseJsonFile(metrics_path);
-    if (metrics->at("compiled").boolean) {
-        const auto &counters = metrics->at("counters");
-        // Three sequential frames plus 2 served sessions x 3 frames.
-        EXPECT_EQ(counters.at("frame.count").asNumber(), 9.0);
-        const auto &simulate =
-            metrics->at("histograms").at("frame.simulate_us");
-        EXPECT_EQ(simulate.at("count").asNumber(), 9.0);
-        EXPECT_GT(simulate.at("p50_us").asNumber(), 0.0);
-        EXPECT_GE(simulate.at("p99_us").asNumber(),
-                  simulate.at("p50_us").asNumber());
-        // One Engine serves the whole run: it compiles once, and the
-        // sequential session and both served sessions are cache hits.
-        EXPECT_EQ(counters.at("engine.compiles").asNumber(), 1.0);
-        EXPECT_EQ(counters.at("engine.cache_hits").asNumber(), 3.0);
-        EXPECT_NEAR(
-            metrics->at("derived").at("cache_hit_rate").asNumber(),
-            0.75, 1e-6);
-        // Every served session passed admission control into a
-        // pinned lane.
-        EXPECT_EQ(counters.at("admission.admitted").asNumber(), 2.0);
-        EXPECT_EQ(counters.at("pool.pinned_tasks").asNumber(), 2.0);
-        const auto &utilization =
-            metrics->at("derived").at("utilization").asObject();
-        EXPECT_FALSE(utilization.empty());
-        for (const auto &[unit, share] : utilization) {
-            EXPECT_GT(share->asNumber(), 0.0) << unit;
-            EXPECT_LE(share->asNumber(), 1.0) << unit;
-        }
-    } else {
-        EXPECT_TRUE(
-            metrics->at("derived").at("cache_hit_rate").isNull());
+    const auto &counters = metrics->at("counters");
+    // Three sequential frames plus 2 served sessions x 3 frames.
+    EXPECT_EQ(counters.at("frame.count").asNumber(), 9.0);
+    const auto &simulate =
+        metrics->at("histograms").at("frame.simulate_us");
+    EXPECT_EQ(simulate.at("count").asNumber(), 9.0);
+    EXPECT_GT(simulate.at("p50_us").asNumber(), 0.0);
+    EXPECT_GE(simulate.at("p99_us").asNumber(),
+              simulate.at("p50_us").asNumber());
+    // One Engine serves the whole run: it compiles once, and the
+    // sequential session and both served sessions are cache hits.
+    EXPECT_EQ(counters.at("engine.compiles").asNumber(), 1.0);
+    EXPECT_EQ(counters.at("engine.cache_hits").asNumber(), 3.0);
+    EXPECT_NEAR(metrics->at("derived").at("cache_hit_rate").asNumber(),
+                0.75, 1e-6);
+    // The served sessions ran as the two indices of one batch.
+    EXPECT_EQ(counters.at("pool.batches").asNumber(), 1.0);
+    EXPECT_EQ(counters.at("pool.tasks").asNumber(), 2.0);
+    const auto &utilization =
+        metrics->at("derived").at("utilization").asObject();
+    EXPECT_FALSE(utilization.empty());
+    for (const auto &[unit, share] : utilization) {
+        EXPECT_GT(share->asNumber(), 0.0) << unit;
+        EXPECT_LE(share->asNumber(), 1.0) << unit;
     }
 
     // Trace: one runtime process with per-session tracks; session ->

@@ -9,10 +9,10 @@
 // run: the compile and its report, the -o program, the --cache-dir
 // store tier, the --fallback reference rung, the sequential session
 // and the served sessions. With --threads N, the tool also runs the
-// serving path on that Engine: N sessions admitted into the pinned
-// lanes of an N-worker ServerPool by an AdmissionController, all
-// stepped concurrently and asserted byte-identical to the sequential
-// session (the program is already compiled, so each is a cache hit).
+// serving path on that Engine: N sessions run as the indices of one
+// parallelFor on an N-worker ServerPool, all stepped concurrently and
+// asserted byte-identical to the sequential session (the program is
+// already compiled, so each is a cache hit).
 //
 // Usage:
 //   orianna_compile <input.g2o> [-o out.oprog] [--simulate]
@@ -58,7 +58,6 @@
 #include "fg/factors.hpp"
 #include "fg/io_g2o.hpp"
 #include "matrix/simd.hpp"
-#include "runtime/admission.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/program_store.hpp"
 #include "runtime/server_pool.hpp"
@@ -404,32 +403,29 @@ main(int argc, char **argv)
                 sequential_values = session.values();
             }
             if (serve) {
-                // The serving path: one session admitted into each
-                // worker's pinned lane, all opened on the same Engine
-                // (cache hits) and stepped concurrently; each must
-                // land on exactly the sequential session's values.
+                // The serving path: n sessions as the indices of one
+                // parallelFor, all opened on the same Engine (cache
+                // hits) and stepped concurrently; each must land on
+                // exactly the sequential session's values.
                 runtime::ServerPool pool(threads);
                 const unsigned n = pool.threads();
-                runtime::AdmissionController admission(pool, {});
                 std::vector<std::unique_ptr<runtime::Session>>
                     sessions(n);
                 std::vector<std::string> failures(n);
                 const runtime::Engine::Stats before = engine.stats();
-                for (unsigned c = 0; c < n; ++c)
-                    admission.submit(/*worker=*/c, [&, c] {
-                        try {
-                            auto session =
-                                std::make_unique<runtime::Session>(
-                                    engine.session(data.graph,
-                                                   data.initial, 1.0,
-                                                   0, input));
-                            session->iterate(iterations);
-                            sessions[c] = std::move(session);
-                        } catch (const std::exception &error) {
-                            failures[c] = error.what();
-                        }
-                    });
-                admission.drain();
+                pool.parallelFor(n, [&](std::size_t c) {
+                    try {
+                        auto session =
+                            std::make_unique<runtime::Session>(
+                                engine.session(data.graph,
+                                               data.initial, 1.0, 0,
+                                               input));
+                        session->iterate(iterations);
+                        sessions[c] = std::move(session);
+                    } catch (const std::exception &error) {
+                        failures[c] = error.what();
+                    }
+                });
 
                 bool identical = true;
                 for (std::size_t c = 0; c < sessions.size(); ++c) {
