@@ -46,11 +46,12 @@ struct PipelineResult
  * different algorithms (coarse-grained OoO), in-order configurations
  * drain frames strictly in release order.
  *
- * The pipeline models timing only: it schedules instructions and
- * computes no values. Construction validates the workload and builds
- * each stream's dependence adjacency once; run() simulates any number
- * of horizons against it. A stream's frames are serialized: a frame
- * starts only after the previous frame of its stream completed.
+ * The pipeline models timing only: it computes no values. run()
+ * schedules the released frames as the work items of one frame
+ * through runtime::ExecutionContext::schedule, the issue loop every
+ * other figure uses, with one runtime::Release per frame: its release
+ * cycle, and the previous frame of its stream, which it waits for.
+ * Each frame's latency is read back from the returned plan.
  *
  * This is the experiment behind the paper's claim that one shared
  * ORIANNA accelerator sustains an application whose algorithms run at
@@ -60,20 +61,23 @@ struct PipelineResult
 class FramePipeline
 {
   public:
+    /**
+     * Throws std::invalid_argument on an empty workload, a rate that
+     * is not finite and positive, or an offset that is not finite and
+     * non-negative.
+     */
     FramePipeline(std::vector<PeriodicStream> streams,
                   AcceleratorConfig config);
 
-    const AcceleratorConfig &config() const { return config_; }
-    std::size_t streamCount() const { return streams_.size(); }
-
-    /** Simulate @p horizon_s seconds of periodic frame releases. */
-    PipelineResult run(double horizon_s);
+    /**
+     * Simulate @p horizon_s seconds (finite, positive) of periodic
+     * frame releases.
+     */
+    PipelineResult run(double horizon_s) const;
 
   private:
     std::vector<PeriodicStream> streams_;
     AcceleratorConfig config_;
-    /** Per-stream dependents adjacency (shared by all its frames). */
-    std::vector<std::vector<std::vector<std::uint32_t>>> dependents_;
 };
 
 } // namespace orianna::hw

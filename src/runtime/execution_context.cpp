@@ -59,13 +59,14 @@ struct ExecutionContext::Live
 
     /**
      * Run the issue loop under @p config and @p scheduler, rolling
-     * @p faults (may be null) per issue, and write the frame's
+     * @p faults (may be null) per issue and gating work items by
+     * @p releases (empty, or one per program), and write the frame's
      * schedule into @p plan (its storage is reused).
      */
     void schedule(const hw::AcceleratorConfig &config,
                   Scheduler &scheduler, const hw::FaultInjector *faults,
                   std::uint64_t frame, std::uint64_t attempt,
-                  FramePlan &plan);
+                  const std::vector<Release> &releases, FramePlan &plan);
 
     // --- Static tables (per program set) -----------------------------
     std::vector<const comp::Program *> programs;
@@ -100,7 +101,10 @@ struct ExecutionContext::Live
     /** Already passed to Scheduler::markReady this frame. */
     std::vector<std::uint8_t> marked;
     std::array<std::vector<unsigned>, hw::kUnitKindCount> freeInstances;
-    /** Min-heap of (finish cycle, global index) completions. */
+    /**
+     * Min-heap of (finish cycle, global index) completions, and of
+     * (release cycle, total + work item) releases.
+     */
     std::vector<std::pair<std::uint64_t, std::size_t>> events;
 };
 
@@ -189,7 +193,9 @@ ExecutionContext::Live::schedule(const hw::AcceleratorConfig &config,
                                  Scheduler &scheduler,
                                  const hw::FaultInjector *faults,
                                  std::uint64_t frame,
-                                 std::uint64_t attempt, FramePlan &plan)
+                                 std::uint64_t attempt,
+                                 const std::vector<Release> &releases,
+                                 FramePlan &plan)
 {
     const std::size_t total = base.back();
 
@@ -234,6 +240,44 @@ ExecutionContext::Live::schedule(const hw::AcceleratorConfig &config,
         queue.push_back(static_cast<std::uint32_t>(g));
         std::push_heap(queue.begin(), queue.end(), std::greater<>{});
         markHead(queue);
+    };
+
+    // Released work items: each root (depCount 0) of a gated item
+    // holds one extra pending count per closed gate, its release cycle
+    // and its unfinished predecessor. Every other instruction depends
+    // on a root, so the whole item waits. A release enters the event
+    // heap as total + w, so the drain below handles the releases and
+    // completions of one cycle together.
+    std::vector<std::size_t> unfinished(releases.size(), 0);
+    std::vector<std::uint32_t> firstWaiter(releases.size(),
+                                           Release::kNone);
+    std::vector<std::uint32_t> nextWaiter(releases.size(),
+                                          Release::kNone);
+    for (std::size_t w = 0; w < releases.size(); ++w) {
+        const Release &release = releases[w];
+        unfinished[w] = base[w + 1] - base[w];
+        std::uint32_t gates = 0;
+        if (release.cycle > 0) {
+            ++gates;
+            events.emplace_back(release.cycle, total + w);
+            std::push_heap(events.begin(), events.end(),
+                           std::greater<>{});
+        }
+        // An empty predecessor has nothing to finish.
+        if (release.after != Release::kNone &&
+            unfinished[release.after] > 0) {
+            ++gates;
+            nextWaiter[w] = firstWaiter[release.after];
+            firstWaiter[release.after] = static_cast<std::uint32_t>(w);
+        }
+        for (std::size_t g = base[w]; g < base[w + 1]; ++g)
+            if (depCount[g] == 0)
+                pending[g] += gates;
+    }
+    auto openGate = [&](std::size_t w) {
+        for (std::size_t g = base[w]; g < base[w + 1]; ++g)
+            if (depCount[g] == 0 && --pending[g] == 0)
+                enqueue(g);
     };
 
     scheduler.reset(total);
@@ -339,7 +383,17 @@ ExecutionContext::Live::schedule(const hw::AcceleratorConfig &config,
             if (--pending[user] == 0)
                 enqueue(user);
         }
+        if (!releases.empty() && --unfinished[orderWork[g]] == 0)
+            for (std::uint32_t w = firstWaiter[orderWork[g]];
+                 w != Release::kNone; w = nextWaiter[w])
+                openGate(w);
         scheduler.markCompleted(g);
+    };
+    auto retire = [&](std::size_t event) {
+        if (event < total)
+            complete(event);
+        else
+            openGate(event - total);
     };
 
     auto popEvent = [&]() {
@@ -362,13 +416,13 @@ ExecutionContext::Live::schedule(const hw::AcceleratorConfig &config,
             break;
         }
 
-        // Advance to the next completion and drain every completion
-        // at that same cycle.
+        // Advance to the next event and drain every completion and
+        // release at that same cycle.
         const auto [when, first] = popEvent();
         now = std::max(now, when);
-        complete(first);
+        retire(first);
         while (!events.empty() && events.front().first == when)
-            complete(popEvent().second);
+            retire(popEvent().second);
     }
 
     result.cycles = now;
@@ -448,14 +502,23 @@ ExecutionContext::live()
 
 std::shared_ptr<const FramePlan>
 ExecutionContext::schedule(std::vector<const comp::Program *> programs,
-                           const hw::AcceleratorConfig &config)
+                           const hw::AcceleratorConfig &config,
+                           const std::vector<Release> &releases)
 {
     checkUnits(config);
+    if (!releases.empty() && releases.size() != programs.size())
+        throw std::invalid_argument(
+            "ExecutionContext: one release per program");
+    for (std::size_t w = 0; w < releases.size(); ++w)
+        if (releases[w].after != Release::kNone && releases[w].after >= w)
+            throw std::invalid_argument(
+                "ExecutionContext: a release must wait on an earlier "
+                "work item");
     std::vector<std::size_t> base = globalBases(programs);
     Live state(std::move(programs), std::move(base));
     auto plan = std::make_shared<FramePlan>();
     state.schedule(config, state.builtIn(config.outOfOrder), nullptr, 0,
-                   0, *plan);
+                   0, releases, *plan);
     return plan;
 }
 
@@ -493,7 +556,7 @@ ExecutionContext::frame(const hw::AcceleratorConfig &config,
     state.schedule(config,
                    scheduler != nullptr ? *scheduler
                                         : state.builtIn(config.outOfOrder),
-                   faults_, faultFrame_, faultAttempt_, scratch_);
+                   faults_, faultFrame_, faultAttempt_, {}, scratch_);
     if (!clean) {
         numerics(scratch_);
         return finish(scratch_, config, /*replayed=*/false);

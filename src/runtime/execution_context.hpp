@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <variant>
@@ -63,12 +64,27 @@ struct FramePlan
 };
 
 /**
+ * When one work item of a scheduled frame may start: it issues
+ * nothing before @c cycle, nor before the earlier work item @c after
+ * has finished. Work items without a release start at cycle 0.
+ */
+struct Release
+{
+    static constexpr std::uint32_t kNone = UINT32_MAX;
+
+    std::uint64_t cycle = 0;
+    std::uint32_t after = kNone;
+};
+
+/**
  * Reusable per-frame execution state for a fixed set of compiled
  * programs (the work items of one accelerator frame).
  *
  * A frame runs in two steps. The *schedule* step is the Sec. 6.3
  * issue loop — scheduling policy, per-kind issue queues, completion
  * heap, fault decisions — with no numerics; it yields a FramePlan.
+ * It is the one such loop: hw::FramePipeline schedules its released
+ * frames through it as the work items of one frame (Release).
  * The *numerics* step then runs comp::Executor::step over the plan's
  * issue order and poisons each corrupt-fault victim right after its
  * instruction. Programs are SSA, so any dependence-respecting order
@@ -116,8 +132,6 @@ class ExecutionContext
     ExecutionContext(ExecutionContext &&) noexcept;
     ExecutionContext &operator=(ExecutionContext &&) noexcept;
 
-    std::size_t workCount() const { return programs_.size(); }
-
     /** Total instructions across all bound programs. */
     std::size_t instructionCount() const { return base_.back(); }
 
@@ -153,11 +167,15 @@ class ExecutionContext
 
     /**
      * Schedule one clean frame of @p programs under @p config with
-     * the built-in scheduler, without numerics or values.
+     * the built-in scheduler, without numerics or values. @p releases
+     * is empty or holds one Release per program; it throws
+     * std::invalid_argument on any other size or on an @c after that
+     * is not an earlier work item.
      */
     static std::shared_ptr<const FramePlan>
     schedule(std::vector<const comp::Program *> programs,
-             const hw::AcceleratorConfig &config);
+             const hw::AcceleratorConfig &config,
+             const std::vector<Release> &releases = {});
 
   private:
     struct Live;

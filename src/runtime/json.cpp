@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <string_view>
 
 namespace orianna::runtime::json {
 
@@ -191,15 +192,48 @@ class Parser
     parseNumber()
     {
         skipSpace();
-        // In place: copying the rest of the line per number would make
-        // a line of n numbers cost O(n^2) to parse.
-        const char *begin = input_.c_str() + pos_;
+        // Match the JSON grammar first,
+        // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, so strtod's
+        // extras (a leading '+', hexadecimal, inf/nan, ".5", "1.")
+        // are malformed here.
+        const std::size_t start = pos_;
+        auto at = [&](std::string_view set) {
+            return pos_ < input_.size() &&
+                   set.find(input_[pos_]) != std::string_view::npos;
+        };
+        auto digits = [&] {
+            const std::size_t first = pos_;
+            while (at("0123456789"))
+                ++pos_;
+            if (pos_ == first)
+                fail("malformed number");
+        };
+        if (at("-"))
+            ++pos_;
+        if (at("0"))
+            ++pos_;
+        else
+            digits();
+        if (at(".")) {
+            ++pos_;
+            digits();
+        }
+        if (at("eE")) {
+            ++pos_;
+            if (at("+-"))
+                ++pos_;
+            digits();
+        }
+        // strtod then reads that span in place: copying the rest of the
+        // line per number would make a line of n numbers cost O(n^2)
+        // to parse. If strtod reads past the span ("0x10", "02"), the
+        // text is not JSON.
+        const char *begin = input_.c_str() + start;
         char *end = nullptr;
         errno = 0;
         const double value = std::strtod(begin, &end);
-        if (end == begin || errno == ERANGE)
+        if (end != input_.c_str() + pos_ || errno == ERANGE)
             fail("malformed number");
-        pos_ += static_cast<std::size_t>(end - begin);
         return value;
     }
 

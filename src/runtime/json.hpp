@@ -9,10 +9,11 @@ namespace orianna::runtime::json {
 
 /**
  * Minimal JSON value model and recursive-descent parser for the
- * serving protocol (DESIGN.md §11). Parsing is strict JSON except for
- * numbers, which std::strtod reads, so `inf`, `nan`, hexadecimal and
- * a leading `+` parse too. *Schema* handling on top of it is
- * deliberately tolerant in the openrave jsonreader style — requests
+ * serving protocol (DESIGN.md §11). Parsing is strict JSON, numbers
+ * included: `+1`, `0x10`, `02`, `.5`, `1.`, `inf` and `nan` are
+ * malformed, and so is a number out of double range. *Schema*
+ * handling on top of it is deliberately tolerant in the openrave
+ * jsonreader style — requests
  * are read field by field, unknown fields are ignored, and a missing
  * or mistyped field is reported as a typed protocol error instead of
  * an exception tearing down the server.

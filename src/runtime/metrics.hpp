@@ -68,22 +68,6 @@ class Gauge
         value_.store(v, std::memory_order_relaxed);
     }
 
-    void
-    add(std::int64_t delta)
-    {
-        value_.fetch_add(delta, std::memory_order_relaxed);
-    }
-
-    /** Raise to @p v if it exceeds the current value. */
-    void
-    max(std::int64_t v)
-    {
-        std::int64_t cur = value_.load(std::memory_order_relaxed);
-        while (v > cur && !value_.compare_exchange_weak(
-                              cur, v, std::memory_order_relaxed))
-            ;
-    }
-
     std::int64_t
     value() const
     {

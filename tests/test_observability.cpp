@@ -108,17 +108,13 @@ TEST(MetricsCounter, ShardedAddsSumExactly)
     EXPECT_EQ(counter.value(), 0u);
 }
 
-TEST(MetricsGauge, SetAddMax)
+TEST(MetricsGauge, SetAndReset)
 {
     Gauge gauge;
     gauge.set(7);
     EXPECT_EQ(gauge.value(), 7);
-    gauge.add(-3);
-    EXPECT_EQ(gauge.value(), 4);
-    gauge.max(9);
-    EXPECT_EQ(gauge.value(), 9);
-    gauge.max(2); // Lower: must not regress.
-    EXPECT_EQ(gauge.value(), 9);
+    gauge.set(-3);
+    EXPECT_EQ(gauge.value(), -3);
     gauge.reset();
     EXPECT_EQ(gauge.value(), 0);
 }

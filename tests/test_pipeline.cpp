@@ -1,6 +1,8 @@
 // Tests for the rate-aware frame-pipeline simulator.
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -57,20 +59,35 @@ TEST(Pipeline, NominalRatesMeetDeadlines)
     }
 }
 
-TEST(Pipeline, LatencyIsAtLeastIsolatedMakespan)
+// The pipeline schedules through the issue loop every other figure
+// uses: one uncontended frame takes exactly the cycles of an isolated
+// frame of its program.
+TEST(Pipeline, OneFrameLatencyEqualsIsolatedMakespan)
 {
-    apps::BenchmarkApp bench = apps::buildApp(apps::AppKind::MobileRobot, 23);
-    core::Algorithm &loc = bench.app.algorithm(0);
-    const AcceleratorConfig config = AcceleratorConfig::minimal(true);
-
-    const auto isolated =
-        runtime::ExecutionContext({{&loc.program, &loc.values}})
-            .run(config);
-    const auto pipeline =
-        FramePipeline({{&loc.program, 20.0, 0.0}}, config)
-            .run(0.2);
-    EXPECT_GE(pipeline.streams[0].meanLatencyS,
-              isolated.seconds() * 0.999);
+    for (apps::AppKind kind : apps::allApps()) {
+        apps::BenchmarkApp bench = apps::buildApp(kind, 23);
+        for (std::size_t i = 0; i < bench.app.size(); ++i) {
+            core::Algorithm &algo = bench.app.algorithm(i);
+            for (const bool out_of_order : {true, false}) {
+                SCOPED_TRACE(std::string(apps::appName(kind)) + "/" +
+                             algo.name +
+                             (out_of_order ? " OoO" : " in-order"));
+                const AcceleratorConfig config =
+                    AcceleratorConfig::minimal(out_of_order);
+                const auto isolated =
+                    runtime::ExecutionContext({{&algo.program, &algo.values}})
+                        .run(config);
+                // A 1 Hz stream over half a second releases one frame.
+                const auto pipeline =
+                    FramePipeline({{&algo.program, 1.0, 0.0}}, config)
+                        .run(0.5);
+                ASSERT_EQ(pipeline.streams[0].frames, 1u);
+                EXPECT_EQ(pipeline.cycles, isolated.cycles);
+                EXPECT_EQ(pipeline.streams[0].meanLatencyS,
+                          isolated.seconds());
+            }
+        }
+    }
 }
 
 TEST(Pipeline, StressIncreasesLatency)
@@ -130,6 +147,23 @@ TEST(Pipeline, InvalidInputsRejected)
         FramePipeline({{&loc.program, 10.0, 0.0}}, config)
             .run(-1.0),
                  std::invalid_argument);
+    // Non-finite rates and horizons would release frames forever, and
+    // a negative offset would wrap the release cycle.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double rate : {nan, inf, -inf, -1.0})
+        EXPECT_THROW(FramePipeline({{&loc.program, rate, 0.0}}, config),
+                     std::invalid_argument)
+            << rate;
+    for (const double offset : {nan, inf, -1e-3})
+        EXPECT_THROW(FramePipeline({{&loc.program, 10.0, offset}}, config),
+                     std::invalid_argument)
+            << offset;
+    for (const double horizon : {nan, inf, 0.0})
+        EXPECT_THROW(
+            FramePipeline({{&loc.program, 10.0, 0.0}}, config).run(horizon),
+            std::invalid_argument)
+            << horizon;
     AcceleratorConfig broken = config;
     broken.count(hw::UnitKind::Qr) = 0;
     EXPECT_THROW(

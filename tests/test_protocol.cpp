@@ -237,6 +237,22 @@ TEST_F(ProtocolTest, MalformedRequestTableMapsToTypedErrors)
          "bad_value"},
         {R"({"op":"submit","app":"MobileRobot","seed":1.5})",
          "bad_value"},
+        // Numbers are strict JSON: exponents parse (and the seeds are
+        // then rejected as -1 and 1.5), strtod's extensions do not.
+        {R"({"op":"submit","app":"MobileRobot","seed":-1e0})",
+         "bad_value"},
+        {R"({"op":"submit","app":"MobileRobot","seed":15E-1})",
+         "bad_value"},
+        {R"({"op":"submit","app":"MobileRobot","seed":+0x10})",
+         "parse_error"},
+        {R"({"op":"submit","app":"MobileRobot","seed":0x2})",
+         "parse_error"},
+        {R"({"op":"submit","app":"MobileRobot","seed":02})",
+         "parse_error"},
+        {R"({"op":"submit","app":"MobileRobot","seed":nan})",
+         "parse_error"},
+        {R"({"op":"submit","app":"MobileRobot","seed":.5})",
+         "parse_error"},
         {R"({"op":"step"})", "missing_field"}, // No session.
         {R"({"op":"step","session":"one"})", "bad_type"},
         {R"({"op":"step","session":404})", "unknown_session"},

@@ -334,6 +334,80 @@ TEST(ExecutionContext, DeadlockOnCircularDependencesIsDiagnosed)
                  std::logic_error);
 }
 
+// A released work item issues nothing before its release cycle nor
+// before the item it waits on has finished; releases that gate
+// nothing leave the schedule as it was.
+TEST(ExecutionContext, ReleasesGateWorkItems)
+{
+    using runtime::ExecutionContext;
+    using runtime::Release;
+    apps::BenchmarkApp bench =
+        apps::buildMission(apps::AppKind::Manipulator, /*seed=*/7);
+    bench.app.compile();
+    const comp::Program &program = bench.app.algorithm(0).program;
+    const std::size_t n = program.instructions.size();
+    const std::vector<const comp::Program *> two{&program, &program};
+
+    for (const bool out_of_order : {true, false}) {
+        SCOPED_TRACE(out_of_order ? "out-of-order" : "in-order");
+        const auto config = hw::AcceleratorConfig::minimal(out_of_order);
+        const std::uint64_t single =
+            ExecutionContext::schedule({&program}, config)->totals.cycles;
+
+        const auto plain = ExecutionContext::schedule(two, config);
+        const auto open = ExecutionContext::schedule(
+            two, config, {{0, Release::kNone}, {0, Release::kNone}});
+        ASSERT_EQ(open->issues.size(), plain->issues.size());
+        for (std::size_t p = 0; p < plain->issues.size(); ++p) {
+            EXPECT_EQ(open->issues[p].g, plain->issues[p].g);
+            EXPECT_EQ(open->issues[p].instance, plain->issues[p].instance);
+            EXPECT_EQ(open->issues[p].start, plain->issues[p].start);
+        }
+        EXPECT_EQ(open->totals.cycles, plain->totals.cycles);
+
+        // Waiting on item 0: item 1 runs alone after it.
+        const auto after = ExecutionContext::schedule(
+            two, config, {{0, Release::kNone}, {40, 0}});
+        std::uint64_t first_finish = 0;
+        for (const auto &issue : after->issues)
+            if (issue.g < n)
+                first_finish = std::max(
+                    first_finish,
+                    issue.start +
+                        hw::CostModel::latency(program.instructions[issue.g],
+                                               program.precision));
+        for (const auto &issue : after->issues) {
+            if (issue.g >= n) {
+                EXPECT_GE(issue.start,
+                          std::max<std::uint64_t>(40, first_finish));
+            }
+        }
+        EXPECT_EQ(after->totals.cycles, 2 * single);
+
+        // Released after item 0 is done: item 1 starts at its cycle.
+        const std::uint64_t late = 3 * single;
+        const auto released = ExecutionContext::schedule(
+            two, config, {{0, Release::kNone}, {late, Release::kNone}});
+        for (const auto &issue : released->issues) {
+            if (issue.g >= n) {
+                EXPECT_GE(issue.start, late);
+            }
+        }
+        EXPECT_EQ(released->totals.cycles, late + single);
+    }
+
+    const auto config = hw::AcceleratorConfig::minimal(true);
+    EXPECT_THROW(ExecutionContext::schedule(two, config,
+                                            {{0, Release::kNone}}),
+                 std::invalid_argument);
+    EXPECT_THROW(ExecutionContext::schedule(
+                     two, config, {{0, 1}, {0, Release::kNone}}),
+                 std::invalid_argument);
+    EXPECT_THROW(ExecutionContext::schedule(
+                     two, config, {{0, Release::kNone}, {0, 1}}),
+                 std::invalid_argument);
+}
+
 // --- Engine / Session ------------------------------------------------
 
 TEST(Engine, SharesCompiledProgramsBetweenEqualGraphs)
