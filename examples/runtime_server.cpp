@@ -16,8 +16,7 @@
 // never tears down on a bad request), 2 on bad argv.
 //
 // Usage:
-//   runtime_server [--cache-dir DIR] [--no-store] [--simd TIER]
-//                  [--precision P]
+//   runtime_server [--cache-dir DIR] [--simd TIER] [--precision P]
 
 #include <cstdio>
 #include <iostream>
@@ -40,12 +39,10 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--cache-dir DIR] [--no-store] [--simd TIER] "
-        "[--precision P]\n"
+        "usage: %s [--cache-dir DIR] [--simd TIER] [--precision P]\n"
         "  serves the line-delimited JSON protocol on stdin/stdout\n"
         "  --cache-dir DIR    arm the persistent program store in "
         "DIR (created if absent)\n"
-        "  --no-store         ignore --cache-dir; serve memory-only\n"
         "  --simd TIER        kernel tier: scalar, avx2, neon or "
         "auto (overrides ORIANNA_SIMD)\n"
         "  --precision P      accelerator datapath: fp64 or fp32 "
@@ -181,14 +178,10 @@ int
 main(int argc, char **argv)
 {
     runtime::EngineOptions options;
-    std::string cache_dir;
-    bool no_store = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--cache-dir" && i + 1 < argc) {
-            cache_dir = argv[++i];
-        } else if (arg == "--no-store") {
-            no_store = true;
+            options.storeDir = argv[++i];
         } else if (arg == "--simd" && i + 1 < argc) {
             const auto selection =
                 mat::kernels::selectTierFromSpec(argv[++i]);
@@ -214,7 +207,5 @@ main(int argc, char **argv)
             return usage(argv[0]);
         }
     }
-    if (!no_store)
-        options.storeDir = cache_dir;
     return serve(std::move(options));
 }

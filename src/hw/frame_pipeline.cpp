@@ -133,13 +133,15 @@ FramePipeline::run(double horizon_s) const
                 metrics.counter("pipeline.deadline_misses").add();
         }
     }
-    const auto &busy = plan->totals.unitBusyCycles;
-    const std::uint64_t hottest =
-        *std::max_element(busy.begin(), busy.end());
-    result.utilization =
-        result.cycles == 0 ? 0.0
-                           : static_cast<double>(hottest) /
-                                 static_cast<double>(result.cycles);
+    // The busiest unit's share: busy cycles of a kind over the cycles
+    // all of its instances had.
+    if (result.cycles > 0)
+        for (std::size_t k = 0; k < kUnitKindCount; ++k)
+            result.utilization = std::max(
+                result.utilization,
+                static_cast<double>(plan->totals.unitBusyCycles[k]) /
+                    (static_cast<double>(result.cycles) *
+                     static_cast<double>(config_.units[k])));
     for (StreamStats &stats : result.streams) {
         if (stats.frames > 0) {
             stats.meanLatencyS /= static_cast<double>(stats.frames);

@@ -35,7 +35,11 @@ struct PipelineResult
 {
     std::vector<StreamStats> streams; //!< One per input stream.
     std::uint64_t cycles = 0;         //!< Total simulated horizon.
-    double utilization = 0.0; //!< Busy-cycle share of the hot unit.
+    /**
+     * Busy-cycle share of the busiest unit: the largest
+     * busy_k / (cycles * units_k) over unit kinds k.
+     */
+    double utilization = 0.0;
 };
 
 /**

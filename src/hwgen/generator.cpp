@@ -1,8 +1,6 @@
 #include "hwgen/generator.hpp"
 
 #include <array>
-#include <limits>
-#include <memory>
 #include <stdexcept>
 
 #include "runtime/execution_context.hpp"
@@ -44,20 +42,18 @@ generate(const std::vector<WorkItem> &work, const Resources &budget,
         throw std::invalid_argument(
             "generate: budget below the minimal accelerator");
 
-    // One execution context serves every candidate evaluation: the
-    // dependence graph, cost-model caches, and functional executors
-    // are built once, and each run() only rebuilds per-frame scratch.
-    runtime::ExecutionContext context(work);
-
-    // Pool workers get their own warm contexts, built lazily on first
-    // use and reused across every greedy step. Each slot is touched
-    // only by its owning worker thread, so no lock is needed.
-    std::vector<std::unique_ptr<runtime::ExecutionContext>> contexts;
-    if (pool != nullptr)
-        contexts.resize(pool->threads());
+    // A candidate is judged on its modeled frame alone: schedule it
+    // (the issue loop, no numerics) and read the plan's totals.
+    std::vector<const comp::Program *> programs;
+    for (const WorkItem &item : work)
+        programs.push_back(item.program);
+    auto simulate = [&programs](const AcceleratorConfig &candidate) {
+        return runtime::ExecutionContext::schedule(programs, candidate)
+            ->totals;
+    };
 
     GenerationResult out;
-    SimResult current = context.run(config);
+    SimResult current = simulate(config);
     out.trajectory.push_back({config, current, config.resources()});
 
     // Greedy growth along the (re-simulated) critical path: try one
@@ -72,28 +68,19 @@ generate(const std::vector<WorkItem> &work, const Resources &budget,
         // order, giving the exact tie-breaking of the serial loop.
         std::array<bool, hw::kUnitKindCount> fits{};
         std::array<SimResult, hw::kUnitKindCount> sims;
-        auto evaluate = [&](std::size_t k,
-                            runtime::ExecutionContext &ctx) {
+        auto evaluate = [&](std::size_t k) {
             AcceleratorConfig candidate = config;
             ++candidate.units[k];
             if (!candidate.resources().fitsIn(budget))
                 return;
-            sims[k] = ctx.run(candidate);
+            sims[k] = simulate(candidate);
             fits[k] = true;
         };
-        if (pool != nullptr) {
-            pool->parallelFor(hw::kUnitKindCount, [&](std::size_t k) {
-                const int w = runtime::ServerPool::currentWorker();
-                auto &ctx = contexts[static_cast<std::size_t>(w)];
-                if (!ctx)
-                    ctx = std::make_unique<runtime::ExecutionContext>(
-                        work);
-                evaluate(k, *ctx);
-            });
-        } else {
+        if (pool != nullptr)
+            pool->parallelFor(hw::kUnitKindCount, evaluate);
+        else
             for (std::size_t k = 0; k < hw::kUnitKindCount; ++k)
-                evaluate(k, context);
-        }
+                evaluate(k);
 
         double best_value = base_value;
         int best_kind = -1;

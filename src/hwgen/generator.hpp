@@ -56,12 +56,14 @@ struct GenerationResult
  * re-simulated, which re-evaluates the critical path exactly as
  * Sec. 6.2 describes.
  *
+ * Each candidate is evaluated by scheduling one frame of the work on
+ * it (runtime::ExecutionContext::schedule: the issue loop, no
+ * numerics), so the results carry the frame totals but no deltas.
  * Candidate evaluation inside each greedy step is embarrassingly
- * parallel: when @p pool is given, the per-unit-kind re-simulations
- * run across its workers, each worker reusing a warm per-worker
- * ExecutionContext for the whole greedy loop. The selected design and
- * its trajectory are identical to the sequential path (all candidates
- * are evaluated, then reduced in unit-kind order on the caller).
+ * parallel: when @p pool is given, the per-unit-kind schedules run
+ * across its workers. The selected design and its trajectory are
+ * identical to the sequential path (all candidates are evaluated,
+ * then reduced in unit-kind order on the caller).
  *
  * @param work      the application's compiled programs (all
  *                  algorithms) bound to representative values.

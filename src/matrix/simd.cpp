@@ -24,9 +24,7 @@ std::size_t
 callCell()
 {
     // Spread threads round-robin over the cells on first use; the
-    // assignment is sticky for the thread's lifetime (the same idiom
-    // as runtime::Counter, duplicated to keep this layer free of
-    // runtime dependencies).
+    // assignment is sticky for the thread's lifetime.
     static std::atomic<std::size_t> next{0};
     thread_local const std::size_t cell =
         next.fetch_add(1, std::memory_order_relaxed) % kCallCells;

@@ -245,9 +245,10 @@ class ScopedKernelTier
 
 // --- Per-kernel call counters ---------------------------------------
 //
-// Dispatched kernel invocations are counted into sharded relaxed
-// cells (same idiom as runtime::Counter, duplicated here so the
-// matrix layer stays free of runtime dependencies). The runtime
+// Dispatched kernel invocations are counted into relaxed cells
+// sharded per thread: every pool worker bumps them on every kernel
+// call. (runtime::Counter is one plain atomic; this layer keeps its
+// own counters to stay free of runtime dependencies.) The runtime
 // metrics registry mirrors these into its JSON export under
 // "kernels" and resets them with the registry.
 

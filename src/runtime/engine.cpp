@@ -22,6 +22,30 @@ namespace {
 /** Re-runs of a faulty frame before it falls back (DESIGN.md §8). */
 constexpr std::size_t kMaxRetries = 2;
 
+/** Session::step's instruments, looked up once per process. */
+struct StepInstruments
+{
+    MetricsRegistry &registry = MetricsRegistry::global();
+    Counter &frames = registry.counter("frame.count");
+    Histogram &totalUs = registry.histogram("frame.total_us");
+    Histogram &simulateUs = registry.histogram("frame.simulate_us");
+    Histogram &updateUs = registry.histogram("frame.update_us");
+    Counter &faultsDetected = registry.counter("engine.faults_detected");
+    Counter &frameTimeouts = registry.counter("engine.frame_timeouts");
+    Counter &retries = registry.counter("engine.retries");
+    Counter &fallbacks = registry.counter("engine.fallbacks");
+};
+
+/** Session::step's instruments, or null while metrics are disabled. */
+const StepInstruments *
+stepInstruments()
+{
+    if (!MetricsRegistry::enabled())
+        return nullptr;
+    static const StepInstruments instruments;
+    return &instruments;
+}
+
 /** The graph fingerprint's fields, mixed into one comp::Fnv1a. */
 struct Fnv
 {
@@ -280,22 +304,16 @@ Engine::compileCached(std::uint64_t key, const std::string &name,
         } catch (...) {
             stored = nullptr; // The store never fails a request.
         }
-        const bool metrics_on = MetricsRegistry::enabled();
+        if (MetricsRegistry::enabled())
+            MetricsRegistry::global()
+                .counter(stored != nullptr ? "engine.store_hits"
+                                           : "engine.store_misses")
+                .add();
         if (stored != nullptr) {
-            storeHits_.fetch_add(1, std::memory_order_relaxed);
-            if (metrics_on)
-                MetricsRegistry::global()
-                    .counter("engine.store_hits")
-                    .add();
             trackCached(stored);
             promise.set_value(stored);
             return stored;
         }
-        storeMisses_.fetch_add(1, std::memory_order_relaxed);
-        if (metrics_on)
-            MetricsRegistry::global()
-                .counter("engine.store_misses")
-                .add();
     }
 
     // Compile outside any lock: other fingerprints proceed in
@@ -343,13 +361,9 @@ Engine::compileCached(std::uint64_t key, const std::string &name,
         // restarted process (or a sibling on the same directory)
         // skips this compile. Failures are counted, never raised.
         if (store_ != nullptr &&
-            store_->store(key, pipeline.spec(), *compiled)) {
-            storeWrites_.fetch_add(1, std::memory_order_relaxed);
-            if (MetricsRegistry::enabled())
-                MetricsRegistry::global()
-                    .counter("engine.store_writes")
-                    .add();
-        }
+            store_->store(key, pipeline.spec(), *compiled) &&
+            MetricsRegistry::enabled())
+            MetricsRegistry::global().counter("engine.store_writes").add();
         trackCached(compiled);
         promise.set_value(compiled);
         return compiled;
@@ -415,6 +429,23 @@ Engine::plan(const std::shared_ptr<const comp::Program> &program)
         plans_[program] = {};
         throw;
     }
+}
+
+Engine::Stats
+Engine::stats() const
+{
+    Stats s;
+    s.compiles = compiles_.load(std::memory_order_relaxed);
+    s.cacheHits = cacheHits_.load(std::memory_order_relaxed);
+    if (store_ != nullptr) {
+        const ProgramStore::Stats store = store_->stats();
+        s.storeHits = store.hits;
+        s.storeMisses = store.misses;
+        s.storeWrites = store.writes;
+    }
+    s.plansBuilt = plansBuilt_.load(std::memory_order_relaxed);
+    s.cachedBytes = cachedBytes_.load(std::memory_order_relaxed);
+    return s;
 }
 
 std::size_t
@@ -657,8 +688,8 @@ Session::step()
 {
     const bool tracing =
         trace_ != nullptr && TraceCollector::enabled();
-    const bool metrics_on = MetricsRegistry::enabled();
-    const bool timed = tracing || metrics_on;
+    const StepInstruments *metrics = stepInstruments();
+    const bool timed = tracing || metrics != nullptr;
 
     // Rebind each step so the session stays movable: values_ lives
     // inside this object and its address follows the session.
@@ -698,11 +729,10 @@ Session::step()
                 health_->frameTimeouts.fetch_add(
                     1, std::memory_order_relaxed);
         }
-        if (metrics_on) {
-            auto &metrics = MetricsRegistry::global();
-            metrics.counter("engine.faults_detected").add();
+        if (metrics != nullptr) {
+            metrics->faultsDetected.add();
             if (timeout)
-                metrics.counter("engine.frame_timeouts").add();
+                metrics->frameTimeouts.add();
         }
         if (tracing)
             TraceCollector::global().addSpan(
@@ -738,10 +768,8 @@ Session::step()
             if (health_ != nullptr)
                 health_->retries.fetch_add(1,
                                            std::memory_order_relaxed);
-            if (metrics_on)
-                MetricsRegistry::global()
-                    .counter("engine.retries")
-                    .add();
+            if (metrics != nullptr)
+                metrics->retries.add();
         }
         context_.armFaults(injector_.get(), frames_, attempt);
         const std::uint64_t attempt_start =
@@ -762,10 +790,8 @@ Session::step()
         if (health_ != nullptr)
             health_->fallbacks.fetch_add(1,
                                          std::memory_order_relaxed);
-        if (metrics_on)
-            MetricsRegistry::global()
-                .counter("engine.fallbacks")
-                .add();
+        if (metrics != nullptr)
+            metrics->fallbacks.add();
         fallbackContext_->bindValues(0, &values_);
         const std::uint64_t fb_start =
             timed ? MetricsRegistry::nowUs() : frame_start;
@@ -812,12 +838,11 @@ Session::step()
     const std::uint64_t simulate_us = simulate_end - frame_start;
     const std::uint64_t update_us = update_end - simulate_end;
     const std::uint64_t frame_us = update_end - frame_start;
-    if (metrics_on) {
-        auto &metrics = MetricsRegistry::global();
-        metrics.counter("frame.count").add();
-        metrics.histogram("frame.total_us").observe(frame_us);
-        metrics.histogram("frame.simulate_us").observe(simulate_us);
-        metrics.histogram("frame.update_us").observe(update_us);
+    if (metrics != nullptr) {
+        metrics->frames.add();
+        metrics->totalUs.observe(frame_us);
+        metrics->simulateUs.observe(simulate_us);
+        metrics->updateUs.observe(update_us);
     }
     if (tracing) {
         auto &collector = TraceCollector::global();

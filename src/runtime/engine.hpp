@@ -334,7 +334,8 @@ class Engine
     {
         std::size_t compiles = 0;  //!< Cache misses (programs built).
         std::size_t cacheHits = 0; //!< Sessions served from cache.
-        // Persistent-store tier (all zero when storeDir is unset).
+        // Persistent-store tier: ProgramStore::stats(), all zero when
+        // storeDir is unset.
         std::size_t storeHits = 0;   //!< Compiles avoided via disk.
         std::size_t storeMisses = 0; //!< Store consults that compiled.
         std::size_t storeWrites = 0; //!< Artifacts published to disk.
@@ -347,19 +348,7 @@ class Engine
         std::size_t cachedBytes = 0;
     };
 
-    Stats
-    stats() const
-    {
-        Stats s;
-        s.compiles = compiles_.load(std::memory_order_relaxed);
-        s.cacheHits = cacheHits_.load(std::memory_order_relaxed);
-        s.storeHits = storeHits_.load(std::memory_order_relaxed);
-        s.storeMisses = storeMisses_.load(std::memory_order_relaxed);
-        s.storeWrites = storeWrites_.load(std::memory_order_relaxed);
-        s.plansBuilt = plansBuilt_.load(std::memory_order_relaxed);
-        s.cachedBytes = cachedBytes_.load(std::memory_order_relaxed);
-        return s;
-    }
+    Stats stats() const;
 
     /** The persistent store tier, or nullptr when disabled. */
     const ProgramStore *store() const { return store_.get(); }
@@ -432,9 +421,6 @@ class Engine
     std::unique_ptr<ProgramStore> store_;
     std::atomic<std::size_t> compiles_{0};
     std::atomic<std::size_t> cacheHits_{0};
-    std::atomic<std::size_t> storeHits_{0};
-    std::atomic<std::size_t> storeMisses_{0};
-    std::atomic<std::size_t> storeWrites_{0};
     std::atomic<std::size_t> plansBuilt_{0};
     std::atomic<std::size_t> cachedBytes_{0};
 

@@ -38,6 +38,28 @@ globalBases(const std::vector<const comp::Program *> &programs)
     return base;
 }
 
+/** The hw.* instruments, looked up once per process. */
+struct HwInstruments
+{
+    MetricsRegistry &registry = MetricsRegistry::global();
+    Counter &frames = registry.counter("hw.frames");
+    Counter &framesReplayed = registry.counter("hw.frames_replayed");
+    Counter &cycles = registry.counter("hw.cycles");
+    /** Indexed by hw::UnitKind. */
+    std::array<Counter *, hw::kUnitKindCount> busyCycles{};
+    std::array<Gauge *, hw::kUnitKindCount> units{};
+
+    HwInstruments()
+    {
+        for (std::size_t k = 0; k < hw::kUnitKindCount; ++k) {
+            const std::string unit =
+                hw::unitName(static_cast<UnitKind>(k));
+            busyCycles[k] = &registry.counter("hw.busy_cycles." + unit);
+            units[k] = &registry.gauge("hw.units." + unit);
+        }
+    }
+};
+
 } // namespace
 
 /**
@@ -210,7 +232,6 @@ ExecutionContext::Live::schedule(const hw::AcceleratorConfig &config,
         freeInstances[k].clear();
         for (unsigned u = 0; u < config.units[k]; ++u)
             freeInstances[k].push_back(config.units[k] - 1 - u);
-        plan.instanceBusy[k].assign(config.units[k], 0);
     }
     events.clear();
     for (auto &queue : readyByKind)
@@ -310,8 +331,6 @@ ExecutionContext::Live::schedule(const hw::AcceleratorConfig &config,
         ++issuedCount;
         plan.issues.push_back({static_cast<std::uint32_t>(g),
                                assignedInstance[g], now});
-        plan.instanceBusy[unitKind[g]][assignedInstance[g]] +=
-            latency[g];
 
         const std::uint32_t w = orderWork[g];
         const Instruction &inst =
@@ -642,27 +661,16 @@ ExecutionContext::finish(const FramePlan &plan,
     if (config.recordTrace)
         result.trace = traceEvents(plan);
 
-    // Flush simulator-side observability off the hot path, from the
-    // plan's frame totals, and only when metrics are enabled (one
-    // relaxed load otherwise).
+    // Flush simulator-side observability from the plan's frame totals,
+    // only when metrics are enabled (one relaxed load otherwise).
     if (MetricsRegistry::enabled()) {
-        auto &metrics = MetricsRegistry::global();
-        metrics.counter("hw.frames").add();
-        metrics.counter("hw.frames_replayed").add(replayed ? 1 : 0);
-        metrics.counter("hw.cycles").add(result.cycles);
+        static const HwInstruments instruments;
+        instruments.frames.add();
+        instruments.framesReplayed.add(replayed ? 1 : 0);
+        instruments.cycles.add(result.cycles);
         for (std::size_t k = 0; k < hw::kUnitKindCount; ++k) {
-            if (config.units[k] == 0)
-                continue;
-            const std::string unit =
-                hw::unitName(static_cast<UnitKind>(k));
-            metrics.counter("hw.busy_cycles." + unit)
-                .add(result.unitBusyCycles[k]);
-            metrics.gauge("hw.units." + unit).set(config.units[k]);
-            for (unsigned u = 0; u < config.units[k]; ++u)
-                metrics
-                    .counter("hw.busy_cycles." + unit + "." +
-                             std::to_string(u))
-                    .add(plan.instanceBusy[k][u]);
+            instruments.busyCycles[k]->add(result.unitBusyCycles[k]);
+            instruments.units[k]->set(config.units[k]);
         }
     }
 

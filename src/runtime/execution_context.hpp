@@ -52,10 +52,6 @@ struct FramePlan
     /** Frame totals: every SimResult field but deltas and trace. */
     hw::SimResult totals;
 
-    /** Base-latency busy cycles per (unit kind, instance). */
-    std::array<std::vector<std::uint64_t>, hw::kUnitKindCount>
-        instanceBusy;
-
     bool
     matches(const hw::AcceleratorConfig &config) const
     {

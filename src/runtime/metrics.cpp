@@ -1,7 +1,7 @@
 #include "runtime/metrics.hpp"
 
 #include <cstdio>
-#include <mutex>
+#include <tuple>
 
 #include "hw/cost_model.hpp"
 #include "matrix/simd.hpp"
@@ -9,17 +9,6 @@
 namespace orianna::runtime {
 
 std::atomic<bool> MetricsRegistry::enabled_{true};
-
-std::size_t
-Counter::threadCell()
-{
-    // Spread threads round-robin over the cells on first use; the
-    // assignment is sticky for the thread's lifetime.
-    static std::atomic<std::size_t> next{0};
-    thread_local const std::size_t cell =
-        next.fetch_add(1, std::memory_order_relaxed) % kCells;
-    return cell;
-}
 
 double
 Histogram::percentile(double p) const
@@ -74,22 +63,18 @@ MetricsRegistry::nowUs()
 
 namespace {
 
-template <class Map, class Make>
+/** The instrument named @p name in @p map, created on first lookup. */
+template <class Map>
 auto &
-findOrCreate(std::shared_mutex &mutex, Map &map, std::string_view name,
-             Make make)
+findOrCreate(std::mutex &mutex, Map &map, std::string_view name)
 {
-    {
-        std::shared_lock lock(mutex);
-        auto it = map.find(name);
-        if (it != map.end())
-            return *it->second;
-    }
-    std::unique_lock lock(mutex);
-    auto it = map.find(name);
-    if (it == map.end())
-        it = map.emplace(std::string(name), make()).first;
-    return *it->second;
+    std::lock_guard lock(mutex);
+    auto it = map.lower_bound(name);
+    if (it == map.end() || it->first != name)
+        it = map.emplace_hint(it, std::piecewise_construct,
+                              std::forward_as_tuple(name),
+                              std::forward_as_tuple());
+    return it->second;
 }
 
 } // namespace
@@ -97,34 +82,31 @@ findOrCreate(std::shared_mutex &mutex, Map &map, std::string_view name,
 Counter &
 MetricsRegistry::counter(std::string_view name)
 {
-    return findOrCreate(mutex_, counters_, name,
-                        [] { return std::make_unique<Counter>(); });
+    return findOrCreate(mutex_, counters_, name);
 }
 
 Gauge &
 MetricsRegistry::gauge(std::string_view name)
 {
-    return findOrCreate(mutex_, gauges_, name,
-                        [] { return std::make_unique<Gauge>(); });
+    return findOrCreate(mutex_, gauges_, name);
 }
 
 Histogram &
 MetricsRegistry::histogram(std::string_view name)
 {
-    return findOrCreate(mutex_, histograms_, name,
-                        [] { return std::make_unique<Histogram>(); });
+    return findOrCreate(mutex_, histograms_, name);
 }
 
 void
 MetricsRegistry::reset()
 {
-    std::unique_lock lock(mutex_);
+    std::lock_guard lock(mutex_);
     for (auto &[name, counter] : counters_)
-        counter->reset();
+        counter.reset();
     for (auto &[name, gauge] : gauges_)
-        gauge->reset();
+        gauge.reset();
     for (auto &[name, histogram] : histograms_)
-        histogram->reset();
+        histogram.reset();
     // The per-kernel dispatch counters live in the matrix layer (it
     // cannot depend on this registry) but are exported and reset with
     // it so BENCH sections see a consistent zero point.
@@ -146,7 +128,7 @@ appendNumber(std::string &out, double v)
 std::string
 MetricsRegistry::toJson() const
 {
-    std::shared_lock lock(mutex_);
+    std::lock_guard lock(mutex_);
     std::string out;
     out += "{\n  \"enabled\": ";
     out += enabled() ? "true" : "false";
@@ -157,7 +139,7 @@ MetricsRegistry::toJson() const
         out += first ? "\n" : ",\n";
         first = false;
         out += "    \"" + name +
-               "\": " + std::to_string(counter->value());
+               "\": " + std::to_string(counter.value());
     }
     out += first ? "}" : "\n  }";
 
@@ -167,7 +149,7 @@ MetricsRegistry::toJson() const
         out += first ? "\n" : ",\n";
         first = false;
         out += "    \"" + name +
-               "\": " + std::to_string(gauge->value());
+               "\": " + std::to_string(gauge.value());
     }
     out += first ? "}" : "\n  }";
 
@@ -177,18 +159,18 @@ MetricsRegistry::toJson() const
         out += first ? "\n" : ",\n";
         first = false;
         out += "    \"" + name + "\": {\"count\": " +
-               std::to_string(histogram->count()) +
-               ", \"sum_us\": " + std::to_string(histogram->sumUs()) +
+               std::to_string(histogram.count()) +
+               ", \"sum_us\": " + std::to_string(histogram.sumUs()) +
                ", \"p50_us\": ";
-        appendNumber(out, histogram->percentile(0.50));
+        appendNumber(out, histogram.percentile(0.50));
         out += ", \"p99_us\": ";
-        appendNumber(out, histogram->percentile(0.99));
+        appendNumber(out, histogram.percentile(0.99));
         out += ", \"overflow\": " +
-               std::to_string(histogram->overflowCount()) +
+               std::to_string(histogram.overflowCount()) +
                ", \"buckets\": [";
         bool first_bucket = true;
         for (std::size_t b = 0; b <= Histogram::kBuckets; ++b) {
-            const std::uint64_t in_bucket = histogram->bucketCount(b);
+            const std::uint64_t in_bucket = histogram.bucketCount(b);
             if (in_bucket == 0)
                 continue;
             if (!first_bucket)
@@ -229,10 +211,10 @@ MetricsRegistry::toJson() const
         std::uint64_t compiles = 0;
         if (auto it = counters_.find("engine.cache_hits");
             it != counters_.end())
-            hits = it->second->value();
+            hits = it->second.value();
         if (auto it = counters_.find("engine.compiles");
             it != counters_.end())
-            compiles = it->second->value();
+            compiles = it->second.value();
         if (hits + compiles == 0)
             out += "null";
         else
@@ -244,7 +226,7 @@ MetricsRegistry::toJson() const
         std::uint64_t frame_cycles = 0;
         if (auto it = counters_.find("hw.cycles");
             it != counters_.end())
-            frame_cycles = it->second->value();
+            frame_cycles = it->second.value();
         bool first_unit = true;
         for (std::size_t k = 0; k < hw::kUnitKindCount; ++k) {
             const char *unit =
@@ -255,7 +237,7 @@ MetricsRegistry::toJson() const
                 gauges_.find(std::string("hw.units.") + unit);
             if (busy_it == counters_.end() ||
                 units_it == gauges_.end() || frame_cycles == 0 ||
-                units_it->second->value() <= 0)
+                units_it->second.value() <= 0)
                 continue;
             out += first_unit ? "\n" : ",\n";
             first_unit = false;
@@ -264,9 +246,9 @@ MetricsRegistry::toJson() const
             out += "\": ";
             appendNumber(
                 out,
-                static_cast<double>(busy_it->second->value()) /
+                static_cast<double>(busy_it->second.value()) /
                     (static_cast<double>(frame_cycles) *
-                     static_cast<double>(units_it->second->value())));
+                     static_cast<double>(units_it->second.value())));
         }
         out += first_unit ? "}" : "\n    }";
     }

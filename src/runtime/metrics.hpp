@@ -5,57 +5,35 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <shared_mutex>
+#include <mutex>
 #include <string>
 #include <string_view>
 
 namespace orianna::runtime {
 
 /**
- * Sharded relaxed counter: adds go to a per-thread cache-line-padded
- * cell (threads are spread over the cells on first use), reads sum
- * the cells. Serving threads therefore never contend on one cache
- * line even when they all bump the same logical counter every frame.
+ * Relaxed monotonic counter: one atomic. Hot paths look it up once and
+ * add through the reference (MetricsRegistry).
  */
 class Counter
 {
   public:
-    static constexpr std::size_t kCells = 16;
-
     void
     add(std::uint64_t n = 1)
     {
-        cells_[threadCell()].value.fetch_add(n,
-                                             std::memory_order_relaxed);
+        value_.fetch_add(n, std::memory_order_relaxed);
     }
 
     std::uint64_t
     value() const
     {
-        std::uint64_t total = 0;
-        for (const Cell &cell : cells_)
-            total += cell.value.load(std::memory_order_relaxed);
-        return total;
+        return value_.load(std::memory_order_relaxed);
     }
 
-    void
-    reset()
-    {
-        for (Cell &cell : cells_)
-            cell.value.store(0, std::memory_order_relaxed);
-    }
-
-    /** Cell index of the calling thread (exposed for tests). */
-    static std::size_t threadCell();
+    void reset() { value_.store(0, std::memory_order_relaxed); }
 
   private:
-    struct Cell
-    {
-        alignas(64) std::atomic<std::uint64_t> value{0};
-    };
-
-    std::array<Cell, kCells> cells_;
+    std::atomic<std::uint64_t> value_{0};
 };
 
 /** Last-write-wins instantaneous value (queue depths, unit counts). */
@@ -162,11 +140,12 @@ class Histogram
 };
 
 /**
- * Process-wide registry of named instruments. Components register
- * counters/gauges/histograms once (name lookup takes a shared lock on
- * the hit path, an exclusive lock only on first creation) and then
- * record through the returned reference, which stays valid for the
- * registry's lifetime.
+ * Process-wide registry of named instruments. A lookup finds or
+ * creates the named counter/gauge/histogram under the registry's one
+ * mutex and returns a reference that stays valid for the registry's
+ * lifetime. Per-frame recorders (ExecutionContext, Session::step) look
+ * their instruments up once per process and then record through the
+ * references: a frame builds no name and takes no lock.
  *
  * Recording is additionally gated by a runtime flag: instrument call
  * sites check MetricsRegistry::enabled() (one relaxed load) before
@@ -177,7 +156,7 @@ class Histogram
  * Naming convention (see DESIGN.md §6): dotted lowercase paths,
  * "engine.*" for the program cache, "frame.*_us" histograms for
  * per-stage frame timings, "pool.*" for the ServerPool, and
- * "hw.*" for simulator-side totals ("hw.busy_cycles.<unit>[.i]").
+ * "hw.*" for simulator-side totals ("hw.busy_cycles.<unit>").
  */
 class MetricsRegistry
 {
@@ -216,12 +195,11 @@ class MetricsRegistry
     static std::uint64_t nowUs();
 
   private:
-    mutable std::shared_mutex mutex_;
-    std::map<std::string, std::unique_ptr<Counter>, std::less<>>
-        counters_;
-    std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-    std::map<std::string, std::unique_ptr<Histogram>, std::less<>>
-        histograms_;
+    /** Guards the three maps (map nodes never move). */
+    mutable std::mutex mutex_;
+    std::map<std::string, Counter, std::less<>> counters_;
+    std::map<std::string, Gauge, std::less<>> gauges_;
+    std::map<std::string, Histogram, std::less<>> histograms_;
 
     static std::atomic<bool> enabled_;
 };

@@ -167,10 +167,7 @@ appendVector(std::string &out, const mat::Vector &v)
 
 } // namespace
 
-ProtocolServer::ProtocolServer(Engine &engine, ProtocolOptions options)
-    : engine_(engine), options_(options)
-{
-}
+ProtocolServer::ProtocolServer(Engine &engine) : engine_(engine) {}
 
 void
 ProtocolServer::registerApp(std::string name, AppFactory factory)
@@ -202,12 +199,12 @@ std::string
 ProtocolServer::dispatch(const std::string &line)
 {
     LatencyScope latency;
-    if (line.size() > options_.maxRequestBytes)
+    if (line.size() > kMaxRequestBytes)
         return errorResponse(
             "oversized",
             "request of " + std::to_string(line.size()) +
                 " bytes exceeds the " +
-                std::to_string(options_.maxRequestBytes) +
+                std::to_string(kMaxRequestBytes) +
                 "-byte limit");
 
     json::ValuePtr request;

@@ -12,17 +12,6 @@
 
 namespace orianna::runtime {
 
-/** Knobs of the line-delimited JSON request protocol. */
-struct ProtocolOptions
-{
-    /**
-     * Requests longer than this are answered with an "oversized"
-     * error without being parsed — the one line of defense a
-     * line-delimited protocol needs against unbounded payloads.
-     */
-    std::size_t maxRequestBytes = 1u << 20;
-};
-
 /** One graph submission built by an application factory. */
 struct SubmittedGraph
 {
@@ -95,8 +84,14 @@ class ProtocolServer
     using AppFactory = std::function<SubmittedGraph(
         const std::string &algorithm, unsigned seed)>;
 
-    explicit ProtocolServer(Engine &engine,
-                            ProtocolOptions options = {});
+    /**
+     * Requests longer than this are answered with an "oversized"
+     * error without being parsed — the one line of defense a
+     * line-delimited protocol needs against unbounded payloads.
+     */
+    static constexpr std::size_t kMaxRequestBytes = 1u << 20;
+
+    explicit ProtocolServer(Engine &engine);
 
     /** Register @p factory under @p name (later wins on a dup). */
     void registerApp(std::string name, AppFactory factory);
@@ -138,7 +133,6 @@ class ProtocolServer
     std::string tenantsJson() const;
 
     Engine &engine_;
-    ProtocolOptions options_;
     std::map<std::string, AppFactory> apps_;
     std::map<std::uint64_t, std::unique_ptr<SessionState>> sessions_;
     std::map<std::string, TenantStats> tenants_;

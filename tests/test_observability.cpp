@@ -1,5 +1,5 @@
-// Tests for the observability layer (DESIGN.md §6): the sharded
-// metrics instruments, the registry JSON snapshot, the unified trace
+// Tests for the observability layer (DESIGN.md §6): the metrics
+// instruments, the registry JSON snapshot, the unified trace
 // collector, and the cross-sink consistency invariant — the same
 // integer microsecond durations feed the stage histograms and the
 // trace spans, so their totals must agree exactly.
@@ -90,7 +90,7 @@ chainInitial(const std::vector<lie::Pose> &truth, double perturb)
 
 // --- Instruments ----------------------------------------------------
 
-TEST(MetricsCounter, ShardedAddsSumExactly)
+TEST(MetricsCounter, ConcurrentAddsSumExactly)
 {
     Counter counter;
     constexpr int kThreads = 8;

@@ -1,5 +1,6 @@
 // Tests for the rate-aware frame-pipeline simulator.
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -87,6 +88,35 @@ TEST(Pipeline, OneFrameLatencyEqualsIsolatedMakespan)
                           isolated.seconds());
             }
         }
+    }
+}
+
+// Utilization is the busiest unit's share of the cycles its instances
+// had, the per-unit share MetricsRegistry::toJson derives: a kind with
+// two units is busy for at most half of their cycles.
+TEST(Pipeline, UtilizationIsTheBusiestUnitsShare)
+{
+    apps::BenchmarkApp bench = apps::buildApp(apps::AppKind::Quadrotor, 26);
+    AcceleratorConfig config = AcceleratorConfig::minimal(true);
+    for (unsigned &count : config.units)
+        count *= 2;
+    for (std::size_t i = 0; i < bench.app.size(); ++i) {
+        core::Algorithm &algo = bench.app.algorithm(i);
+        SCOPED_TRACE(algo.name);
+        const auto isolated =
+            runtime::ExecutionContext({{&algo.program, &algo.values}})
+                .run(config);
+        double share = 0.0;
+        for (std::size_t k = 0; k < hw::kUnitKindCount; ++k)
+            share = std::max(
+                share, static_cast<double>(isolated.unitBusyCycles[k]) /
+                           (static_cast<double>(isolated.cycles) *
+                            static_cast<double>(config.units[k])));
+        const auto pipeline =
+            FramePipeline({{&algo.program, 1.0, 0.0}}, config).run(0.5);
+        ASSERT_EQ(pipeline.streams[0].frames, 1u);
+        EXPECT_GT(share, 0.0);
+        EXPECT_EQ(pipeline.utilization, share);
     }
 }
 

@@ -26,7 +26,6 @@ using namespace orianna;
 using orianna::test::JsonPtr;
 using orianna::test::numberField;
 using orianna::test::parseJson;
-using runtime::ProtocolOptions;
 using runtime::ProtocolServer;
 using runtime::SubmittedGraph;
 
@@ -283,24 +282,25 @@ TEST_F(ProtocolTest, MalformedRequestTableMapsToTypedErrors)
 
 TEST_F(ProtocolTest, OversizedRequestsAreRefusedUnparsed)
 {
-    runtime::Engine engine(hw::AcceleratorConfig::minimal(true));
-    ProtocolOptions options;
-    options.maxRequestBytes = 64;
-    ProtocolServer small(engine, options);
-    const std::string big =
-        R"({"op":"apps","padding":")" + std::string(128, 'x') + R"("})";
-    const JsonPtr response = parseJson(small.handle(big));
-    EXPECT_FALSE(response->at("ok").boolean);
-    EXPECT_EQ(response->at("error").asString(), "oversized");
+    // An "apps" request padded to @p bytes in a field nobody reads.
+    const auto padded = [](std::size_t bytes) {
+        const std::string head = R"({"op":"apps","padding":")";
+        const std::string tail = R"("})";
+        return head +
+               std::string(bytes - head.size() - tail.size(), 'x') +
+               tail;
+    };
+    expectError(padded(ProtocolServer::kMaxRequestBytes + 1),
+                "oversized");
     // At the limit itself the request is still served.
-    EXPECT_TRUE(
-        parseJson(small.handle(R"({"op":"metrics"})"))->at("ok")
-            .boolean);
+    EXPECT_TRUE(roundTrip(padded(ProtocolServer::kMaxRequestBytes))
+                    ->at("ok")
+                    .boolean);
 }
 
 TEST_F(ProtocolTest, DeeplyNestedLinesAreParseErrorsNotCrashes)
 {
-    // Far under maxRequestBytes: only the parser's nesting bound
+    // Far under kMaxRequestBytes: only the parser's nesting bound
     // keeps this line from overflowing the stack.
     expectError(std::string(200000, '['), "parse_error");
     // Ordinary nesting in an ignored field is still served.

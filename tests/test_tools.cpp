@@ -251,16 +251,6 @@ TEST(RuntimeServerTool, WarmRestartServesFromStoreByteIdentically)
         parseJson(warm_lines[3])->fields.at("health");
     EXPECT_EQ(numberField(*warm_health, "compiles"), 0.0);
     EXPECT_EQ(numberField(*warm_health, "store_hits"), 1.0);
-
-    // --no-store on the same directory ignores it: compiles again.
-    const ToolRun opted_out =
-        runCapture(command + " --no-store", requests, "nostore");
-    ASSERT_EQ(opted_out.status, 0);
-    const JsonPtr out_health =
-        parseJson(opted_out.lines()[3])->fields.at("health");
-    EXPECT_FALSE(out_health->at("store").boolean);
-    EXPECT_EQ(numberField(*out_health, "compiles"), 1.0);
-    EXPECT_EQ(numberField(*out_health, "store_hits"), 0.0);
 }
 
 TEST(RuntimeServerTool, ServedTranscriptMatchesCheckedInDigest)
@@ -472,13 +462,6 @@ TEST(CompileTool, CacheDirSkipsRecompilationOnSecondRun)
         << warm.output;
     EXPECT_NE(warm.output.find("compile skipped"), std::string::npos)
         << warm.output;
-
-    // --no-store opts out: a normal compile, no new store traffic.
-    const ToolRun opted_out =
-        runCapture(command + " --no-store", "", "compile_nostore");
-    EXPECT_EQ(opted_out.status, 0);
-    EXPECT_EQ(opted_out.output.find("store:"), std::string::npos)
-        << opted_out.output;
 }
 
 TEST(CompileTool, ServedEngineCompilesWithTheToolsPipeline)

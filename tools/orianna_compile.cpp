@@ -77,15 +77,14 @@ usage(const char *argv0)
                  "[--passes LIST] [--list-passes] "
                  "[--dump-ir PREFIX] [--verify-passes] "
                  "[--inject-faults SPEC] [--fallback] [--simd TIER] "
-                 "[--precision P] [--cache-dir DIR] [--no-store]\n"
+                 "[--precision P] [--cache-dir DIR]\n"
                  "  --iterate N and --threads N require N >= 1\n"
                  "  --precision takes fp64 or fp32 (default: "
                  "ORIANNA_PRECISION, else fp64); fp32 compiles for "
                  "the single-precision datapath and provisions the "
                  "fp64 reference fallback\n"
                  "  --cache-dir DIR reuses compiled programs from the "
-                 "persistent store in DIR (created if absent); "
-                 "--no-store ignores it\n"
+                 "persistent store in DIR (created if absent)\n"
                  "  --simd takes scalar, avx2, neon or auto "
                  "(overrides ORIANNA_SIMD; unavailable tiers fall "
                  "back to the best supported one)\n"
@@ -191,7 +190,6 @@ main(int argc, char **argv)
     std::string fault_spec;
     bool fallback = false;
     std::string cache_dir;
-    bool no_store = false;
     std::optional<comp::Precision> precision; // Unset: Engine resolves.
     std::size_t iterations = 1;
     unsigned threads = 0; // 0: hardware_concurrency.
@@ -249,8 +247,6 @@ main(int argc, char **argv)
             precision = parsed;
         } else if (arg == "--cache-dir" && i + 1 < argc) {
             cache_dir = argv[++i];
-        } else if (arg == "--no-store") {
-            no_store = true;
         } else if (arg == "--simd" && i + 1 < argc) {
             const auto selection =
                 mat::kernels::selectTierFromSpec(argv[++i]);
@@ -286,8 +282,7 @@ main(int argc, char **argv)
         if (!fault_spec.empty())
             options.faultPlan = hw::FaultPlan::parse(fault_spec);
         options.degradation.fallback = fallback;
-        if (!no_store)
-            options.storeDir = cache_dir;
+        options.storeDir = cache_dir;
         options.precision = precision;
         runtime::Engine engine(config, std::move(options));
         std::printf("precision: %s\n",
