@@ -22,7 +22,9 @@
 //
 // Writes BENCH_incremental.json (p50/p99 frame latency split by
 // odometry vs loop-closure frames, re-elimination counts, session
-// cache traffic, the sampled batch curve, and the median speedup).
+// traffic, the sampled batch curve, the median speedup, and a host
+// block: the incremental replay's wall seconds and the process's
+// peak RSS).
 //
 // Usage: bench_incremental [--scenario garage|manhattan|sphere]
 //                          [--poses N] [--seed S] [--quick]
@@ -36,6 +38,7 @@
 //   --quick               ~200 poses (smoke-test scale).
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,6 +46,8 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "apps/pose_graph.hpp"
 #include "fg/optimizer.hpp"
@@ -216,6 +221,7 @@ main(int argc, char **argv)
 
     std::vector<FrameSample> samples;
     samples.reserve(scenario.frames.size());
+    const auto replay_start = std::chrono::steady_clock::now();
     for (const apps::PoseGraphFrame &frame : scenario.frames) {
         smoother.addVariable(frame.key,
                              scenario.initial.pose(frame.key));
@@ -229,6 +235,10 @@ main(int argc, char **argv)
         sample.relinearized = stats.relinearized;
         samples.push_back(sample);
     }
+    const double replay_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      replay_start)
+            .count();
 
     std::vector<std::uint64_t> incremental_cycles;
     std::size_t relinearize_all = 0;
@@ -294,6 +304,16 @@ main(int argc, char **argv)
     std::printf("final max position delta vs batch GN: %.2e m\n",
                 worst);
 
+    // Host clock: the replay above and the whole process's peak RSS
+    // (ru_maxrss is in KiB on Linux).
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    const double peak_rss_mb =
+        static_cast<double>(usage.ru_maxrss) / 1024.0;
+    std::printf("host: incremental replay %.2f s wall, peak RSS "
+                "%.0f MB\n",
+                replay_s, peak_rss_mb);
+
     // --- JSON artifact ----------------------------------------------
     std::string json = "{\n  \"scenario\": \"" + scenario.name +
                        "\",\n  \"poses\": ";
@@ -334,7 +354,11 @@ main(int argc, char **argv)
     appendNumber(json, speedup);
     json += ",\n  \"final_max_delta_vs_batch_m\": ";
     appendNumber(json, worst);
-    json += "\n}\n";
+    json += ",\n  \"host\": {\"incremental_replay_s\": ";
+    appendNumber(json, replay_s);
+    json += ", \"peak_rss_mb\": ";
+    appendNumber(json, peak_rss_mb);
+    json += "}\n}\n";
 
     std::ofstream out(out_path);
     out << json;

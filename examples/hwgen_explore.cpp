@@ -7,7 +7,6 @@
 
 #include "apps/benchmark_apps.hpp"
 #include "hwgen/generator.hpp"
-#include "runtime/server_pool.hpp"
 
 using namespace orianna;
 
@@ -30,10 +29,6 @@ main()
         apps::buildApp(apps::AppKind::Quadrotor, /*seed=*/3);
     const auto work = bench.app.frameWork();
 
-    // Candidate evaluation inside every greedy step fans out across
-    // the pool; the selected designs match the sequential path.
-    runtime::ServerPool pool;
-
     std::printf("unit kinds: matmul/transpose/qr/backsub/vector/"
                 "special/buffer/dma\n\n");
 
@@ -43,8 +38,7 @@ main()
     for (std::size_t dsp : {160u, 288u, 512u}) {
         hw::Resources budget{131000, 262000, 327, dsp};
         auto gen = hwgen::generate(work, budget,
-                                   hwgen::Objective::AvgLatency, true,
-                                   &pool);
+                                   hwgen::Objective::AvgLatency);
         std::printf("%8zu %8.1fus %8.1fuJ %8zu  ", dsp,
                     gen.result.seconds() * 1e6,
                     gen.result.totalEnergyJ() * 1e6,
@@ -60,8 +54,7 @@ main()
     for (auto objective : {hwgen::Objective::AvgLatency,
                            hwgen::Objective::MaxLatency,
                            hwgen::Objective::Energy}) {
-        auto gen = hwgen::generate(work, budget, objective, true,
-                                   &pool);
+        auto gen = hwgen::generate(work, budget, objective);
         const char *name =
             objective == hwgen::Objective::AvgLatency  ? "avg-latency"
             : objective == hwgen::Objective::MaxLatency ? "max-latency"
@@ -75,8 +68,7 @@ main()
 
     std::printf("\ngreedy trajectory (avg-latency, 512 DSPs):\n");
     auto gen = hwgen::generate(work, budget,
-                               hwgen::Objective::AvgLatency, true,
-                               &pool);
+                               hwgen::Objective::AvgLatency);
     for (std::size_t i = 0; i < gen.trajectory.size(); ++i) {
         const auto &point = gen.trajectory[i];
         std::printf("  step %2zu: %8.1f us, %4zu DSP  ", i,

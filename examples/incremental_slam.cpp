@@ -55,7 +55,7 @@ main()
                 "(relinearize-all) frames, %zu CPU frames\n",
                 stats.acceleratedFrames, stats.batchFrames,
                 stats.cpuFrames);
-    std::printf("session cache: %zu opened, %zu reused; engine: "
+    std::printf("sessions: %zu opened, %zu reused; engine: "
                 "%zu compile(s), %zu cache hit(s)\n",
                 stats.sessionsOpened, stats.sessionReuses,
                 engine_stats.compiles, engine_stats.cacheHits);

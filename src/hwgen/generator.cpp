@@ -1,10 +1,8 @@
 #include "hwgen/generator.hpp"
 
-#include <array>
 #include <stdexcept>
 
 #include "runtime/execution_context.hpp"
-#include "runtime/server_pool.hpp"
 
 namespace orianna::hwgen {
 
@@ -33,8 +31,7 @@ objectiveValue(const SimResult &result, Objective objective)
 
 GenerationResult
 generate(const std::vector<WorkItem> &work, const Resources &budget,
-         Objective objective, bool out_of_order,
-         runtime::ServerPool *pool)
+         Objective objective, bool out_of_order)
 {
     AcceleratorConfig config = AcceleratorConfig::minimal(out_of_order);
     config.name = "orianna-generated";
@@ -62,42 +59,29 @@ generate(const std::vector<WorkItem> &work, const Resources &budget,
     while (true) {
         const double base_value = objectiveValue(current, objective);
 
-        // Evaluate every fitting candidate. The simulations are
-        // independent, so with a pool they fan out across workers;
-        // selection below stays a sequential reduction in unit-kind
-        // order, giving the exact tie-breaking of the serial loop.
-        std::array<bool, hw::kUnitKindCount> fits{};
-        std::array<SimResult, hw::kUnitKindCount> sims;
-        auto evaluate = [&](std::size_t k) {
+        // Evaluate every fitting candidate in unit-kind order; the
+        // first strictly best one wins ties.
+        double best_value = base_value;
+        int best_kind = -1;
+        SimResult best;
+        for (std::size_t k = 0; k < hw::kUnitKindCount; ++k) {
             AcceleratorConfig candidate = config;
             ++candidate.units[k];
             if (!candidate.resources().fitsIn(budget))
-                return;
-            sims[k] = simulate(candidate);
-            fits[k] = true;
-        };
-        if (pool != nullptr)
-            pool->parallelFor(hw::kUnitKindCount, evaluate);
-        else
-            for (std::size_t k = 0; k < hw::kUnitKindCount; ++k)
-                evaluate(k);
-
-        double best_value = base_value;
-        int best_kind = -1;
-        for (std::size_t k = 0; k < hw::kUnitKindCount; ++k) {
-            if (!fits[k])
                 continue;
-            const double value = objectiveValue(sims[k], objective);
+            SimResult sim = simulate(candidate);
+            const double value = objectiveValue(sim, objective);
             if (value < best_value - 1e-12) {
                 best_value = value;
                 best_kind = static_cast<int>(k);
+                best = std::move(sim);
             }
         }
 
         if (best_kind < 0 || best_value >= base_value)
             break;
         ++config.units[static_cast<std::size_t>(best_kind)];
-        current = std::move(sims[static_cast<std::size_t>(best_kind)]);
+        current = std::move(best);
         out.trajectory.push_back({config, current, config.resources()});
     }
 

@@ -5,10 +5,6 @@
 
 #include "hw/accelerator.hpp"
 
-namespace orianna::runtime {
-class ServerPool;
-}
-
 namespace orianna::hwgen {
 
 using hw::AcceleratorConfig;
@@ -59,23 +55,18 @@ struct GenerationResult
  * Each candidate is evaluated by scheduling one frame of the work on
  * it (runtime::ExecutionContext::schedule: the issue loop, no
  * numerics), so the results carry the frame totals but no deltas.
- * Candidate evaluation inside each greedy step is embarrassingly
- * parallel: when @p pool is given, the per-unit-kind schedules run
- * across its workers. The selected design and its trajectory are
- * identical to the sequential path (all candidates are evaluated,
- * then reduced in unit-kind order on the caller).
+ * Candidates are evaluated in unit-kind order, which is also the
+ * tie-break among equally good ones.
  *
  * @param work      the application's compiled programs (all
  *                  algorithms) bound to representative values.
  * @param budget    maximum on-chip resources R*.
  * @param objective what to minimize.
- * @param pool      optional worker pool for candidate evaluation.
  */
 GenerationResult generate(const std::vector<WorkItem> &work,
                           const Resources &budget,
                           Objective objective = Objective::AvgLatency,
-                          bool out_of_order = true,
-                          runtime::ServerPool *pool = nullptr);
+                          bool out_of_order = true);
 
 /**
  * A fixed manual design point, used as the hand-tuned comparison in

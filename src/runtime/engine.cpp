@@ -659,13 +659,13 @@ Session::traceTrack() const
     return trace_ ? static_cast<std::int64_t>(trace_->track) : -1;
 }
 
-const char *
+Session::Symptom
 Session::diagnose(const hw::SimResult &frame,
                   bool check_deadline) const
 {
     if (check_deadline && policy_.frameTimeoutCycles > 0 &&
         frame.cycles > policy_.frameTimeoutCycles)
-        return "frame deadline exceeded";
+        return Symptom::Deadline;
     // The divergence limit shares the deadline's primary-rung gating:
     // the fp64 fallback is trusted ground truth and only the
     // non-finite scan applies to it.
@@ -675,12 +675,28 @@ Session::diagnose(const hw::SimResult &frame,
         for (const auto &[key, delta] : deltas)
             for (std::size_t i = 0; i < delta.size(); ++i) {
                 if (!std::isfinite(delta[i]))
-                    return "non-finite delta";
+                    return Symptom::NonFinite;
                 if (check_divergence &&
                     std::abs(delta[i]) > policy_.deltaAbsLimit)
-                    return "diverging delta";
+                    return Symptom::Diverging;
             }
-    return nullptr;
+    return Symptom::None;
+}
+
+const char *
+Session::describe(Symptom symptom)
+{
+    switch (symptom) {
+      case Symptom::Deadline:
+        return "frame deadline exceeded";
+      case Symptom::NonFinite:
+        return "non-finite delta";
+      case Symptom::Diverging:
+        return "diverging delta";
+      case Symptom::None:
+        break;
+    }
+    return "fault";
 }
 
 hw::SimResult
@@ -708,18 +724,17 @@ Session::step()
     // reference fallback with injection disarmed. Nothing below this
     // block retracts, so a poisoned update never reaches values_.
     hw::SimResult frame;
-    const char *symptom = nullptr;
+    Symptom symptom = Symptom::None;
     bool healthy = false;
     bool degraded = false;
     // Injection counters of discarded attempts, folded into the
     // delivered frame so totals() reflect all injection activity.
     std::uint64_t faults_discarded = 0;
     std::array<std::uint64_t, 3> faults_discarded_kind{};
-    const auto note_fault = [&](const char *why,
+    const auto note_fault = [&](Symptom why,
                                 std::uint64_t attempt_start) {
         ++faultsDetected_;
-        const bool timeout =
-            std::strcmp(why, "frame deadline exceeded") == 0;
+        const bool timeout = why == Symptom::Deadline;
         if (timeout)
             ++timeouts_;
         if (health_ != nullptr) {
@@ -736,8 +751,8 @@ Session::step()
         }
         if (tracing)
             TraceCollector::global().addSpan(
-                trace_->track, std::string("fault: ") + why, "fault",
-                attempt_start,
+                trace_->track, std::string("fault: ") + describe(why),
+                "fault", attempt_start,
                 MetricsRegistry::nowUs() - attempt_start);
     };
     // Until a frame is delivered, leaving step() — through the
@@ -776,7 +791,7 @@ Session::step()
             timed ? MetricsRegistry::nowUs() : frame_start;
         frame = context_.run(config_);
         symptom = diagnose(frame, /*check_deadline=*/true);
-        if (symptom == nullptr) {
+        if (symptom == Symptom::None) {
             healthy = true;
             break;
         }
@@ -799,7 +814,7 @@ Session::step()
         // The deadline is waived here: degraded mode trades latency
         // for a correct update.
         symptom = diagnose(frame, /*check_deadline=*/false);
-        healthy = symptom == nullptr;
+        healthy = symptom == Symptom::None;
         degraded = healthy;
         if (tracing)
             TraceCollector::global().addSpan(
@@ -809,7 +824,7 @@ Session::step()
     if (!healthy)
         throw std::runtime_error(
             "Session: frame " + std::to_string(frames_) +
-            " failed (" + (symptom != nullptr ? symptom : "fault") +
+            " failed (" + describe(symptom) +
             ") after " + std::to_string(attempts - 1) + " retries" +
             (fallbackContext_ != nullptr ? " and reference fallback"
                                          : ""));

@@ -535,13 +535,19 @@ class Session
     bool lastFrameDegraded() const { return lastFrameDegraded_; }
 
   private:
+    /** What diagnose() found wrong with a frame. */
+    enum class Symptom : std::uint8_t { None, Deadline, NonFinite, Diverging };
+
     /**
-     * Symptom check of one simulated frame: the cycle deadline (only
-     * when @p check_deadline) and non-finite deltas. Returns a static
-     * description string, or nullptr when the frame is healthy.
+     * Symptom check of one simulated frame: the cycle deadline and
+     * the divergence limit (both only when @p check_deadline) and
+     * non-finite deltas.
      */
-    const char *diagnose(const hw::SimResult &frame,
-                         bool check_deadline) const;
+    Symptom diagnose(const hw::SimResult &frame,
+                     bool check_deadline) const;
+
+    /** The symptom's text in fault spans and exception messages. */
+    static const char *describe(Symptom symptom);
 
     std::shared_ptr<const comp::Program> program_;
     fg::Values values_;

@@ -1,6 +1,5 @@
 #include "runtime/incremental.hpp"
 
-#include <algorithm>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -8,14 +7,6 @@
 namespace orianna::runtime {
 
 namespace {
-
-/**
- * Open sessions kept alive, one per distinct update shape (LRU). A
- * trajectory in steady state cycles through a handful of shapes;
- * evicted shapes re-open against the engine's program cache, so
- * eviction costs a session setup, never a recompile.
- */
-constexpr std::size_t kSessionCacheCapacity = 16;
 
 /**
  * Translate a smoother schedule into the shape-only UpdateSpec the
@@ -220,16 +211,15 @@ AcceleratedSmoother::acquireSession(const comp::UpdateSpec &spec,
                                     fg::Values streamed, bool batch)
 {
     const std::uint64_t fingerprint = comp::updateFingerprint(spec);
-    for (auto it = sessions_.begin(); it != sessions_.end(); ++it) {
-        if (it->fingerprint != fingerprint || it->batch != batch)
-            continue;
-        sessions_.splice(sessions_.begin(), sessions_, it);
+    if (last_ && last_->fingerprint == fingerprint &&
+        last_->batch == batch) {
         ++stats_.sessionReuses;
-        sessions_.front().session.values() = std::move(streamed);
-        return sessions_.front().session;
+        last_->session.values() = std::move(streamed);
+        return last_->session;
     }
+    last_.reset();
 
-    // Shape miss: compile (or fetch — the engine's cache and the
+    // Another shape: compile (or fetch — the engine's cache and the
     // ProgramStore both key on the same fingerprint) and open a
     // compute-only session. Relinearize-all frames run the batch
     // reference rung directly; incremental frames get it as the
@@ -251,15 +241,13 @@ AcceleratedSmoother::acquireSession(const comp::UpdateSpec &spec,
             fallback =
                 engine_.referenceUpdateProgram(spec, streamed);
     }
-    sessions_.push_front(
-        {fingerprint, batch,
-         engine_.openSession(std::move(program), std::move(streamed),
-                             std::move(fallback), 1.0,
-                             /*retract=*/false)});
+    last_.emplace(fingerprint, batch,
+                  engine_.openSession(std::move(program),
+                                      std::move(streamed),
+                                      std::move(fallback), 1.0,
+                                      /*retract=*/false));
     ++stats_.sessionsOpened;
-    while (sessions_.size() > kSessionCacheCapacity)
-        sessions_.pop_back();
-    return sessions_.front().session;
+    return last_->session;
 }
 
 fg::SuffixSolution

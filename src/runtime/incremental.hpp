@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
+#include <optional>
 
 #include "fg/incremental.hpp"
 #include "runtime/engine.hpp"
@@ -31,9 +31,14 @@ struct AcceleratedSmootherStats
     std::uint64_t batchFrames = 0;
     /** Oversize suffixes solved on the CPU reference path. */
     std::uint64_t cpuFrames = 0;
-    std::uint64_t sessionsOpened = 0; //!< Distinct shapes opened.
-    std::uint64_t sessionReuses = 0;  //!< Frames served by a cached
-                                      //!< session (no re-open).
+    /**
+     * Sessions opened: one per device solve whose shape or rung
+     * differs from the previous device solve's, so a shape reopened
+     * after another shape counts again.
+     */
+    std::uint64_t sessionsOpened = 0;
+    std::uint64_t sessionReuses = 0;  //!< Device solves served by the
+                                      //!< previous solve's session.
     std::size_t lastSuffix = 0;       //!< Variables in the last solve.
     std::uint64_t lastCycles = 0;     //!< Simulated cycles of the last
                                       //!< accelerated frame.
@@ -49,7 +54,10 @@ struct AcceleratedSmootherStats
  * most once per shape (the Engine's cache and ProgramStore both key
  * on comp::updateFingerprint), streams the frame's numbers through
  * LOADV bindings, and unpacks the device results back into the
- * smoother's SuffixSolution.
+ * smoother's SuffixSolution. It keeps only the session of its last
+ * device solve: the next solve of the same shape and rung reuses it,
+ * any other drops it and opens one through the Engine, where the
+ * program and its plan are cache hits once the shape was seen.
  *
  * Rungs: relinearize-all frames (schedule.start == 0) run on the
  * cleanup-only fp64 batch reference program; incremental frames run
@@ -96,8 +104,8 @@ class AcceleratedSmoother final : public fg::SuffixSolver
           const std::vector<const fg::LinearRow *> &rows) override;
 
   private:
-    /** One cached session: a compiled update shape kept warm. */
-    struct CachedSession
+    /** The last device solve's session, kept for the next solve. */
+    struct LastSession
     {
         std::uint64_t fingerprint = 0;
         bool batch = false; //!< Reference-rung (start == 0) session.
@@ -110,7 +118,7 @@ class AcceleratedSmoother final : public fg::SuffixSolver
     Engine &engine_;
     AcceleratedSmootherOptions options_;
     fg::IncrementalSmoother smoother_;
-    std::list<CachedSession> sessions_; //!< Front = most recent.
+    std::optional<LastSession> last_;
     AcceleratedSmootherStats stats_;
 };
 

@@ -57,12 +57,6 @@ ServerPool::~ServerPool()
         thread.join();
 }
 
-int
-ServerPool::currentWorker()
-{
-    return tls_worker;
-}
-
 void
 ServerPool::runIndex(std::unique_lock<std::mutex> &lock, Batch &batch,
                      unsigned self)

@@ -15,23 +15,17 @@ namespace orianna::runtime {
  * (or any coarse batch of independent tasks) concurrently.
  *
  * One mutex guards every batch (DESIGN.md Sec. 5). Tasks are coarse —
- * whole frames, sessions or candidate simulations, microseconds to
- * milliseconds each — so queue operations are not the bottleneck. A
- * parallelFor batch is one claim counter: workers take its indices in
- * order, one at a time, so no placement has to be rebalanced later.
- *
- * Worker identity is exposed through currentWorker() so callers can
- * keep per-worker state — warm ExecutionContexts above all — without
- * any locking: a slot indexed by the worker id is only ever touched
- * by that worker's thread, and parallelFor()'s completion acts as the
- * release fence before the caller reads the slots back.
+ * whole frames, sessions or missions, microseconds to milliseconds
+ * each — so queue operations are not the bottleneck. A parallelFor
+ * batch is one claim counter: workers take its indices in order, one
+ * at a time, so no placement has to be rebalanced later.
  *
  * parallelFor() is the one submission interface: deterministic index
  * space, caller blocks until every index ran, first exception is
  * rethrown on the caller. Parallelism is always *across* independent
- * tasks (sessions, candidates, missions) — never inside one frame's
- * scoreboard — so schedules and numeric outputs are byte-identical to
- * sequential execution by construction.
+ * tasks (sessions, missions) — never inside one frame's scoreboard —
+ * so schedules and numeric outputs are byte-identical to sequential
+ * execution by construction.
  */
 class ServerPool
 {
@@ -52,12 +46,6 @@ class ServerPool
     {
         return static_cast<unsigned>(threads_.size());
     }
-
-    /**
-     * Worker id of the calling thread: 0..threads()-1 on a pool
-     * thread, -1 anywhere else (tasks always run on pool threads).
-     */
-    static int currentWorker();
 
     /**
      * Run @p body(i) for every i in [0, count) across the workers and

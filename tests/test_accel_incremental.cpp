@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/pose_graph.hpp"
+#include "fg/eliminate.hpp"
 #include "fg/factors.hpp"
 #include "fg/incremental.hpp"
 #include "fg/optimizer.hpp"
@@ -253,6 +254,71 @@ TEST(AccelIncremental, UpdateShapesAmortizeAcrossFrames)
     // Compiles can only have happened on session opens (at most two
     // programs per shape: optimized + reference).
     EXPECT_LE(engine.stats().compiles, 2 * stats.sessionsOpened);
+}
+
+// The smoother keeps only its last device solve's session: the next
+// solve of that shape reuses it, and a shape seen before but not
+// last reopens through the Engine's cache without a compile.
+TEST(AccelIncremental, KeepsOnlyTheLastSession)
+{
+    // A chain of n 3-dof variables: a prior on the first, then one
+    // row per link, eliminated in key order.
+    struct Suffix
+    {
+        std::vector<fg::LinearRow> rows;
+        fg::SuffixSchedule schedule;
+    };
+    const auto chain = [](std::size_t n) {
+        Suffix out;
+        std::vector<fg::RowShape> shapes;
+        std::vector<fg::Key> variables;
+        std::map<fg::Key, std::size_t> dofs;
+        for (fg::Key k = 0; k < n; ++k) {
+            fg::LinearRow row;
+            row.blocks.emplace(k, mat::Matrix::identity(3) * 2.0);
+            if (k > 0)
+                row.blocks.emplace(k - 1, -mat::Matrix::identity(3));
+            row.rhs = mat::Vector{0.5, -0.25, 0.125};
+            shapes.push_back(fg::shapeOf(row));
+            out.rows.push_back(std::move(row));
+            variables.push_back(k);
+            dofs[k] = 3;
+        }
+        out.schedule = fg::scheduleElimination(std::move(shapes),
+                                               variables, dofs);
+        out.schedule.start = 1; // An incremental, not a batch, frame.
+        return out;
+    };
+    const Suffix a = chain(2);
+    const Suffix b = chain(3);
+
+    runtime::Engine engine(config());
+    runtime::AcceleratedSmoother accel(engine);
+    const auto solve = [&accel](const Suffix &suffix) {
+        std::vector<const fg::LinearRow *> rows;
+        for (const fg::LinearRow &row : suffix.rows)
+            rows.push_back(&row);
+        std::map<fg::Key, std::vector<double>> deltas;
+        for (const auto &[key, delta] :
+             accel.solve(suffix.schedule, rows).deltas)
+            deltas.emplace(key, delta.data());
+        return deltas;
+    };
+
+    const auto first = solve(a);
+    ASSERT_EQ(first.size(), 2u);
+    solve(b);
+    const std::uint64_t compiles = engine.stats().compiles;
+    const auto reopened = solve(a);
+    const auto reused = solve(a);
+
+    const auto &stats = accel.stats();
+    EXPECT_EQ(stats.acceleratedFrames, 4u);
+    EXPECT_EQ(stats.sessionsOpened, 3u);
+    EXPECT_EQ(stats.sessionReuses, 1u);
+    EXPECT_EQ(engine.stats().compiles, compiles);
+    EXPECT_EQ(reopened, first);
+    EXPECT_EQ(reused, first);
 }
 
 // Oversize suffixes take the CPU reference path instead of

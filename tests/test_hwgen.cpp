@@ -6,7 +6,6 @@
 #include "fg/factors.hpp"
 #include "hwgen/generator.hpp"
 #include "runtime/execution_context.hpp"
-#include "runtime/server_pool.hpp"
 #include "test_fg_common.hpp"
 
 namespace {
@@ -124,32 +123,6 @@ TEST(Hwgen, TinyBudgetRejected)
     EXPECT_THROW(
         hwgen::generate({{&f.program, &f.values}}, Resources{1, 1, 1, 1}),
         std::invalid_argument);
-}
-
-TEST(Hwgen, PoolParallelGenerateMatchesSequential)
-{
-    // Candidate evaluation fans out across pool workers, but the
-    // greedy selection must walk the exact same trajectory as the
-    // sequential loop.
-    Fixture f = makeFixture(8, 56);
-    const Resources budget = budgetTimes(3.0);
-
-    auto sequential = hwgen::generate({{&f.program, &f.values}}, budget);
-    runtime::ServerPool pool(4);
-    auto parallel = hwgen::generate({{&f.program, &f.values}}, budget,
-                                    Objective::AvgLatency, true, &pool);
-
-    EXPECT_EQ(parallel.config.units, sequential.config.units);
-    EXPECT_EQ(parallel.result.cycles, sequential.result.cycles);
-    EXPECT_EQ(parallel.result.totalEnergyJ(),
-              sequential.result.totalEnergyJ());
-    ASSERT_EQ(parallel.trajectory.size(), sequential.trajectory.size());
-    for (std::size_t i = 0; i < parallel.trajectory.size(); ++i) {
-        EXPECT_EQ(parallel.trajectory[i].config.units,
-                  sequential.trajectory[i].config.units);
-        EXPECT_EQ(parallel.trajectory[i].result.cycles,
-                  sequential.trajectory[i].result.cycles);
-    }
 }
 
 TEST(Hwgen, ManualDesignUniform)

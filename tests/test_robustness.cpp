@@ -364,6 +364,71 @@ TEST(Degradation, StallTripsFrameDeadline)
     EXPECT_EQ(json->at("frame_timeouts").asNumber(), 3.0);
 }
 
+/** Collects the unified trace while alive, then clears it. */
+struct TraceGate
+{
+    TraceGate() { runtime::TraceCollector::setEnabled(true); }
+    ~TraceGate()
+    {
+        runtime::TraceCollector::setEnabled(false);
+        runtime::TraceCollector::global().clear();
+    }
+};
+
+// A fault is named by its symptom: in the fault spans of the unified
+// trace, and in the exception of a frame no rung could deliver.
+TEST(Degradation, FaultSpansAndFailuresNameTheSymptom)
+{
+    const auto truth = chainTruth();
+    const fg::FactorGraph graph = chainGraph(truth);
+    const fg::Values initial = chainInitial(truth);
+
+    // The fault-category spans of one traced frame on @p options.
+    const auto faultSpans = [&](const runtime::EngineOptions &options) {
+        runtime::Engine engine(hw::AcceleratorConfig::minimal(true),
+                               options);
+        const TraceGate gate;
+        engine.session(graph, initial).step();
+        std::vector<std::string> names;
+        for (const runtime::RuntimeSpan &span :
+             runtime::TraceCollector::global().spans())
+            if (span.category == "fault")
+                names.push_back(span.name);
+        return names;
+    };
+
+    runtime::Engine clean(hw::AcceleratorConfig::minimal(true));
+    runtime::EngineOptions stalls;
+    stalls.faultPlan = hw::FaultPlan::parse("11@stall:all:1.0:50000");
+    stalls.degradation.frameTimeoutCycles =
+        clean.session(graph, initial).step().cycles;
+    EXPECT_EQ(faultSpans(stalls), (std::vector<std::string>{
+                                      "fault: frame deadline exceeded",
+                                      "fault: frame deadline exceeded",
+                                      "fault: frame deadline exceeded",
+                                      "fallback"}));
+
+    runtime::EngineOptions limited;
+    limited.degradation.deltaAbsLimit = 1e-12;
+    EXPECT_EQ(faultSpans(limited),
+              (std::vector<std::string>{"fault: diverging delta",
+                                        "fallback"}));
+
+    runtime::EngineOptions corrupt;
+    corrupt.faultPlan = hw::FaultPlan::parse("5@corrupt:all:1.0");
+    corrupt.degradation.fallback = false;
+    runtime::Engine failing(hw::AcceleratorConfig::minimal(true),
+                            corrupt);
+    runtime::Session session = failing.session(graph, initial);
+    try {
+        session.step();
+        ADD_FAILURE() << "a corrupted frame without fallback returned";
+    } catch (const std::runtime_error &error) {
+        EXPECT_STREQ(error.what(), "Session: frame 0 failed (non-finite "
+                                   "delta) after 2 retries");
+    }
+}
+
 TEST(Degradation, NoFallbackFailsLoudly)
 {
     const auto truth = chainTruth();
@@ -470,15 +535,6 @@ TEST(Degradation, VerifiedCompileOfAProgramThatThrowsSucceeds)
 // later frame returns a schedule trace nobody asked for.
 TEST(Degradation, FrameThatThrowsRestoresTheTraceFlag)
 {
-    struct TraceGate
-    {
-        TraceGate() { runtime::TraceCollector::setEnabled(true); }
-        ~TraceGate()
-        {
-            runtime::TraceCollector::setEnabled(false);
-            runtime::TraceCollector::global().clear();
-        }
-    };
     const auto truth = chainTruth();
     const fg::FactorGraph graph = chainGraph(truth);
     const fg::Values initial = chainInitial(truth);

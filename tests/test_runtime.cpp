@@ -665,19 +665,10 @@ TEST(ServerPool, ParallelForRunsEveryIndexExactlyOnce)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
-TEST(ServerPool, ReportsWorkerIdsAndPerThreadTotals)
+TEST(ServerPool, ReportsPerThreadTotals)
 {
-    EXPECT_EQ(runtime::ServerPool::currentWorker(), -1);
-
     runtime::ServerPool pool(3);
-    std::atomic<int> bad_ids{0};
-    pool.parallelFor(64, [&pool, &bad_ids](std::size_t) {
-        const int w = runtime::ServerPool::currentWorker();
-        if (w < 0 || w >= static_cast<int>(pool.threads()))
-            bad_ids.fetch_add(1, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(bad_ids.load(), 0);
-    EXPECT_EQ(runtime::ServerPool::currentWorker(), -1);
+    pool.parallelFor(64, [](std::size_t) {});
 
     const auto totals = pool.tasksExecuted();
     ASSERT_EQ(totals.size(), 3u);

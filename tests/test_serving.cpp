@@ -72,8 +72,8 @@ TEST(ServerPoolHelpTest, NestedBatchFinishesWhileOtherWorkersAreBusy)
     // with every other worker held by another batch, the nested batch
     // still finishes, all on the submitter.
     runtime::ServerPool pool(3);
-    std::vector<int> ran_on(8, -1);
-    int submitter = -1;
+    std::vector<std::thread::id> ran_on(8);
+    std::thread::id submitter;
     std::promise<void> started[2];
     std::future<void> started_futures[2] = {started[0].get_future(),
                                             started[1].get_future()};
@@ -103,9 +103,9 @@ TEST(ServerPoolHelpTest, NestedBatchFinishesWhileOtherWorkersAreBusy)
     outer = std::async(std::launch::async, [&pool, &ran_on,
                                             &submitter] {
         pool.parallelFor(1, [&pool, &ran_on, &submitter](std::size_t) {
-            submitter = runtime::ServerPool::currentWorker();
+            submitter = std::this_thread::get_id();
             pool.parallelFor(ran_on.size(), [&ran_on](std::size_t i) {
-                ran_on[i] = runtime::ServerPool::currentWorker();
+                ran_on[i] = std::this_thread::get_id();
             });
         });
     });
@@ -113,8 +113,8 @@ TEST(ServerPoolHelpTest, NestedBatchFinishesWhileOtherWorkersAreBusy)
               std::future_status::ready)
         << "the nested batch waited for the busy workers";
     outer.get();
-    ASSERT_GE(submitter, 0);
-    EXPECT_EQ(ran_on, std::vector<int>(8, submitter));
+    ASSERT_NE(submitter, std::thread::id());
+    EXPECT_EQ(ran_on, std::vector<std::thread::id>(8, submitter));
 }
 
 } // namespace
