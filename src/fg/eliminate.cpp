@@ -114,16 +114,32 @@ solveSuffixOnCpu(const SuffixSchedule &schedule,
         dof[schedule.variables[i]] = schedule.dofs[i];
 
     SuffixSolution sol;
+    // offsets[c] is the first column of plan.columns[c] in [A|b];
+    // offsets.back() is the column count.
+    std::vector<std::size_t> offsets;
     for (const SuffixSchedule::Step &plan : schedule.steps) {
-        const Key v = plan.columns.front();
-        const std::size_t dv = dof.at(v);
-
-        std::map<Key, std::size_t> col_offset;
+        const std::vector<Key> &columns = plan.columns;
+        offsets.clear();
         std::size_t ncols = 0;
-        for (Key key : plan.columns) {
-            col_offset[key] = ncols;
+        for (Key key : columns) {
+            offsets.push_back(ncols);
             ncols += dof.at(key);
         }
+        offsets.push_back(ncols);
+        const Key v = columns.front();
+        const std::size_t dv = offsets[1];
+        // The variable leads; its parents follow in ascending order.
+        auto columnOf = [&columns](Key key) -> std::size_t {
+            if (key == columns.front())
+                return 0;
+            const auto it =
+                std::lower_bound(columns.begin() + 1, columns.end(), key);
+            if (it == columns.end() || *it != key)
+                throw std::invalid_argument(
+                    "solveSuffixOnCpu: row block outside the step's "
+                    "columns");
+            return static_cast<std::size_t>(it - columns.begin());
+        };
 
         // Stack the small dense system (Fig. 5 step 2).
         Matrix abar(plan.nrows, ncols);
@@ -134,7 +150,7 @@ solveSuffixOnCpu(const SuffixSchedule &schedule,
                                       ? *rows[ref]
                                       : sol.carries[ref - rows.size()];
             for (const auto &[key, block] : lr.blocks)
-                abar.setBlock(row_offset, col_offset.at(key), block);
+                abar.setBlock(row_offset, offsets[columnOf(key)], block);
             bbar.setSegment(row_offset, lr.rhs);
             row_offset += lr.rhs.size();
         }
@@ -143,31 +159,27 @@ solveSuffixOnCpu(const SuffixSchedule &schedule,
             stats->qrOps.push_back(
                 {abar.rows(), abar.cols(), abar.density()});
 
-        // Partial QR (Fig. 5 step 3).
-        mat::QrResult qr = mat::householderQr(abar, bbar);
+        // Partial QR (Fig. 5 step 3), in place on the gathered system.
+        const mat::QrResult qr =
+            mat::householderQr(std::move(abar), std::move(bbar));
 
         Conditional cond;
         cond.key = v;
         cond.rSelf = qr.r.block(0, 0, dv, dv);
         cond.rhs = qr.rhs.segment(0, dv);
-        for (Key key : plan.columns) {
-            if (key == v)
-                continue;
-            cond.rParents.emplace(
-                key,
-                qr.r.block(0, col_offset.at(key), dv, dof.at(key)));
-        }
+        for (std::size_t c = 1; c < columns.size(); ++c)
+            cond.rParents.emplace_hint(
+                cond.rParents.end(), columns[c],
+                qr.r.block(0, offsets[c], dv, offsets[c + 1] - offsets[c]));
         sol.conditionals.push_back(std::move(cond));
 
         if (plan.kept > 0) {
             LinearRow fresh;
-            for (Key key : plan.columns) {
-                if (key == v)
-                    continue;
-                fresh.blocks.emplace(
-                    key, qr.r.block(dv, col_offset.at(key), plan.kept,
-                                    dof.at(key)));
-            }
+            for (std::size_t c = 1; c < columns.size(); ++c)
+                fresh.blocks.emplace_hint(
+                    fresh.blocks.end(), columns[c],
+                    qr.r.block(dv, offsets[c], plan.kept,
+                               offsets[c + 1] - offsets[c]));
             fresh.rhs = qr.rhs.segment(dv, plan.kept);
             sol.carries.push_back(std::move(fresh));
         }

@@ -205,6 +205,33 @@ givensRotateImpl(T *rj, T *ri, T c, T s, std::size_t n)
     }
 }
 
+template <typename T>
+void
+householderSweepImpl(T *a, std::size_t lda, const T *v, T vnorm2,
+                     std::size_t m, std::size_t n)
+{
+    // Row sweeps over panels of NR columns: the rows stream through
+    // twice per panel (projections w, then the update) along
+    // contiguous memory, and each w[jj] is the single ascending chain
+    // the column-at-a-time dot/axpy pair computes.
+    for (std::size_t j0 = 0; j0 < n; j0 += NR) {
+        const std::size_t nr = std::min(NR, n - j0);
+        T w[NR] = {};
+        for (std::size_t i = 0; i < m; ++i) {
+            const T *row = a + i * lda + j0;
+            for (std::size_t jj = 0; jj < nr; ++jj)
+                w[jj] += v[i] * row[jj];
+        }
+        for (std::size_t jj = 0; jj < nr; ++jj)
+            w[jj] = T(2) * w[jj] / vnorm2;
+        for (std::size_t i = 0; i < m; ++i) {
+            T *row = a + i * lda + j0;
+            for (std::size_t jj = 0; jj < nr; ++jj)
+                row[jj] -= w[jj] * v[i];
+        }
+    }
+}
+
 } // namespace
 
 namespace scalar {
@@ -355,6 +382,20 @@ void
 givensRotate(float *rj, float *ri, float c, float s, std::size_t n)
 {
     givensRotateImpl(rj, ri, c, s, n);
+}
+
+void
+householderSweep(double *a, std::size_t lda, const double *v,
+                 double vnorm2, std::size_t m, std::size_t n)
+{
+    householderSweepImpl(a, lda, v, vnorm2, m, n);
+}
+
+void
+householderSweep(float *a, std::size_t lda, const float *v,
+                 float vnorm2, std::size_t m, std::size_t n)
+{
+    householderSweepImpl(a, lda, v, vnorm2, m, n);
 }
 
 } // namespace scalar

@@ -29,8 +29,8 @@ namespace orianna::mat::kernels {
  * where the kernel accumulates (gemm, gemmTransA, gemv).
  *
  * The short-vector helpers (dot, dotStrided, fusedSubtractDot,
- * axpyNegStrided, givensRotate) only dispatch above
- * kMicroDispatchCutoff elements: below it the inlined scalar loop
+ * axpyNegStrided, givensRotate) and householderSweep only dispatch
+ * above kMicroDispatchCutoff elements: below it the inlined scalar loop
  * beats any indirect call, and the scalar loop is bit-identical to
  * the reference chain, so the parity contract is unaffected.
  */
@@ -193,6 +193,37 @@ givensRotate(T *rj, T *ri, T c, T s, std::size_t n)
 {
     if (givensRotateWith(activeKernelsT<T>(), rj, ri, c, s, n))
         countKernelCall(KernelOp::GivensRotate);
+}
+
+/**
+ * Apply the Householder reflector I - 2 v v^T / vnorm2 to the m x n
+ * block at @p a (row stride @p lda), v of length m. Per column j:
+ * w = sum_i v[i] * a[i][j] accumulated from +0 in ascending i, then
+ * a[i][j] -= (2 * w / vnorm2) * v[i]: the operation order of a
+ * strided dot/axpy pair per column. Unlike the other entries this one
+ * is bit-exact on every tier (DESIGN.md §10): fast tiers vectorize
+ * across columns with a separate multiply and add, never FMA or a
+ * reassociated chain. Blocks below kMicroDispatchCutoff elements run
+ * the column loop inline.
+ */
+template <typename T>
+inline void
+householderSweep(T *a, std::size_t lda, const T *v, T vnorm2,
+                 std::size_t m, std::size_t n)
+{
+    if (m * n >= kMicroDispatchCutoff) {
+        countKernelCall(KernelOp::HouseholderSweep);
+        activeKernelsT<T>().householderSweep(a, lda, v, vnorm2, m, n);
+        return;
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+        T w = T(0);
+        for (std::size_t i = 0; i < m; ++i)
+            w += v[i] * a[i * lda + j];
+        const T beta = T(2) * w / vnorm2;
+        for (std::size_t i = 0; i < m; ++i)
+            a[i * lda + j] -= beta * v[i];
+    }
 }
 
 } // namespace orianna::mat::kernels

@@ -127,6 +127,7 @@ const KernelTable kNeonTable = {
     gemvTransANeon,     dotNeon,
     dotStridedNeon,     fusedSubtractDotNeon,
     axpyNegStridedNeon, givensRotateNeon,
+    scalar::householderSweep,
 };
 
 // --- fp32 tier (DESIGN.md §12): 4-lane float32x4_t versions ---------
@@ -242,6 +243,7 @@ const KernelTable32 kNeonTable32 = {
     gemvTransANeonF,     dotNeonF,
     dotStridedNeonF,     fusedSubtractDotNeonF,
     axpyNegStridedNeonF, givensRotateNeonF,
+    scalar::householderSweep,
 };
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "matrix/kernels.hpp"
 #include "matrix/mac_counter.hpp"
@@ -10,20 +11,20 @@ namespace orianna::mat {
 
 template <typename T>
 QrResultT<T>
-householderQr(const MatrixT<T> &a, const VectorT<T> &b)
+householderQr(MatrixT<T> a, VectorT<T> b)
 {
     if (a.rows() != b.size())
         throw std::invalid_argument("householderQr: A/b row mismatch");
 
     const std::size_t m = a.rows();
     const std::size_t n = a.cols();
-    MatrixT<T> r = a;
-    VectorT<T> rhs = b;
     // Row-major base pointers; all column accesses below stride by n.
-    T *rp = m > 0 && n > 0 ? &r(0, 0) : nullptr;
-    T *rhsp = m > 0 ? &rhs[0] : nullptr;
-
+    T *rp = m > 0 && n > 0 ? &a(0, 0) : nullptr;
+    T *rhsp = m > 0 ? &b[0] : nullptr;
     const std::size_t steps = std::min(m == 0 ? 0 : m - 1, n);
+    // One reflector buffer for every step; step k uses m - k entries.
+    std::vector<T> v(steps > 0 ? m : 0);
+    T *vp = v.data();
     for (std::size_t k = 0; k < steps; ++k) {
         // Build the Householder reflector for column k below row k.
         T *col_k = rp + k * n + k;
@@ -33,34 +34,35 @@ householderQr(const MatrixT<T> &a, const VectorT<T> &b)
         T alpha = std::sqrt(sigma);
         if (alpha == T(0))
             continue;
-        if (r(k, k) > T(0))
+        if (a(k, k) > T(0))
             alpha = -alpha;
 
-        VectorT<T> v(m - k);
-        v[0] = r(k, k) - alpha;
+        vp[0] = a(k, k) - alpha;
         for (std::size_t i = k + 1; i < m; ++i)
-            v[i - k] = r(i, k);
-        const T vnorm2 = sigma - T(2) * alpha * r(k, k) + alpha * alpha;
+            vp[i - k] = a(i, k);
+        const T vnorm2 = sigma - T(2) * alpha * a(k, k) + alpha * alpha;
         if (vnorm2 == T(0))
             continue;
-        const T *vp = &v[0];
 
-        // Apply I - 2 v v^T / (v^T v) to the trailing columns and rhs
-        // through the strided dot/axpy microkernels.
-        for (std::size_t j = k; j < n; ++j) {
-            T *col_j = rp + k * n + j;
-            const T dot =
-                kernels::dotStrided(vp, 1, col_j, n, m - k);
+        // Apply I - 2 v v^T / (v^T v) to the trailing columns and rhs.
+        // With two or more columns the row sweep computes exactly the
+        // per-column strided dot/axpy chains; a single column has
+        // stride 1, where dotStrided/axpyNegStrided take the tier's
+        // contiguous kernels, so it keeps that path.
+        if (n == 1) {
+            const T dot = kernels::dotStrided(vp, 1, col_k, 1, m - k);
             const T beta = T(2) * dot / vnorm2;
-            kernels::axpyNegStrided(col_j, n, beta, vp, m - k);
-            MacCounter::add(2 * (m - k));
+            kernels::axpyNegStrided(col_k, 1, beta, vp, m - k);
+        } else {
+            kernels::householderSweep(col_k, n, vp, vnorm2, m - k, n - k);
         }
+        MacCounter::add(2 * (m - k) * (n - k));
         const T dot = kernels::dot(vp, rhsp + k, m - k);
         const T beta = T(2) * dot / vnorm2;
         kernels::axpyNegStrided(rhsp + k, 1, beta, vp, m - k);
         MacCounter::add(2 * (m - k));
     }
-    return {std::move(r), std::move(rhs)};
+    return {std::move(a), std::move(b)};
 }
 
 template <typename T>
@@ -146,10 +148,9 @@ leastSquares(const MatrixT<T> &a, const VectorT<T> &b)
 
 // The only two supported precisions; fp64 instantiates to the exact
 // pre-template code, preserving the golden digests.
-template QrResultT<double> householderQr(const MatrixT<double> &,
-                                         const VectorT<double> &);
-template QrResultT<float> householderQr(const MatrixT<float> &,
-                                        const VectorT<float> &);
+template QrResultT<double> householderQr(MatrixT<double>,
+                                         VectorT<double>);
+template QrResultT<float> householderQr(MatrixT<float>, VectorT<float>);
 template void givensQr(MatrixT<double> &);
 template void givensQr(MatrixT<float> &);
 template VectorT<double> backSubstitute(const MatrixT<double> &,

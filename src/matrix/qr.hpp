@@ -28,10 +28,12 @@ using QrResultF = QrResultT<float>;
  * Householder QR of the augmented system [A | b].
  *
  * This is the software-reference kernel used by the CPU baselines and
- * the Gauss-Newton solver. Cost is accounted through MacCounter.
+ * the Gauss-Newton solver. A and b are factored in place and returned
+ * as R and Q^T b, so a caller that no longer needs them moves them in.
+ * Cost is accounted through MacCounter.
  */
 template <typename T>
-QrResultT<T> householderQr(const MatrixT<T> &a, const VectorT<T> &b);
+QrResultT<T> householderQr(MatrixT<T> a, VectorT<T> b);
 
 /**
  * Givens-rotation QR of the augmented system [A | b], in place: @p aug

@@ -42,6 +42,7 @@ constexpr KernelTable kScalarTable = {
     scalar::gemvTransA,      scalar::dot,
     scalar::dotStrided,      scalar::fusedSubtractDot,
     scalar::axpyNegStrided,  scalar::givensRotate,
+    scalar::householderSweep,
 };
 
 constexpr KernelTable32 kScalarTable32 = {
@@ -51,6 +52,7 @@ constexpr KernelTable32 kScalarTable32 = {
     scalar::gemvTransA,      scalar::dot,
     scalar::dotStrided,      scalar::fusedSubtractDot,
     scalar::axpyNegStrided,  scalar::givensRotate,
+    scalar::householderSweep,
 };
 
 } // namespace
@@ -268,6 +270,8 @@ kernelOpName(KernelOp op)
         return "axpy_neg_strided";
     case KernelOp::GivensRotate:
         return "givens_rotate";
+    case KernelOp::HouseholderSweep:
+        return "householder_sweep";
     }
     return "unknown";
 }

@@ -27,7 +27,10 @@ namespace orianna::mat::kernels {
  * fast-path tiers may reassociate reductions (wide accumulators,
  * FMA), so their results are only guaranteed to match the reference
  * within the documented tolerance (DESIGN.md §10), never bit-exactly.
- * Forcing ORIANNA_SIMD=scalar restores the bit-exact contract.
+ * Forcing ORIANNA_SIMD=scalar restores the bit-exact contract. Two
+ * entries are bit-exact on every tier: transpose (no arithmetic) and
+ * householderSweep (vectorized across independent columns, each
+ * element keeping the scalar chain, with no FMA).
  */
 
 /** Kernel tiers, in preference order (higher id wins under "auto"). */
@@ -68,6 +71,8 @@ template <typename T> struct KernelTableT
     void (*axpyNegStrided)(T *y, std::size_t stride_y, T alpha,
                            const T *x, std::size_t n);
     void (*givensRotate)(T *rj, T *ri, T c, T s, std::size_t n);
+    void (*householderSweep)(T *a, std::size_t lda, const T *v,
+                             T vnorm2, std::size_t m, std::size_t n);
 };
 
 using KernelTable = KernelTableT<double>;
@@ -101,6 +106,8 @@ void axpyNegStrided(double *y, std::size_t stride_y, double alpha,
                     const double *x, std::size_t n);
 void givensRotate(double *rj, double *ri, double c, double s,
                   std::size_t n);
+void householderSweep(double *a, std::size_t lda, const double *v,
+                      double vnorm2, std::size_t m, std::size_t n);
 
 void gemm(const float *a, const float *b, float *c, std::size_t m,
           std::size_t k, std::size_t n);
@@ -123,6 +130,8 @@ void axpyNegStrided(float *y, std::size_t stride_y, float alpha,
                     const float *x, std::size_t n);
 void givensRotate(float *rj, float *ri, float c, float s,
                   std::size_t n);
+void householderSweep(float *a, std::size_t lda, const float *v,
+                      float vnorm2, std::size_t m, std::size_t n);
 
 } // namespace scalar
 
@@ -264,9 +273,10 @@ enum class KernelOp : std::uint8_t {
     FusedSubtractDot,
     AxpyNegStrided,
     GivensRotate,
+    HouseholderSweep,
 };
 
-inline constexpr std::size_t kKernelOpCount = 11;
+inline constexpr std::size_t kKernelOpCount = 12;
 
 /** Lower-case snake name of @p op ("gemm", "gemm_trans_a", ...). */
 const char *kernelOpName(KernelOp op);
