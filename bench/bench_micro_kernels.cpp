@@ -191,6 +191,17 @@ timeKernel(const kernels::KernelTable &table, kernels::KernelOp op,
             table.givensRotate(rj.data(), ri.data(), 0.8, 0.6, n);
         });
     }
+    case KernelOp::HouseholderSweep: {
+        auto a = randomBuffer(m * n, 17);
+        const auto v = randomBuffer(m, 18);
+        double vnorm2 = 0.0;
+        for (const double x : v)
+            vnorm2 += x * x;
+        // The reflector is orthogonal, so repeated calls stay bounded.
+        return measureGflops(4.0 * static_cast<double>(m * n), [&] {
+            table.householderSweep(a.data(), n, v.data(), vnorm2, m, n);
+        });
+    }
     default:
         return 0.0;
     }
@@ -273,6 +284,9 @@ main(int argc, char **argv)
         cases.push_back({kernels::KernelOp::AxpyNegStrided, 0, 0, n});
         cases.push_back({kernels::KernelOp::GivensRotate, 0, 0, n});
     }
+    // The first reflector of two dense QR shapes the CPU rung factors.
+    for (const std::size_t n : {48, 63})
+        cases.push_back({kernels::KernelOp::HouseholderSweep, n, 0, n});
 
     std::vector<Entry> entries;
     for (const Case &c : cases) {
@@ -285,7 +299,8 @@ main(int argc, char **argv)
             entry.shape = std::to_string(c.m) + "x" +
                           std::to_string(c.k) + "x" +
                           std::to_string(c.n);
-        else if (c.op == kernels::KernelOp::Gemv)
+        else if (c.op == kernels::KernelOp::Gemv ||
+                 c.op == kernels::KernelOp::HouseholderSweep)
             entry.shape =
                 std::to_string(c.m) + "x" + std::to_string(c.n);
         else

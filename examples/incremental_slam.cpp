@@ -51,8 +51,8 @@ main()
 
     const runtime::AcceleratedSmootherStats &stats = smoother.stats();
     const runtime::Engine::Stats engine_stats = engine.stats();
-    std::printf("\n%zu accelerated suffix frames, %zu batch "
-                "(relinearize-all) frames, %zu CPU frames\n",
+    std::printf("\n%zu accelerated suffix frames, %zu batch-rung "
+                "frames, %zu CPU frames\n",
                 stats.acceleratedFrames, stats.batchFrames,
                 stats.cpuFrames);
     std::printf("sessions: %zu opened, %zu reused; engine: "
