@@ -1,39 +1,12 @@
+#include "compiler/passes/duplicate_table.hpp"
 #include "compiler/passes/passes.hpp"
 
+#include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
 namespace orianna::comp::passes {
 
 namespace {
-
-/** Byte-exact key of a LOADC payload. */
-std::string
-constantKey(const Payload &constant)
-{
-    std::string key;
-    auto append = [&key](const void *data, std::size_t n) {
-        key.append(static_cast<const char *>(data), n);
-    };
-    const Matrix &m = constant.constMat;
-    const std::uint32_t rows = static_cast<std::uint32_t>(m.rows());
-    const std::uint32_t cols = static_cast<std::uint32_t>(m.cols());
-    append(&rows, sizeof(rows));
-    append(&cols, sizeof(cols));
-    for (std::size_t i = 0; i < m.rows(); ++i)
-        for (std::size_t j = 0; j < m.cols(); ++j) {
-            const double v = m(i, j);
-            append(&v, sizeof(v));
-        }
-    const Vector &vec = constant.constVec;
-    const std::uint32_t n = static_cast<std::uint32_t>(vec.size());
-    append(&n, sizeof(n));
-    for (std::size_t i = 0; i < vec.size(); ++i) {
-        const double v = vec[i];
-        append(&v, sizeof(v));
-    }
-    return key;
-}
 
 class ConstantDedupPass final : public Pass
 {
@@ -51,21 +24,34 @@ class ConstantDedupPass final : public Pass
     {
         const auto &instrs = program.instructions;
         const std::size_t n = instrs.size();
+        const auto constants = static_cast<std::size_t>(
+            std::count_if(instrs.begin(), instrs.end(),
+                          [](const Instruction &inst) {
+                              return inst.op == IsaOp::LOADC;
+                          }));
+        if (constants < 2)
+            return 0;
 
         std::vector<bool> drop(n, false);
         std::vector<std::uint32_t> slot_remap(program.valueSlots);
         std::iota(slot_remap.begin(), slot_remap.end(), 0u);
         // First occurrence wins: later duplicates read its slot.
-        std::unordered_map<std::string, std::uint32_t> seen;
-        seen.reserve(n);
+        DuplicateTable seen(constants);
         std::size_t merged = 0;
         for (std::size_t i = 0; i < n; ++i) {
             if (instrs[i].op != IsaOp::LOADC)
                 continue;
-            auto [it, inserted] = seen.emplace(
-                constantKey(program.payload(instrs[i])), instrs[i].dst);
-            if (!inserted) {
-                slot_remap[instrs[i].dst] = it->second;
+            const Payload &constant = program.payload(instrs[i]);
+            FieldHash h;
+            mixConstants(h, constant);
+            const std::uint32_t first = seen.firstOccurrence(
+                h.value(), static_cast<std::uint32_t>(i),
+                [&](std::uint32_t j) {
+                    return sameConstants(program.payload(instrs[j]),
+                                         constant);
+                });
+            if (first != DuplicateTable::kNew) {
+                slot_remap[instrs[i].dst] = instrs[first].dst;
                 drop[i] = true;
                 ++merged;
             }

@@ -32,6 +32,18 @@ class SdfMap
     /** Obstacles as (center, radius) pairs (for serialization). */
     std::vector<std::pair<Vector, double>> obstacles() const;
 
+    /** Center of obstacle @p i (i < obstacleCount()), not copied. */
+    const Vector &obstacleCenter(std::size_t i) const
+    {
+        return obstacles_[i].center;
+    }
+
+    /** Radius of obstacle @p i (i < obstacleCount()). */
+    double obstacleRadius(std::size_t i) const
+    {
+        return obstacles_[i].radius;
+    }
+
     /**
      * Signed distance from @p point to the closest obstacle surface
      * (positive outside). Returns a large constant for an empty map.

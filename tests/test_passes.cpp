@@ -6,18 +6,27 @@
 // on the applications, the pose-graph corpus and the update programs
 // of one streamed mission, plus the encoded bytes of those update
 // programs and the IR listings of the applications and update
-// programs.
+// programs; CSE and dedup checked stage by stage against the
+// byte-string-key passes the duplicate table replaced, and compiles
+// racing through one Engine.
 //
 // Regenerate the checked-in goldens after an intentional compiler
 // change with:
 //   ORIANNA_REGEN_GOLDEN=1 ./test_passes
 
+#include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -28,6 +37,7 @@
 #include "compiler/codegen.hpp"
 #include "compiler/encoding.hpp"
 #include "compiler/executor.hpp"
+#include "compiler/incremental_codegen.hpp"
 #include "compiler/ir_dump.hpp"
 #include "compiler/pass_manager.hpp"
 #include "compiler/passes/passes.hpp"
@@ -257,14 +267,15 @@ missionOptions()
 }
 
 /**
- * Stream makeManhattanWorld(120, 1) through one AcceleratedSmoother
- * on @p engine, compiling an update program per new update shape.
+ * Stream makeManhattanWorld(120, @p seed) through one
+ * AcceleratedSmoother on @p engine, compiling an update program per
+ * new update shape.
  */
 void
-streamMission(runtime::Engine &engine)
+streamMission(runtime::Engine &engine, unsigned seed = 1)
 {
     const apps::PoseGraphScenario mission =
-        apps::makeManhattanWorld(120, 1);
+        apps::makeManhattanWorld(120, seed);
     runtime::AcceleratedSmoother smoother(engine);
     for (const apps::PoseGraphFrame &frame : mission.frames) {
         smoother.addVariable(frame.key,
@@ -717,6 +728,480 @@ TEST(Passes, EncodingRoundTripsFusedOpcodes)
               program.instructions.size());
     EXPECT_EQ(decoded.opHistogram(), histogram);
     expectBitIdenticalDeltas(program, decoded, values);
+}
+
+// --- The duplicate table against the string-key passes ---------------
+
+/**
+ * The byte-string key the cse and dedup passes looked duplicates up
+ * by before the duplicate table: each field's bytes in a fixed order,
+ * every variable-length field after its length, so equal keys mean
+ * equal fields, doubles by their bits.
+ */
+class StringKey
+{
+  public:
+    template <typename T>
+    void
+    value(T v)
+    {
+        key_.append(reinterpret_cast<const char *>(&v), sizeof(v));
+    }
+
+    void
+    vector(const Vector &v)
+    {
+        value(static_cast<std::uint32_t>(v.size()));
+        for (std::size_t i = 0; i < v.size(); ++i)
+            value(v[i]);
+    }
+
+    void
+    matrix(const mat::Matrix &m)
+    {
+        value(static_cast<std::uint32_t>(m.rows()));
+        value(static_cast<std::uint32_t>(m.cols()));
+        for (std::size_t i = 0; i < m.rows(); ++i)
+            for (std::size_t j = 0; j < m.cols(); ++j)
+                value(m(i, j));
+    }
+
+    const std::string &key() const { return key_; }
+
+  private:
+    std::string key_;
+};
+
+/**
+ * Merge every instruction whose key @p keyOf (empty: not a candidate)
+ * an earlier one had into that first occurrence.
+ */
+template <typename KeyOf>
+std::size_t
+mergeByStringKey(Program &program, KeyOf &&keyOf)
+{
+    const auto &instrs = program.instructions;
+    std::vector<bool> drop(instrs.size(), false);
+    std::vector<std::uint32_t> slot_remap(program.valueSlots);
+    std::iota(slot_remap.begin(), slot_remap.end(), 0u);
+    std::unordered_map<std::string, std::uint32_t> seen;
+    std::size_t merged = 0;
+    for (std::size_t i = 0; i < instrs.size(); ++i) {
+        const std::string key = keyOf(instrs[i], slot_remap);
+        if (key.empty())
+            continue;
+        const auto [it, inserted] = seen.emplace(key, instrs[i].dst);
+        if (!inserted) {
+            slot_remap[instrs[i].dst] = it->second;
+            drop[i] = true;
+            ++merged;
+        }
+    }
+    if (merged > 0)
+        comp::rewriteProgram(program, drop, slot_remap);
+    return merged;
+}
+
+/** The string-key dedup: LOADC constMat and constVec bytes. */
+std::size_t
+stringKeyDedup(Program &program)
+{
+    return mergeByStringKey(
+        program, [&](const comp::Instruction &inst,
+                     const std::vector<std::uint32_t> &) {
+            StringKey k;
+            if (inst.op == IsaOp::LOADC) {
+                k.matrix(program.payload(inst).constMat);
+                k.vector(program.payload(inst).constVec);
+            }
+            return k.key();
+        });
+}
+
+/** The string-key CSE, which compares SDF maps by address. */
+std::size_t
+stringKeyCse(Program &program)
+{
+    return mergeByStringKey(
+        program, [&](const comp::Instruction &inst,
+                     const std::vector<std::uint32_t> &slot_remap) {
+            StringKey k;
+            if (inst.op == IsaOp::STORE)
+                return k.key();
+            const comp::Payload &payload = program.payload(inst);
+            k.value(static_cast<std::uint8_t>(inst.op));
+            k.value(static_cast<std::uint32_t>(inst.srcs.size()));
+            for (std::uint32_t src : inst.srcs)
+                k.value(slot_remap[src]);
+            k.value(inst.rows);
+            k.value(inst.cols);
+            k.value(inst.depth);
+            k.value(inst.key);
+            k.value(static_cast<std::uint8_t>(inst.component));
+            k.value(payload.hingeEps);
+            k.value(payload.camera.fx);
+            k.value(payload.camera.fy);
+            k.value(payload.camera.cx);
+            k.value(payload.camera.cy);
+            k.value(reinterpret_cast<std::uintptr_t>(payload.sdf.get()));
+            k.value(inst.extractRow);
+            k.value(inst.extractCol);
+            k.value(static_cast<std::uint8_t>(inst.extractVector));
+            k.matrix(payload.constMat);
+            k.vector(payload.constVec);
+            k.value(static_cast<std::uint32_t>(payload.placements.size()));
+            for (const comp::GatherPlacement &p : payload.placements) {
+                k.value(p.rowBegin);
+                k.value(p.colBegin);
+                k.value(static_cast<std::uint8_t>(p.isRhs));
+            }
+            return k.key();
+        });
+}
+
+/** A pass's rewrite function, as the reference passes are written. */
+using PassFn = std::size_t (*)(Program &);
+
+/**
+ * Run the default pipeline on @p raw stage by stage, running the
+ * string-key pass of each stage that has one on a copy of the same
+ * input: both must return the same rewrite count and leave the same
+ * program bytes.
+ */
+void
+expectStringKeyAgreement(const Program &raw, const std::string &label)
+{
+    const std::pair<std::unique_ptr<comp::Pass>, PassFn> stages[] = {
+        {comp::passes::constantDedup(), stringKeyDedup},
+        {comp::passes::deadCodeElimination(), nullptr},
+        {comp::passes::commonSubexpressionElimination(), stringKeyCse},
+        {comp::passes::peepholeFusion(), nullptr},
+    };
+    Program program = raw;
+    for (const auto &[pass, reference] : stages) {
+        Program expected = program;
+        const std::size_t rewrites = pass->run(program);
+        if (reference == nullptr)
+            continue;
+        EXPECT_EQ(rewrites, reference(expected))
+            << label << " " << pass->name();
+        EXPECT_TRUE(comp::encodeProgram(program) ==
+                    comp::encodeProgram(expected))
+            << label << " " << pass->name();
+    }
+}
+
+TEST(Passes, DuplicateTableMatchesStringKeyPasses)
+{
+    // Every stream the passes see in the apps, the corpus and the
+    // incremental path. Each input holds one SDF map, so comparing
+    // maps by content and by address agree.
+    std::size_t inputs = 0;
+    for (unsigned seed : {1u, 7u, 4000000000u}) {
+        for (apps::AppKind kind : apps::allApps()) {
+            const apps::BenchmarkApp bench = apps::buildMission(kind, seed);
+            for (std::size_t a = 0; a < bench.app.size(); ++a) {
+                const core::Algorithm &algo = bench.app.algorithm(a);
+                const std::string label = bench.app.name() + "/" +
+                                          algo.name + " seed " +
+                                          std::to_string(seed);
+                comp::CompileOptions options;
+                options.algorithmTag = static_cast<std::uint8_t>(a);
+                options.ordering = fg::ordering::minDegree(algo.graph);
+                expectStringKeyAgreement(
+                    comp::compileGraph(algo.graph, algo.values, options),
+                    label);
+                expectStringKeyAgreement(
+                    comp::compileDenseGraph(algo.graph, algo.values,
+                                            options),
+                    label + " dense");
+                inputs += 2;
+            }
+        }
+    }
+
+    const std::pair<const char *, apps::PoseGraphScenario> worlds[] = {
+        {"garage", apps::makeGarageWorld(5, 24, 1)},
+        {"manhattan", apps::makeManhattanWorld(120, 1)},
+        {"sphere", apps::makeSphereWorld(6, 20, 1)},
+    };
+    for (const auto &[label, world] : worlds) {
+        const FactorGraph graph = world.graph();
+        comp::CompileOptions options;
+        options.ordering = fg::ordering::minDegree(graph);
+        expectStringKeyAgreement(
+            comp::compileGraph(graph, world.initial, options), label);
+        ++inputs;
+    }
+
+    // Update programs of three streamed missions: the raw codegen of
+    // each incremental shape from a pass-less engine's store, and the
+    // cleaned-up program of each reference-rung shape.
+    for (unsigned seed : {1u, 2u, 3u}) {
+        const std::string dir = testing::TempDir() +
+                                "orianna_string_key_" +
+                                std::to_string(seed);
+        std::filesystem::remove_all(dir);
+        runtime::EngineOptions options = missionOptions();
+        options.passes = "none";
+        options.storeDir = dir;
+        runtime::Engine engine(hw::AcceleratorConfig::minimal(true),
+                               options);
+        streamMission(engine, seed);
+        runtime::ProgramStore store(dir);
+        for (const runtime::Engine::CompileRecord &record :
+             engine.compileLog()) {
+            const auto program = store.load(
+                record.fingerprint, record.name.ends_with(" (reference)")
+                                        ? "dedup,dce"
+                                        : "none");
+            ASSERT_NE(program, nullptr) << record.name;
+            expectStringKeyAgreement(*program,
+                                     "mission " + std::to_string(seed) +
+                                         " " + record.name);
+            ++inputs;
+        }
+        std::filesystem::remove_all(dir);
+    }
+
+    std::mt19937 rng(31);
+    Values values;
+    const FactorGraph rich = orianna::test::richGraph(values, rng);
+    expectStringKeyAgreement(comp::compileGraph(rich, values), "rich");
+    EXPECT_GT(inputs, 100u);
+}
+
+/** One crafted duplicate candidate: its record and payload entry. */
+struct Candidate
+{
+    comp::Instruction inst;
+    comp::Payload payload;
+};
+
+/**
+ * A LOADV into slot 0, then @p a and @p b in slots 1 and 2, each with
+ * its own payload entry, then a STORE of each.
+ */
+Program
+pairProgram(Candidate a, Candidate b)
+{
+    Program program;
+    program.valueSlots = 3;
+    comp::Instruction load;
+    load.op = IsaOp::LOADV;
+    load.dst = 0;
+    load.rows = 3;
+    load.cols = 1;
+    program.instructions.push_back(load);
+    std::uint32_t dst = 1;
+    for (Candidate *c : {&a, &b}) {
+        c->inst.dst = dst++;
+        c->inst.payload = program.addPayload(std::move(c->payload));
+        program.instructions.push_back(c->inst);
+    }
+    for (std::uint32_t slot : {1u, 2u}) {
+        comp::Instruction store;
+        store.op = IsaOp::STORE;
+        store.dst = slot;
+        store.srcs = {slot};
+        program.instructions.push_back(store);
+    }
+    return program;
+}
+
+TEST(Passes, DuplicateTableEdgeCasesMatchStringKeyPasses)
+{
+    const auto loadc = [](mat::Matrix m, Vector v) {
+        Candidate c;
+        c.inst.op = IsaOp::LOADC;
+        c.inst.rows = 3;
+        c.inst.cols = 1;
+        c.payload.constMat = std::move(m);
+        c.payload.constVec = std::move(v);
+        return c;
+    };
+    const auto unary = [](IsaOp op) {
+        Candidate c;
+        c.inst.op = op;
+        c.inst.srcs = {0};
+        c.inst.rows = 3;
+        c.inst.cols = 1;
+        return c;
+    };
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double other_nan = std::bit_cast<double>(
+        std::bit_cast<std::uint64_t>(nan) | 1u);
+
+    struct Case
+    {
+        const char *name;
+        Candidate a;
+        Candidate b;
+        bool merges;
+    };
+    std::vector<Case> cases;
+    cases.push_back({"+0.0 vs -0.0", loadc({}, Vector{0.0}),
+                     loadc({}, Vector{-0.0}), false});
+    cases.push_back({"identical NaN bits", loadc({}, Vector{nan}),
+                     loadc({}, Vector{nan}), true});
+    cases.push_back({"NaNs with other bits", loadc({}, Vector{nan}),
+                     loadc({}, Vector{other_nan}), false});
+    cases.push_back({"1x3 vs 3x1", loadc(mat::Matrix{{1, 2, 3}}, {}),
+                     loadc(mat::Matrix{{1}, {2}, {3}}, {}), false});
+    cases.push_back({"constMat vs constVec",
+                     loadc(mat::Matrix{{1, 2, 3}}, {}),
+                     loadc({}, Vector{1, 2, 3}), false});
+    {
+        Candidate a;
+        a.inst.op = IsaOp::GATHER;
+        a.inst.srcs = {0, 0};
+        a.inst.rows = 3;
+        a.inst.cols = 2;
+        a.payload.placements = {{0, 0, false}, {0, 1, true}};
+        Candidate b = a;
+        b.payload.placements[1].isRhs = false;
+        cases.push_back({"placement isRhs", a, b, false});
+    }
+    {
+        Candidate a = unary(IsaOp::HINGE);
+        a.payload.hingeEps = 0.1;
+        Candidate b = a;
+        b.payload.hingeEps = std::nextafter(0.1, 1.0);
+        cases.push_back({"hingeEps last bit", a, b, false});
+    }
+    {
+        Candidate a = unary(IsaOp::EXTRACT);
+        Candidate b = a;
+        b.inst.extractVector = true;
+        cases.push_back({"extractVector", a, b, false});
+    }
+    {
+        Candidate a = unary(IsaOp::NEG);
+        Candidate b = a;
+        b.inst.phase = 2;
+        cases.push_back({"phase", a, b, true});
+        b = a;
+        b.inst.algorithm = 1;
+        cases.push_back({"algorithm", a, b, true});
+        b = a;
+        b.inst.factor = 7;
+        cases.push_back({"factor", a, b, true});
+    }
+
+    const auto dedup = comp::passes::constantDedup();
+    const auto cse = comp::passes::commonSubexpressionElimination();
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const Program program = pairProgram(c.a, c.b);
+        std::vector<std::pair<const comp::Pass *, PassFn>> pairs = {
+            {cse.get(), stringKeyCse}};
+        if (c.a.inst.op == IsaOp::LOADC)
+            pairs.push_back({dedup.get(), stringKeyDedup});
+        for (const auto &[pass, reference] : pairs) {
+            Program ours = program;
+            Program theirs = program;
+            EXPECT_EQ(pass->run(ours), c.merges ? 1u : 0u) << pass->name();
+            EXPECT_EQ(reference(theirs), c.merges ? 1u : 0u)
+                << pass->name();
+            EXPECT_TRUE(comp::encodeProgram(ours) ==
+                        comp::encodeProgram(theirs))
+                << pass->name();
+        }
+    }
+}
+
+/**
+ * The update shape of an @p n-variable chain: a prior row on position
+ * 0 and a between row per consecutive pair; each step gathers its
+ * between row and the previous step's three carry rows.
+ */
+comp::UpdateSpec
+chainUpdate(std::uint32_t n)
+{
+    comp::UpdateSpec spec;
+    spec.dofs.assign(n, 3);
+    spec.rows.push_back({3, {0}});
+    for (std::uint32_t v = 1; v < n; ++v)
+        spec.rows.push_back({3, {v - 1, v}});
+    const auto rows = static_cast<std::uint32_t>(spec.rows.size());
+    spec.steps.push_back({{0, 1}, {0, 1}, 3});
+    for (std::uint32_t v = 1; v + 1 < n; ++v)
+        spec.steps.push_back({{v + 1, rows + v - 1}, {v, v + 1}, 3});
+    spec.steps.push_back({{rows + n - 2}, {n - 1}, 0});
+    return spec;
+}
+
+/** Streamed inputs for every LOADV key of @p spec's layout. */
+Values
+updateProbe(const comp::UpdateSpec &spec, std::mt19937 &rng)
+{
+    Values probe;
+    const comp::UpdateLayout layout = comp::updateLayout(spec);
+    for (std::size_t r = 0; r < spec.rows.size(); ++r) {
+        const std::size_t dim = spec.rows[r].dim;
+        for (const std::vector<fg::Key> &columns :
+             layout.inputs[r].blockColumns)
+            for (fg::Key key : columns)
+                probe.insert(key, randomVector(dim, rng));
+        probe.insert(layout.inputs[r].rhs, randomVector(dim, rng));
+    }
+    return probe;
+}
+
+TEST(Passes, ConcurrentCompilesMatchSequentialBytes)
+{
+    // One pass object serves concurrent compiles (DESIGN.md §7,
+    // contract 1): eight threads compile eight distinct programs
+    // through one Engine at once, four app graphs and four update
+    // shapes, and each must come out byte for byte as a sequential
+    // Engine compiles it. The CI TSan job runs this test.
+    std::vector<apps::BenchmarkApp> missions;
+    for (apps::AppKind kind : apps::allApps())
+        missions.push_back(apps::buildMission(kind, kBenchSeed));
+    std::mt19937 rng(13);
+    std::vector<std::pair<comp::UpdateSpec, Values>> updates;
+    for (std::uint32_t n : {2u, 3u, 5u, 8u}) {
+        comp::UpdateSpec spec = chainUpdate(n);
+        Values probe = updateProbe(spec, rng);
+        updates.emplace_back(std::move(spec), std::move(probe));
+    }
+    constexpr std::size_t kJobs = 8;
+    const auto compile = [&](runtime::Engine &engine, std::size_t job) {
+        std::shared_ptr<const Program> program;
+        if (job < missions.size()) {
+            const core::Algorithm &algo = missions[job].app.algorithm(0);
+            program = engine.program(algo.graph, algo.values, 0,
+                                     missions[job].app.name());
+        } else {
+            const auto &[spec, probe] = updates[job - missions.size()];
+            program = engine.updateProgram(spec, probe);
+        }
+        return comp::encodeProgram(*program);
+    };
+
+    runtime::Engine shared(hw::AcceleratorConfig::minimal(true),
+                           missionOptions());
+    std::vector<std::vector<std::uint8_t>> concurrent(kJobs);
+    std::atomic<std::size_t> arrived{0};
+    {
+        std::vector<std::thread> threads;
+        for (std::size_t job = 0; job < kJobs; ++job)
+            threads.emplace_back([&, job] {
+                arrived.fetch_add(1);
+                while (arrived.load() < kJobs)
+                    std::this_thread::yield();
+                concurrent[job] = compile(shared, job);
+            });
+        for (std::thread &thread : threads)
+            thread.join();
+    }
+    EXPECT_EQ(shared.stats().compiles, kJobs);
+
+    runtime::Engine sequential(hw::AcceleratorConfig::minimal(true),
+                               missionOptions());
+    for (std::size_t job = 0; job < kJobs; ++job)
+        EXPECT_TRUE(compile(sequential, job) == concurrent[job])
+            << "job " << job;
 }
 
 } // namespace

@@ -32,43 +32,13 @@ namespace fs = std::filesystem;
 
 using namespace orianna;
 using orianna::test::randomPose;
+using orianna::test::richGraph;
 using comp::Program;
 using fg::FactorGraph;
 using fg::Values;
 using lie::Pose;
 using mat::Vector;
 using runtime::ProgramStore;
-
-/** A graph touching every payload kind: camera, SDF, hinge, MV. */
-FactorGraph
-richGraph(Values &values, std::mt19937 &rng)
-{
-    FactorGraph graph;
-    values = Values();
-
-    Pose pose = randomPose(3, rng, 0.2, 1.0);
-    values.insert(1, pose);
-    Vector landmark =
-        pose.rotation() * Vector{0.2, -0.1, 3.0} + pose.t();
-    values.insert(2, landmark);
-    graph.emplace<fg::CameraFactor>(
-        1, 2, Vector{3.0, -2.0}, fg::CameraModel{420, 420, 320, 240},
-        fg::isotropicSigmas(2, 1.0));
-    graph.emplace<fg::VectorPriorFactor>(2, landmark,
-                                         fg::isotropicSigmas(3, 1.0));
-    graph.emplace<fg::PriorFactor>(1, Pose::identity(3),
-                                   fg::isotropicSigmas(6, 0.1));
-
-    auto map = std::make_shared<fg::SdfMap>();
-    map->addObstacle(Vector{1.0, 1.0}, 0.5);
-    map->addObstacle(Vector{-2.0, 0.5}, 0.8);
-    values.insert(3, Vector{0.9, 0.8, 0.1, 0.2});
-    graph.emplace<fg::CollisionFreeFactor>(3, map, 4, 2, 0.7, 0.2);
-    graph.emplace<fg::KinematicsFactor>(3, 4, 2, 2, 1.0, 0.5);
-    graph.emplace<fg::VectorPriorFactor>(3, Vector(4),
-                                         fg::isotropicSigmas(4, 1.0));
-    return graph;
-}
 
 /** A pose chain of randomized length/poses: the fuzzing workload. */
 FactorGraph
@@ -539,6 +509,49 @@ TEST(ProgramStore, SdfFingerprintHashesContentNotIdentity)
               runtime::graphFingerprint(gb, vb));
     EXPECT_NE(runtime::graphFingerprint(ga, va),
               runtime::graphFingerprint(gc, vc));
+}
+
+TEST(ProgramStore, EqualSdfMapsCompileToOneProgram)
+{
+    // Two identical collision factors on one key: CSE shares their
+    // SDF lookups when the maps are the same object, and must when
+    // they are distinct maps with the same obstacles, because the
+    // fingerprint (the cache and store key) cannot tell the graphs
+    // apart and one Engine serves both the same program.
+    const auto buildGraph = [](const std::shared_ptr<fg::SdfMap> &first,
+                               const std::shared_ptr<fg::SdfMap> &second,
+                               Values &values) {
+        FactorGraph graph;
+        values = Values();
+        values.insert(3, Vector{0.9, 0.8, 0.1, 0.2});
+        graph.emplace<fg::VectorPriorFactor>(
+            3, Vector(4), fg::isotropicSigmas(4, 1.0));
+        graph.emplace<fg::CollisionFreeFactor>(3, first, 4, 2, 0.7, 0.2);
+        graph.emplace<fg::CollisionFreeFactor>(3, second, 4, 2, 0.7,
+                                               0.2);
+        return graph;
+    };
+    auto map = std::make_shared<fg::SdfMap>();
+    map->addObstacle(Vector{1.0, 1.0}, 0.5);
+    const auto copy = std::make_shared<fg::SdfMap>(*map);
+
+    Values shared_values;
+    Values copied_values;
+    const FactorGraph shared = buildGraph(map, map, shared_values);
+    const FactorGraph copied = buildGraph(map, copy, copied_values);
+    ASSERT_EQ(runtime::graphFingerprint(shared, shared_values),
+              runtime::graphFingerprint(copied, copied_values));
+
+    runtime::EngineOptions options;
+    options.precision = comp::Precision::Fp64;
+    runtime::Engine first(hw::AcceleratorConfig::minimal(true), options);
+    runtime::Engine second(hw::AcceleratorConfig::minimal(true), options);
+    const auto from_shared = first.program(shared, shared_values);
+    const auto from_copied = second.program(copied, copied_values);
+    EXPECT_EQ(from_shared->instructions.size(),
+              from_copied->instructions.size());
+    EXPECT_TRUE(comp::encodeProgram(*from_shared) ==
+                comp::encodeProgram(*from_copied));
 }
 
 // --- Engine integration: warm restart and degradation ---------------
