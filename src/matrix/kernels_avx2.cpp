@@ -1,10 +1,10 @@
 // AVX2+FMA kernel tier. This TU is the only one compiled with
 // -mavx2 -mfma (see src/matrix/CMakeLists.txt), so every intrinsic
-// stays behind the runtime CPUID check in simd.cpp: the table below
-// is never selected unless the host reports avx2+fma.
+// stays behind the runtime CPUID check in simd.cpp: the tables below
+// are never selected unless the host reports avx2+fma.
 //
 // These kernels trade the scalar tier's single ascending accumulation
-// chain for 4-lane accumulators and fused multiply-add, so results
+// chain for vector accumulators and fused multiply-add, so results
 // match the reference only within the DESIGN.md §10 tolerance (a few
 // ULP of the absolute-value accumulation), never bit-exactly. Edge
 // rows/columns that don't fill a vector fall back to scalar loops
@@ -12,10 +12,15 @@
 // matrix, which the tolerance contract explicitly allows. The one
 // exception is the Householder sweep, bit-exact with the scalar tier:
 // see sweepPanel.
+//
+// Each kernel is written once over a lane-traits struct (LanesF64:
+// 4 doubles per __m256d, LanesF32: 8 floats per __m256) and the two
+// tables instantiate it per precision (DESIGN.md §12). The fp32 gemm
+// tile covers 4 x 16 outputs against fp64's 4 x 8 at the same register
+// budget, which is where the fp32 throughput win over fp64 comes from
+// (bench_micro_kernels reports both).
 
 #include "matrix/simd.hpp"
-
-#if defined(__AVX2__) && defined(__FMA__)
 
 #include <immintrin.h>
 
@@ -23,252 +28,7 @@ namespace orianna::mat::kernels {
 
 namespace {
 
-/** Sum of the four lanes of @p v. */
-inline double
-hsum(__m256d v)
-{
-    const __m128d lo = _mm256_castpd256_pd128(v);
-    const __m128d hi = _mm256_extractf128_pd(v, 1);
-    const __m128d pair = _mm_add_pd(lo, hi);
-    const __m128d swapped = _mm_unpackhi_pd(pair, pair);
-    return _mm_cvtsd_f64(_mm_add_sd(pair, swapped));
-}
-
-/** Register tile of the gemm family: 4 x 8 outputs, 8 accumulators. */
-template <typename LoadA>
-inline void
-fullTile(const double *b, double *c, std::size_t ldb, std::size_t ldc,
-         std::size_t k, LoadA load)
-{
-    __m256d acc[4][2];
-    for (std::size_t ii = 0; ii < 4; ++ii) {
-        acc[ii][0] = _mm256_setzero_pd();
-        acc[ii][1] = _mm256_setzero_pd();
-    }
-    for (std::size_t p = 0; p < k; ++p) {
-        const double *brow = b + p * ldb;
-        const __m256d b0 = _mm256_loadu_pd(brow);
-        const __m256d b1 = _mm256_loadu_pd(brow + 4);
-        for (std::size_t ii = 0; ii < 4; ++ii) {
-            const __m256d aval = _mm256_set1_pd(load(ii, p));
-            acc[ii][0] = _mm256_fmadd_pd(aval, b0, acc[ii][0]);
-            acc[ii][1] = _mm256_fmadd_pd(aval, b1, acc[ii][1]);
-        }
-    }
-    for (std::size_t ii = 0; ii < 4; ++ii) {
-        _mm256_storeu_pd(c + ii * ldc, acc[ii][0]);
-        _mm256_storeu_pd(c + ii * ldc + 4, acc[ii][1]);
-    }
-}
-
-/** Scalar edge tile (mr <= 4, nr <= 8) for the ragged borders. */
-template <typename LoadA>
-inline void
-edgeTile(const double *b, double *c, std::size_t ldb, std::size_t ldc,
-         std::size_t k, std::size_t mr, std::size_t nr, LoadA load)
-{
-    double acc[4][8] = {};
-    for (std::size_t p = 0; p < k; ++p) {
-        const double *brow = b + p * ldb;
-        for (std::size_t ii = 0; ii < mr; ++ii) {
-            const double aval = load(ii, p);
-            for (std::size_t jj = 0; jj < nr; ++jj)
-                acc[ii][jj] += aval * brow[jj];
-        }
-    }
-    for (std::size_t ii = 0; ii < mr; ++ii)
-        for (std::size_t jj = 0; jj < nr; ++jj)
-            c[ii * ldc + jj] = acc[ii][jj];
-}
-
-template <typename MakeLoad>
-inline void
-gemmTiled(const double *b, double *c, std::size_t m, std::size_t k,
-          std::size_t n, MakeLoad makeLoad)
-{
-    const std::size_t m4 = m - m % 4;
-    const std::size_t n8 = n - n % 8;
-    for (std::size_t i0 = 0; i0 < m4; i0 += 4) {
-        for (std::size_t j0 = 0; j0 < n8; j0 += 8)
-            fullTile(b + j0, c + i0 * n + j0, n, n, k, makeLoad(i0));
-        if (n8 < n)
-            edgeTile(b + n8, c + i0 * n + n8, n, n, k, 4, n - n8,
-                     makeLoad(i0));
-    }
-    if (m4 < m)
-        for (std::size_t j0 = 0; j0 < n; j0 += 8)
-            edgeTile(b + j0, c + m4 * n + j0, n, n, k, m - m4,
-                     n - j0 < 8 ? n - j0 : 8, makeLoad(m4));
-}
-
-void
-gemmAvx2(const double *a, const double *b, double *c, std::size_t m,
-         std::size_t k, std::size_t n)
-{
-    gemmTiled(b, c, m, k, n, [&](std::size_t i0) {
-        return [a, k, i0](std::size_t ii, std::size_t p) {
-            return a[(i0 + ii) * k + p];
-        };
-    });
-}
-
-void
-gemmTransAAvx2(const double *a, const double *b, double *c,
-               std::size_t k, std::size_t m, std::size_t n)
-{
-    gemmTiled(b, c, m, k, n, [&](std::size_t i0) {
-        return [a, m, i0](std::size_t ii, std::size_t p) {
-            return a[p * m + i0 + ii];
-        };
-    });
-}
-
-double
-dotAvx2(const double *a, const double *b, std::size_t n)
-{
-    __m256d acc0 = _mm256_setzero_pd();
-    __m256d acc1 = _mm256_setzero_pd();
-    const std::size_t n8 = n - n % 8;
-    for (std::size_t i = 0; i < n8; i += 8) {
-        acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i),
-                               _mm256_loadu_pd(b + i), acc0);
-        acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 4),
-                               _mm256_loadu_pd(b + i + 4), acc1);
-    }
-    double acc = hsum(_mm256_add_pd(acc0, acc1));
-    for (std::size_t i = n8; i < n; ++i)
-        acc += a[i] * b[i];
-    return acc;
-}
-
-void
-gemmTransBAvx2(const double *a, const double *b, double *c,
-               std::size_t m, std::size_t k, std::size_t n)
-{
-    // c(i, j) = dot(row i of a, row j of b), both contiguous: four
-    // output dots share each 4-wide pass over row i.
-    const std::size_t k4 = k - k % 4;
-    const std::size_t n4 = n - n % 4;
-    for (std::size_t i = 0; i < m; ++i) {
-        const double *arow = a + i * k;
-        std::size_t j0 = 0;
-        for (; j0 < n4; j0 += 4) {
-            __m256d acc[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
-                              _mm256_setzero_pd(), _mm256_setzero_pd()};
-            for (std::size_t p = 0; p < k4; p += 4) {
-                const __m256d av = _mm256_loadu_pd(arow + p);
-                for (std::size_t jj = 0; jj < 4; ++jj)
-                    acc[jj] = _mm256_fmadd_pd(
-                        av, _mm256_loadu_pd(b + (j0 + jj) * k + p),
-                        acc[jj]);
-            }
-            for (std::size_t jj = 0; jj < 4; ++jj) {
-                double sum = hsum(acc[jj]);
-                const double *brow = b + (j0 + jj) * k;
-                for (std::size_t p = k4; p < k; ++p)
-                    sum += arow[p] * brow[p];
-                c[i * n + j0 + jj] = sum;
-            }
-        }
-        for (; j0 < n; ++j0)
-            c[i * n + j0] = dotAvx2(arow, b + j0 * k, k);
-    }
-}
-
-void
-gemvAvx2(const double *a, const double *x, double *y, std::size_t m,
-         std::size_t n)
-{
-    for (std::size_t i = 0; i < m; ++i)
-        y[i] = dotAvx2(a + i * n, x, n);
-}
-
-void
-gemvTransAAvx2(const double *a, const double *x, double *y,
-               std::size_t m, std::size_t n)
-{
-    const std::size_t n4 = n - n % 4;
-    for (std::size_t i = 0; i < m; ++i) {
-        const double *arow = a + i * n;
-        const __m256d xi = _mm256_set1_pd(x[i]);
-        for (std::size_t j = 0; j < n4; j += 4)
-            _mm256_storeu_pd(
-                y + j,
-                _mm256_fmadd_pd(xi, _mm256_loadu_pd(arow + j),
-                                _mm256_loadu_pd(y + j)));
-        for (std::size_t j = n4; j < n; ++j)
-            y[j] += x[i] * arow[j];
-    }
-}
-
-double
-dotStridedAvx2(const double *a, std::size_t stride_a, const double *b,
-               std::size_t stride_b, std::size_t n)
-{
-    if (stride_a == 1 && stride_b == 1)
-        return dotAvx2(a, b, n);
-    // Strided operands gather poorly; stay scalar.
-    return scalar::dotStrided(a, stride_a, b, stride_b, n);
-}
-
-double
-fusedSubtractDotAvx2(double acc, const double *a, const double *x,
-                     std::size_t n)
-{
-    return acc - dotAvx2(a, x, n);
-}
-
-void
-axpyNegStridedAvx2(double *y, std::size_t stride_y, double alpha,
-                   const double *x, std::size_t n)
-{
-    if (stride_y != 1) {
-        scalar::axpyNegStrided(y, stride_y, alpha, x, n);
-        return;
-    }
-    const __m256d av = _mm256_set1_pd(alpha);
-    const std::size_t n4 = n - n % 4;
-    for (std::size_t i = 0; i < n4; i += 4)
-        _mm256_storeu_pd(
-            y + i,
-            _mm256_fnmadd_pd(av, _mm256_loadu_pd(x + i),
-                             _mm256_loadu_pd(y + i)));
-    for (std::size_t i = n4; i < n; ++i)
-        y[i] -= alpha * x[i];
-}
-
-void
-givensRotateAvx2(double *rj, double *ri, double c, double s,
-                 std::size_t n)
-{
-    const __m256d cv = _mm256_set1_pd(c);
-    const __m256d sv = _mm256_set1_pd(s);
-    const std::size_t n4 = n - n % 4;
-    for (std::size_t i = 0; i < n4; i += 4) {
-        const __m256d a = _mm256_loadu_pd(rj + i);
-        const __m256d b = _mm256_loadu_pd(ri + i);
-        _mm256_storeu_pd(
-            rj + i, _mm256_fmadd_pd(cv, a, _mm256_mul_pd(sv, b)));
-        _mm256_storeu_pd(
-            ri + i, _mm256_fnmadd_pd(sv, a, _mm256_mul_pd(cv, b)));
-    }
-    for (std::size_t i = n4; i < n; ++i) {
-        const double a = rj[i];
-        const double b = ri[i];
-        rj[i] = c * a + s * b;
-        ri[i] = -s * a + c * b;
-    }
-}
-
-// GCC contracts even separate _mm256_mul_pd/_mm256_add_pd intrinsics
-// into FMA in this -mfma TU; the bit-exact sweep opts out per function.
-#if defined(__GNUC__) && !defined(__clang__)
-#define ORIANNA_NO_FP_CONTRACT __attribute__((optimize("fp-contract=off")))
-#else
-#define ORIANNA_NO_FP_CONTRACT
-#endif
-
-/** The 256-bit operations of the Householder sweep, per precision. */
+/** The 256-bit operations of the kernels below, per precision. */
 struct LanesF64
 {
     using T = double;
@@ -281,6 +41,7 @@ struct LanesF64
             _mm256_set1_epi64x(static_cast<long long>(lanes)),
             _mm256_setr_epi64x(0, 1, 2, 3));
     }
+    static V zero() { return _mm256_setzero_pd(); }
     static V set1(T x) { return _mm256_set1_pd(x); }
     static V load(const T *p) { return _mm256_loadu_pd(p); }
     static void store(T *p, V x) { _mm256_storeu_pd(p, x); }
@@ -290,6 +51,19 @@ struct LanesF64
     static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
     static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
     static V div(V a, V b) { return _mm256_div_pd(a, b); }
+    /** a * b + c with one rounding. */
+    static V fmadd(V a, V b, V c) { return _mm256_fmadd_pd(a, b, c); }
+    /** c - a * b with one rounding. */
+    static V fnmadd(V a, V b, V c) { return _mm256_fnmadd_pd(a, b, c); }
+    /** Sum of the four lanes of @p v. */
+    static T hsum(V v)
+    {
+        const __m128d lo = _mm256_castpd256_pd128(v);
+        const __m128d hi = _mm256_extractf128_pd(v, 1);
+        const __m128d pair = _mm_add_pd(lo, hi);
+        const __m128d swapped = _mm_unpackhi_pd(pair, pair);
+        return _mm_cvtsd_f64(_mm_add_sd(pair, swapped));
+    }
 };
 
 struct LanesF32
@@ -303,6 +77,7 @@ struct LanesF32
             _mm256_set1_epi32(static_cast<int>(lanes)),
             _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
     }
+    static V zero() { return _mm256_setzero_ps(); }
     static V set1(T x) { return _mm256_set1_ps(x); }
     static V load(const T *p) { return _mm256_loadu_ps(p); }
     static void store(T *p, V x) { _mm256_storeu_ps(p, x); }
@@ -312,7 +87,262 @@ struct LanesF32
     static V sub(V a, V b) { return _mm256_sub_ps(a, b); }
     static V mul(V a, V b) { return _mm256_mul_ps(a, b); }
     static V div(V a, V b) { return _mm256_div_ps(a, b); }
+    static V fmadd(V a, V b, V c) { return _mm256_fmadd_ps(a, b, c); }
+    static V fnmadd(V a, V b, V c) { return _mm256_fnmadd_ps(a, b, c); }
+    /** Sum of the eight lanes of @p v. */
+    static T hsum(V v)
+    {
+        const __m128 lo = _mm256_castps256_ps128(v);
+        const __m128 hi = _mm256_extractf128_ps(v, 1);
+        __m128 sum = _mm_add_ps(lo, hi);
+        sum = _mm_add_ps(sum, _mm_movehl_ps(sum, sum));
+        sum = _mm_add_ss(sum, _mm_shuffle_ps(sum, sum, 1));
+        return _mm_cvtss_f32(sum);
+    }
 };
+
+/** Register tile of the gemm family: 4 rows x 2 vectors, 8 accumulators. */
+template <typename L, typename LoadA>
+inline void
+fullTile(const typename L::T *b, typename L::T *c, std::size_t ldb,
+         std::size_t ldc, std::size_t k, LoadA load)
+{
+    using V = typename L::V;
+    constexpr std::size_t W = L::kWidth;
+    V acc[4][2];
+    for (std::size_t ii = 0; ii < 4; ++ii) {
+        acc[ii][0] = L::zero();
+        acc[ii][1] = L::zero();
+    }
+    for (std::size_t p = 0; p < k; ++p) {
+        const typename L::T *brow = b + p * ldb;
+        const V b0 = L::load(brow);
+        const V b1 = L::load(brow + W);
+        for (std::size_t ii = 0; ii < 4; ++ii) {
+            const V aval = L::set1(load(ii, p));
+            acc[ii][0] = L::fmadd(aval, b0, acc[ii][0]);
+            acc[ii][1] = L::fmadd(aval, b1, acc[ii][1]);
+        }
+    }
+    for (std::size_t ii = 0; ii < 4; ++ii) {
+        L::store(c + ii * ldc, acc[ii][0]);
+        L::store(c + ii * ldc + W, acc[ii][1]);
+    }
+}
+
+/** Scalar edge tile (mr <= 4, nr <= 2 vectors) for the ragged borders. */
+template <typename L, typename LoadA>
+inline void
+edgeTile(const typename L::T *b, typename L::T *c, std::size_t ldb,
+         std::size_t ldc, std::size_t k, std::size_t mr, std::size_t nr,
+         LoadA load)
+{
+    using T = typename L::T;
+    T acc[4][2 * L::kWidth] = {};
+    for (std::size_t p = 0; p < k; ++p) {
+        const T *brow = b + p * ldb;
+        for (std::size_t ii = 0; ii < mr; ++ii) {
+            const T aval = load(ii, p);
+            for (std::size_t jj = 0; jj < nr; ++jj)
+                acc[ii][jj] += aval * brow[jj];
+        }
+    }
+    for (std::size_t ii = 0; ii < mr; ++ii)
+        for (std::size_t jj = 0; jj < nr; ++jj)
+            c[ii * ldc + jj] = acc[ii][jj];
+}
+
+template <typename L, typename MakeLoad>
+inline void
+gemmTiled(const typename L::T *b, typename L::T *c, std::size_t m,
+          std::size_t k, std::size_t n, MakeLoad makeLoad)
+{
+    constexpr std::size_t NR = 2 * L::kWidth;
+    const std::size_t m4 = m - m % 4;
+    const std::size_t nfull = n - n % NR;
+    for (std::size_t i0 = 0; i0 < m4; i0 += 4) {
+        for (std::size_t j0 = 0; j0 < nfull; j0 += NR)
+            fullTile<L>(b + j0, c + i0 * n + j0, n, n, k, makeLoad(i0));
+        if (nfull < n)
+            edgeTile<L>(b + nfull, c + i0 * n + nfull, n, n, k, 4,
+                        n - nfull, makeLoad(i0));
+    }
+    if (m4 < m)
+        for (std::size_t j0 = 0; j0 < n; j0 += NR)
+            edgeTile<L>(b + j0, c + m4 * n + j0, n, n, k, m - m4,
+                        n - j0 < NR ? n - j0 : NR, makeLoad(m4));
+}
+
+template <typename L, typename T = typename L::T>
+void
+gemmAvx2(const T *a, const T *b, T *c, std::size_t m, std::size_t k,
+         std::size_t n)
+{
+    gemmTiled<L>(b, c, m, k, n, [&](std::size_t i0) {
+        return [a, k, i0](std::size_t ii, std::size_t p) {
+            return a[(i0 + ii) * k + p];
+        };
+    });
+}
+
+template <typename L, typename T = typename L::T>
+void
+gemmTransAAvx2(const T *a, const T *b, T *c, std::size_t k,
+               std::size_t m, std::size_t n)
+{
+    gemmTiled<L>(b, c, m, k, n, [&](std::size_t i0) {
+        return [a, m, i0](std::size_t ii, std::size_t p) {
+            return a[p * m + i0 + ii];
+        };
+    });
+}
+
+template <typename L, typename T = typename L::T>
+T
+dotAvx2(const T *a, const T *b, std::size_t n)
+{
+    using V = typename L::V;
+    constexpr std::size_t W = L::kWidth;
+    V acc0 = L::zero();
+    V acc1 = L::zero();
+    const std::size_t nfull = n - n % (2 * W);
+    for (std::size_t i = 0; i < nfull; i += 2 * W) {
+        acc0 = L::fmadd(L::load(a + i), L::load(b + i), acc0);
+        acc1 = L::fmadd(L::load(a + i + W), L::load(b + i + W), acc1);
+    }
+    T acc = L::hsum(L::add(acc0, acc1));
+    for (std::size_t i = nfull; i < n; ++i)
+        acc += a[i] * b[i];
+    return acc;
+}
+
+template <typename L, typename T = typename L::T>
+void
+gemmTransBAvx2(const T *a, const T *b, T *c, std::size_t m,
+               std::size_t k, std::size_t n)
+{
+    // c(i, j) = dot(row i of a, row j of b), both contiguous: four
+    // output dots share each one-vector pass over row i.
+    using V = typename L::V;
+    constexpr std::size_t W = L::kWidth;
+    const std::size_t kfull = k - k % W;
+    const std::size_t n4 = n - n % 4;
+    for (std::size_t i = 0; i < m; ++i) {
+        const T *arow = a + i * k;
+        std::size_t j0 = 0;
+        for (; j0 < n4; j0 += 4) {
+            V acc[4] = {L::zero(), L::zero(), L::zero(), L::zero()};
+            for (std::size_t p = 0; p < kfull; p += W) {
+                const V av = L::load(arow + p);
+                for (std::size_t jj = 0; jj < 4; ++jj)
+                    acc[jj] = L::fmadd(
+                        av, L::load(b + (j0 + jj) * k + p), acc[jj]);
+            }
+            for (std::size_t jj = 0; jj < 4; ++jj) {
+                T sum = L::hsum(acc[jj]);
+                const T *brow = b + (j0 + jj) * k;
+                for (std::size_t p = kfull; p < k; ++p)
+                    sum += arow[p] * brow[p];
+                c[i * n + j0 + jj] = sum;
+            }
+        }
+        for (; j0 < n; ++j0)
+            c[i * n + j0] = dotAvx2<L>(arow, b + j0 * k, k);
+    }
+}
+
+template <typename L, typename T = typename L::T>
+void
+gemvAvx2(const T *a, const T *x, T *y, std::size_t m, std::size_t n)
+{
+    for (std::size_t i = 0; i < m; ++i)
+        y[i] = dotAvx2<L>(a + i * n, x, n);
+}
+
+template <typename L, typename T = typename L::T>
+void
+gemvTransAAvx2(const T *a, const T *x, T *y, std::size_t m,
+               std::size_t n)
+{
+    constexpr std::size_t W = L::kWidth;
+    const std::size_t nfull = n - n % W;
+    for (std::size_t i = 0; i < m; ++i) {
+        const T *arow = a + i * n;
+        const typename L::V xi = L::set1(x[i]);
+        for (std::size_t j = 0; j < nfull; j += W)
+            L::store(y + j,
+                     L::fmadd(xi, L::load(arow + j), L::load(y + j)));
+        for (std::size_t j = nfull; j < n; ++j)
+            y[j] += x[i] * arow[j];
+    }
+}
+
+template <typename L, typename T = typename L::T>
+T
+dotStridedAvx2(const T *a, std::size_t stride_a, const T *b,
+               std::size_t stride_b, std::size_t n)
+{
+    if (stride_a == 1 && stride_b == 1)
+        return dotAvx2<L>(a, b, n);
+    // Strided operands gather poorly; stay scalar.
+    return scalar::dotStrided(a, stride_a, b, stride_b, n);
+}
+
+template <typename L, typename T = typename L::T>
+T
+fusedSubtractDotAvx2(T acc, const T *a, const T *x, std::size_t n)
+{
+    return acc - dotAvx2<L>(a, x, n);
+}
+
+template <typename L, typename T = typename L::T>
+void
+axpyNegStridedAvx2(T *y, std::size_t stride_y, T alpha, const T *x,
+                   std::size_t n)
+{
+    if (stride_y != 1) {
+        scalar::axpyNegStrided(y, stride_y, alpha, x, n);
+        return;
+    }
+    constexpr std::size_t W = L::kWidth;
+    const typename L::V av = L::set1(alpha);
+    const std::size_t nfull = n - n % W;
+    for (std::size_t i = 0; i < nfull; i += W)
+        L::store(y + i, L::fnmadd(av, L::load(x + i), L::load(y + i)));
+    for (std::size_t i = nfull; i < n; ++i)
+        y[i] -= alpha * x[i];
+}
+
+template <typename L, typename T = typename L::T>
+void
+givensRotateAvx2(T *rj, T *ri, T c, T s, std::size_t n)
+{
+    using V = typename L::V;
+    constexpr std::size_t W = L::kWidth;
+    const V cv = L::set1(c);
+    const V sv = L::set1(s);
+    const std::size_t nfull = n - n % W;
+    for (std::size_t i = 0; i < nfull; i += W) {
+        const V a = L::load(rj + i);
+        const V b = L::load(ri + i);
+        L::store(rj + i, L::fmadd(cv, a, L::mul(sv, b)));
+        L::store(ri + i, L::fnmadd(sv, a, L::mul(cv, b)));
+    }
+    for (std::size_t i = nfull; i < n; ++i) {
+        const T a = rj[i];
+        const T b = ri[i];
+        rj[i] = c * a + s * b;
+        ri[i] = -s * a + c * b;
+    }
+}
+
+// GCC contracts even separate _mm256_mul_pd/_mm256_add_pd intrinsics
+// into FMA in this -mfma TU; the bit-exact sweep opts out per function.
+#if defined(__GNUC__) && !defined(__clang__)
+#define ORIANNA_NO_FP_CONTRACT __attribute__((optimize("fp-contract=off")))
+#else
+#define ORIANNA_NO_FP_CONTRACT
+#endif
 
 /**
  * One panel of NV vectors of columns of the Householder sweep; the
@@ -335,7 +365,7 @@ sweepPanel(typename L::T *a, std::size_t lda, const typename L::T *v,
     V w[NV];
 #pragma GCC unroll 8
     for (std::size_t q = 0; q < NV; ++q)
-        w[q] = L::set1(0);
+        w[q] = L::zero();
     for (std::size_t i = 0; i < m; ++i) {
         const V vi = L::set1(v[i]);
         const typename L::T *row = a + i * lda;
@@ -367,11 +397,10 @@ sweepPanel(typename L::T *a, std::size_t lda, const typename L::T *v,
  * independent add chains hide the add latency, then one panel of
  * the 1-8 vectors left, its last vector masked to the columns there.
  */
-template <typename L>
+template <typename L, typename T = typename L::T>
 ORIANNA_NO_FP_CONTRACT void
-householderSweepLanes(typename L::T *a, std::size_t lda,
-                      const typename L::T *v, typename L::T vnorm2,
-                      std::size_t m, std::size_t n)
+householderSweepAvx2(T *a, std::size_t lda, const T *v, T vnorm2,
+                     std::size_t m, std::size_t n)
 {
     const typename L::V vn = L::set1(vnorm2);
     constexpr std::size_t W = L::kWidth;
@@ -403,280 +432,15 @@ householderSweepLanes(typename L::T *a, std::size_t lda,
     }
 }
 
-void
-householderSweepAvx2(double *a, std::size_t lda, const double *v,
-                     double vnorm2, std::size_t m, std::size_t n)
-{
-    householderSweepLanes<LanesF64>(a, lda, v, vnorm2, m, n);
-}
-
-const KernelTable kAvx2Table = {
-    SimdTier::Avx2,     gemmAvx2,
-    gemmTransAAvx2,     gemmTransBAvx2,
-    scalar::transpose,  gemvAvx2,
-    gemvTransAAvx2,     dotAvx2,
-    dotStridedAvx2,     fusedSubtractDotAvx2,
-    axpyNegStridedAvx2, givensRotateAvx2,
-    householderSweepAvx2,
-};
-
-// --- fp32 tier (DESIGN.md §12) --------------------------------------
-//
-// Same tiling as the fp64 kernels with 8-lane __m256 registers: each
-// 4 x 16 gemm tile covers twice the output of the fp64 4 x 8 tile at
-// the same register budget, which is where the fp32 throughput win
-// over fp64 comes from (bench_micro_kernels reports both).
-
-/** Sum of the eight lanes of @p v. */
-inline float
-hsumf(__m256 v)
-{
-    const __m128 lo = _mm256_castps256_ps128(v);
-    const __m128 hi = _mm256_extractf128_ps(v, 1);
-    __m128 sum = _mm_add_ps(lo, hi);
-    sum = _mm_add_ps(sum, _mm_movehl_ps(sum, sum));
-    sum = _mm_add_ss(sum, _mm_shuffle_ps(sum, sum, 1));
-    return _mm_cvtss_f32(sum);
-}
-
-/** Register tile of the fp32 gemm family: 4 x 16 outputs. */
-template <typename LoadA>
-inline void
-fullTileF(const float *b, float *c, std::size_t ldb, std::size_t ldc,
-          std::size_t k, LoadA load)
-{
-    __m256 acc[4][2];
-    for (std::size_t ii = 0; ii < 4; ++ii) {
-        acc[ii][0] = _mm256_setzero_ps();
-        acc[ii][1] = _mm256_setzero_ps();
-    }
-    for (std::size_t p = 0; p < k; ++p) {
-        const float *brow = b + p * ldb;
-        const __m256 b0 = _mm256_loadu_ps(brow);
-        const __m256 b1 = _mm256_loadu_ps(brow + 8);
-        for (std::size_t ii = 0; ii < 4; ++ii) {
-            const __m256 aval = _mm256_set1_ps(load(ii, p));
-            acc[ii][0] = _mm256_fmadd_ps(aval, b0, acc[ii][0]);
-            acc[ii][1] = _mm256_fmadd_ps(aval, b1, acc[ii][1]);
-        }
-    }
-    for (std::size_t ii = 0; ii < 4; ++ii) {
-        _mm256_storeu_ps(c + ii * ldc, acc[ii][0]);
-        _mm256_storeu_ps(c + ii * ldc + 8, acc[ii][1]);
-    }
-}
-
-/** Scalar edge tile (mr <= 4, nr <= 16) for the ragged borders. */
-template <typename LoadA>
-inline void
-edgeTileF(const float *b, float *c, std::size_t ldb, std::size_t ldc,
-          std::size_t k, std::size_t mr, std::size_t nr, LoadA load)
-{
-    float acc[4][16] = {};
-    for (std::size_t p = 0; p < k; ++p) {
-        const float *brow = b + p * ldb;
-        for (std::size_t ii = 0; ii < mr; ++ii) {
-            const float aval = load(ii, p);
-            for (std::size_t jj = 0; jj < nr; ++jj)
-                acc[ii][jj] += aval * brow[jj];
-        }
-    }
-    for (std::size_t ii = 0; ii < mr; ++ii)
-        for (std::size_t jj = 0; jj < nr; ++jj)
-            c[ii * ldc + jj] = acc[ii][jj];
-}
-
-template <typename MakeLoad>
-inline void
-gemmTiledF(const float *b, float *c, std::size_t m, std::size_t k,
-           std::size_t n, MakeLoad makeLoad)
-{
-    const std::size_t m4 = m - m % 4;
-    const std::size_t n16 = n - n % 16;
-    for (std::size_t i0 = 0; i0 < m4; i0 += 4) {
-        for (std::size_t j0 = 0; j0 < n16; j0 += 16)
-            fullTileF(b + j0, c + i0 * n + j0, n, n, k, makeLoad(i0));
-        if (n16 < n)
-            edgeTileF(b + n16, c + i0 * n + n16, n, n, k, 4, n - n16,
-                      makeLoad(i0));
-    }
-    if (m4 < m)
-        for (std::size_t j0 = 0; j0 < n; j0 += 16)
-            edgeTileF(b + j0, c + m4 * n + j0, n, n, k, m - m4,
-                      n - j0 < 16 ? n - j0 : 16, makeLoad(m4));
-}
-
-void
-gemmAvx2F(const float *a, const float *b, float *c, std::size_t m,
-          std::size_t k, std::size_t n)
-{
-    gemmTiledF(b, c, m, k, n, [&](std::size_t i0) {
-        return [a, k, i0](std::size_t ii, std::size_t p) {
-            return a[(i0 + ii) * k + p];
-        };
-    });
-}
-
-void
-gemmTransAAvx2F(const float *a, const float *b, float *c,
-                std::size_t k, std::size_t m, std::size_t n)
-{
-    gemmTiledF(b, c, m, k, n, [&](std::size_t i0) {
-        return [a, m, i0](std::size_t ii, std::size_t p) {
-            return a[p * m + i0 + ii];
-        };
-    });
-}
-
-float
-dotAvx2F(const float *a, const float *b, std::size_t n)
-{
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    const std::size_t n16 = n - n % 16;
-    for (std::size_t i = 0; i < n16; i += 16) {
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i),
-                               _mm256_loadu_ps(b + i), acc0);
-        acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 8),
-                               _mm256_loadu_ps(b + i + 8), acc1);
-    }
-    float acc = hsumf(_mm256_add_ps(acc0, acc1));
-    for (std::size_t i = n16; i < n; ++i)
-        acc += a[i] * b[i];
-    return acc;
-}
-
-void
-gemmTransBAvx2F(const float *a, const float *b, float *c,
-                std::size_t m, std::size_t k, std::size_t n)
-{
-    const std::size_t k8 = k - k % 8;
-    const std::size_t n4 = n - n % 4;
-    for (std::size_t i = 0; i < m; ++i) {
-        const float *arow = a + i * k;
-        std::size_t j0 = 0;
-        for (; j0 < n4; j0 += 4) {
-            __m256 acc[4] = {_mm256_setzero_ps(), _mm256_setzero_ps(),
-                             _mm256_setzero_ps(), _mm256_setzero_ps()};
-            for (std::size_t p = 0; p < k8; p += 8) {
-                const __m256 av = _mm256_loadu_ps(arow + p);
-                for (std::size_t jj = 0; jj < 4; ++jj)
-                    acc[jj] = _mm256_fmadd_ps(
-                        av, _mm256_loadu_ps(b + (j0 + jj) * k + p),
-                        acc[jj]);
-            }
-            for (std::size_t jj = 0; jj < 4; ++jj) {
-                float sum = hsumf(acc[jj]);
-                const float *brow = b + (j0 + jj) * k;
-                for (std::size_t p = k8; p < k; ++p)
-                    sum += arow[p] * brow[p];
-                c[i * n + j0 + jj] = sum;
-            }
-        }
-        for (; j0 < n; ++j0)
-            c[i * n + j0] = dotAvx2F(arow, b + j0 * k, k);
-    }
-}
-
-void
-gemvAvx2F(const float *a, const float *x, float *y, std::size_t m,
-          std::size_t n)
-{
-    for (std::size_t i = 0; i < m; ++i)
-        y[i] = dotAvx2F(a + i * n, x, n);
-}
-
-void
-gemvTransAAvx2F(const float *a, const float *x, float *y,
-                std::size_t m, std::size_t n)
-{
-    const std::size_t n8 = n - n % 8;
-    for (std::size_t i = 0; i < m; ++i) {
-        const float *arow = a + i * n;
-        const __m256 xi = _mm256_set1_ps(x[i]);
-        for (std::size_t j = 0; j < n8; j += 8)
-            _mm256_storeu_ps(
-                y + j,
-                _mm256_fmadd_ps(xi, _mm256_loadu_ps(arow + j),
-                                _mm256_loadu_ps(y + j)));
-        for (std::size_t j = n8; j < n; ++j)
-            y[j] += x[i] * arow[j];
-    }
-}
-
-float
-dotStridedAvx2F(const float *a, std::size_t stride_a, const float *b,
-                std::size_t stride_b, std::size_t n)
-{
-    if (stride_a == 1 && stride_b == 1)
-        return dotAvx2F(a, b, n);
-    return scalar::dotStrided(a, stride_a, b, stride_b, n);
-}
-
-float
-fusedSubtractDotAvx2F(float acc, const float *a, const float *x,
-                      std::size_t n)
-{
-    return acc - dotAvx2F(a, x, n);
-}
-
-void
-axpyNegStridedAvx2F(float *y, std::size_t stride_y, float alpha,
-                    const float *x, std::size_t n)
-{
-    if (stride_y != 1) {
-        scalar::axpyNegStrided(y, stride_y, alpha, x, n);
-        return;
-    }
-    const __m256 av = _mm256_set1_ps(alpha);
-    const std::size_t n8 = n - n % 8;
-    for (std::size_t i = 0; i < n8; i += 8)
-        _mm256_storeu_ps(
-            y + i,
-            _mm256_fnmadd_ps(av, _mm256_loadu_ps(x + i),
-                             _mm256_loadu_ps(y + i)));
-    for (std::size_t i = n8; i < n; ++i)
-        y[i] -= alpha * x[i];
-}
-
-void
-givensRotateAvx2F(float *rj, float *ri, float c, float s,
-                  std::size_t n)
-{
-    const __m256 cv = _mm256_set1_ps(c);
-    const __m256 sv = _mm256_set1_ps(s);
-    const std::size_t n8 = n - n % 8;
-    for (std::size_t i = 0; i < n8; i += 8) {
-        const __m256 a = _mm256_loadu_ps(rj + i);
-        const __m256 b = _mm256_loadu_ps(ri + i);
-        _mm256_storeu_ps(
-            rj + i, _mm256_fmadd_ps(cv, a, _mm256_mul_ps(sv, b)));
-        _mm256_storeu_ps(
-            ri + i, _mm256_fnmadd_ps(sv, a, _mm256_mul_ps(cv, b)));
-    }
-    for (std::size_t i = n8; i < n; ++i) {
-        const float a = rj[i];
-        const float b = ri[i];
-        rj[i] = c * a + s * b;
-        ri[i] = -s * a + c * b;
-    }
-}
-
-void
-householderSweepAvx2F(float *a, std::size_t lda, const float *v,
-                      float vnorm2, std::size_t m, std::size_t n)
-{
-    householderSweepLanes<LanesF32>(a, lda, v, vnorm2, m, n);
-}
-
-const KernelTable32 kAvx2Table32 = {
-    SimdTier::Avx2,      gemmAvx2F,
-    gemmTransAAvx2F,     gemmTransBAvx2F,
-    scalar::transpose,   gemvAvx2F,
-    gemvTransAAvx2F,     dotAvx2F,
-    dotStridedAvx2F,     fusedSubtractDotAvx2F,
-    axpyNegStridedAvx2F, givensRotateAvx2F,
-    householderSweepAvx2F,
+template <typename L>
+const KernelTableT<typename L::T> kAvx2Table = {
+    SimdTier::Avx2,            gemmAvx2<L>,
+    gemmTransAAvx2<L>,         gemmTransBAvx2<L>,
+    scalar::transpose,         gemvAvx2<L>,
+    gemvTransAAvx2<L>,         dotAvx2<L>,
+    dotStridedAvx2<L>,         fusedSubtractDotAvx2<L>,
+    axpyNegStridedAvx2<L>,     givensRotateAvx2<L>,
+    householderSweepAvx2<L>,
 };
 
 } // namespace
@@ -684,33 +448,13 @@ const KernelTable32 kAvx2Table32 = {
 const KernelTable *
 avx2Table()
 {
-    return &kAvx2Table;
+    return &kAvx2Table<LanesF64>;
 }
 
 const KernelTable32 *
 avx2Table32()
 {
-    return &kAvx2Table32;
+    return &kAvx2Table<LanesF32>;
 }
 
 } // namespace orianna::mat::kernels
-
-#else // The toolchain compiled this TU without AVX2 flags.
-
-namespace orianna::mat::kernels {
-
-const KernelTable *
-avx2Table()
-{
-    return nullptr;
-}
-
-const KernelTable32 *
-avx2Table32()
-{
-    return nullptr;
-}
-
-} // namespace orianna::mat::kernels
-
-#endif

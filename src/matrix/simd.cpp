@@ -33,35 +33,6 @@ callCell()
 
 } // namespace detail
 
-namespace {
-
-constexpr KernelTable kScalarTable = {
-    SimdTier::Scalar,        scalar::gemm,
-    scalar::gemmTransA,      scalar::gemmTransB,
-    scalar::transpose,       scalar::gemv,
-    scalar::gemvTransA,      scalar::dot,
-    scalar::dotStrided,      scalar::fusedSubtractDot,
-    scalar::axpyNegStrided,  scalar::givensRotate,
-    scalar::householderSweep,
-};
-
-constexpr KernelTable32 kScalarTable32 = {
-    SimdTier::Scalar,        scalar::gemm,
-    scalar::gemmTransA,      scalar::gemmTransB,
-    scalar::transpose,       scalar::gemv,
-    scalar::gemvTransA,      scalar::dot,
-    scalar::dotStrided,      scalar::fusedSubtractDot,
-    scalar::axpyNegStrided,  scalar::givensRotate,
-    scalar::householderSweep,
-};
-
-} // namespace
-
-namespace detail {
-std::atomic<const KernelTable *> gActive{&kScalarTable};
-std::atomic<const KernelTable32 *> gActive32{&kScalarTable32};
-} // namespace detail
-
 // Per-ISA registration hooks, defined in their own TUs when CMake
 // compiles them (each with its own arch flags). A tier registers both
 // precisions or neither.
@@ -73,6 +44,53 @@ const KernelTable32 *avx2Table32();
 const KernelTable *neonTable();
 const KernelTable32 *neonTable32();
 #endif
+
+namespace {
+
+template <typename T>
+constexpr KernelTableT<T> kScalarTable = {
+    SimdTier::Scalar,           scalar::gemm<T>,
+    scalar::gemmTransA<T>,      scalar::gemmTransB<T>,
+    scalar::transpose<T>,       scalar::gemv<T>,
+    scalar::gemvTransA<T>,      scalar::dot<T>,
+    scalar::dotStrided<T>,      scalar::fusedSubtractDot<T>,
+    scalar::axpyNegStrided<T>,  scalar::givensRotate<T>,
+    scalar::householderSweep<T>,
+};
+
+/** One tier's tables, both null when its TU was not compiled in. */
+struct TablePair
+{
+    const KernelTable *f64 = nullptr;
+    const KernelTable32 *f32 = nullptr;
+};
+
+TablePair
+tablesOf(SimdTier tier)
+{
+    switch (tier) {
+    case SimdTier::Scalar:
+        return {&kScalarTable<double>, &kScalarTable<float>};
+    case SimdTier::Neon:
+#ifdef ORIANNA_SIMD_NEON
+        return {neonTable(), neonTable32()};
+#endif
+        break;
+    case SimdTier::Avx2:
+#ifdef ORIANNA_SIMD_AVX2
+        return {avx2Table(), avx2Table32()};
+#endif
+        break;
+    }
+    return {};
+}
+
+} // namespace
+
+namespace detail {
+std::atomic<const KernelTable *> gActive{&kScalarTable<double>};
+std::atomic<const KernelTable32 *> gActive32{&kScalarTable<float>};
+} // namespace detail
 
 const char *
 simdTierName(SimdTier tier)
@@ -91,45 +109,13 @@ simdTierName(SimdTier tier)
 const KernelTable *
 kernelTable(SimdTier tier)
 {
-    switch (tier) {
-    case SimdTier::Scalar:
-        return &kScalarTable;
-    case SimdTier::Neon:
-#ifdef ORIANNA_SIMD_NEON
-        return neonTable();
-#else
-        return nullptr;
-#endif
-    case SimdTier::Avx2:
-#ifdef ORIANNA_SIMD_AVX2
-        return avx2Table();
-#else
-        return nullptr;
-#endif
-    }
-    return nullptr;
+    return tablesOf(tier).f64;
 }
 
 const KernelTable32 *
 kernelTable32(SimdTier tier)
 {
-    switch (tier) {
-    case SimdTier::Scalar:
-        return &kScalarTable32;
-    case SimdTier::Neon:
-#ifdef ORIANNA_SIMD_NEON
-        return neonTable32();
-#else
-        return nullptr;
-#endif
-    case SimdTier::Avx2:
-#ifdef ORIANNA_SIMD_AVX2
-        return avx2Table32();
-#else
-        return nullptr;
-#endif
-    }
-    return nullptr;
+    return tablesOf(tier).f32;
 }
 
 bool
@@ -187,9 +173,9 @@ selectTier(SimdTier tier)
         return false;
     // Both precisions switch together: a tier's TU registers both
     // tables, so fp32 sessions never run a different tier than fp64.
-    detail::gActive.store(kernelTable(tier), std::memory_order_relaxed);
-    detail::gActive32.store(kernelTable32(tier),
-                            std::memory_order_relaxed);
+    const TablePair tables = tablesOf(tier);
+    detail::gActive.store(tables.f64, std::memory_order_relaxed);
+    detail::gActive32.store(tables.f32, std::memory_order_relaxed);
     return true;
 }
 
