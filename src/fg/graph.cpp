@@ -22,32 +22,30 @@ LinearSystem::totalCols() const
     return total;
 }
 
-mat::BlockSparseMatrix
-LinearSystem::toBlockSparse(const std::vector<Key> &ordering) const
-{
-    std::vector<std::size_t> row_dims;
-    row_dims.reserve(rows.size());
-    for (const LinearRow &row : rows)
-        row_dims.push_back(row.rhs.size());
-
-    std::vector<std::size_t> col_dims;
-    std::map<Key, std::size_t> col_index;
-    for (Key key : ordering) {
-        col_index[key] = col_dims.size();
-        col_dims.push_back(dofs.at(key));
-    }
-
-    mat::BlockSparseMatrix out(row_dims, col_dims);
-    for (std::size_t i = 0; i < rows.size(); ++i)
-        for (const auto &[key, block] : rows[i].blocks)
-            out.setBlock(i, col_index.at(key), block);
-    return out;
-}
-
 Matrix
 LinearSystem::toDense(const std::vector<Key> &ordering) const
 {
-    return toBlockSparse(ordering).toDense();
+    std::map<Key, std::size_t> col_offset;
+    std::size_t cols = 0;
+    for (Key key : ordering) {
+        col_offset[key] = cols;
+        cols += dofs.at(key);
+    }
+
+    Matrix out(totalRows(), cols);
+    std::size_t row_offset = 0;
+    for (const LinearRow &row : rows) {
+        for (const auto &[key, block] : row.blocks) {
+            const std::size_t col = col_offset.at(key);
+            if (block.rows() != row.rhs.size() ||
+                block.cols() != dofs.at(key))
+                throw std::invalid_argument(
+                    "LinearSystem::toDense: block shape mismatch");
+            out.setBlock(row_offset, col, block);
+        }
+        row_offset += row.rhs.size();
+    }
+    return out;
 }
 
 Vector

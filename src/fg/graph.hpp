@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "fg/factor.hpp"
-#include "matrix/block_sparse.hpp"
 
 namespace orianna::fg {
 
@@ -31,9 +30,8 @@ LinearRow linearizeFactor(const Factor &factor, std::size_t index,
 
 /**
  * The linearized system A delta = b in factor-row form. The row list
- * *is* the block-sparse structure of A; dense/ block-sparse
- * materializations are provided for the baselines and the Fig. 17/18
- * measurements.
+ * *is* the block-sparse structure of A; the dense materialization is
+ * provided for the baselines and the Fig. 17/18 measurements.
  */
 struct LinearSystem
 {
@@ -47,13 +45,11 @@ struct LinearSystem
     std::size_t totalCols() const;
 
     /**
-     * Materialize as a block-sparse matrix with one block row per
-     * factor and block columns ordered by @p ordering.
+     * Stacked dense [A] with columns ordered by @p ordering. Throws
+     * std::out_of_range when a row's key is missing from @p ordering
+     * and std::invalid_argument when a block's shape disagrees with
+     * its row's rhs length or its key's dof.
      */
-    mat::BlockSparseMatrix toBlockSparse(
-        const std::vector<Key> &ordering) const;
-
-    /** Stacked dense [A] with columns ordered by @p ordering. */
     Matrix toDense(const std::vector<Key> &ordering) const;
 
     /** Stacked right-hand side in row order. */

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "matrix/block_sparse.hpp"
 #include "matrix/dense.hpp"
 #include "matrix/kernels.hpp"
 #include "matrix/mac_counter.hpp"
@@ -17,7 +16,6 @@ namespace {
 
 namespace kernels = orianna::mat::kernels;
 
-using orianna::mat::BlockSparseMatrix;
 using orianna::mat::MacCounter;
 using orianna::mat::MacScope;
 using orianna::mat::Matrix;
@@ -461,55 +459,6 @@ TEST(Qr, GivensBulkAccountingMatchesPerRotationAccounting)
     for (std::size_t i = 0; i < want.rows(); ++i)
         for (std::size_t j = 0; j < want.cols(); ++j)
             EXPECT_EQ(got(i, j), want(i, j)) << i << "," << j;
-}
-
-// --- Block-sparse assembly ----------------------------------------------
-
-TEST(BlockSparse, OffsetsAndShape)
-{
-    BlockSparseMatrix m({2, 3}, {3, 1, 2});
-    EXPECT_EQ(m.totalRows(), 5u);
-    EXPECT_EQ(m.totalCols(), 6u);
-    EXPECT_EQ(m.rowOffset(1), 2u);
-    EXPECT_EQ(m.colOffset(2), 4u);
-}
-
-TEST(BlockSparse, SetAndFindBlock)
-{
-    BlockSparseMatrix m({2, 2}, {2, 2});
-    EXPECT_EQ(m.findBlock(0, 1), nullptr);
-    m.setBlock(0, 1, Matrix{{1.0, 2.0}, {3.0, 4.0}});
-    ASSERT_NE(m.findBlock(0, 1), nullptr);
-    EXPECT_EQ((*m.findBlock(0, 1))(1, 1), 4.0);
-    EXPECT_THROW(m.setBlock(0, 0, Matrix(3, 3)), std::invalid_argument);
-    EXPECT_THROW(m.setBlock(5, 0, Matrix(2, 2)), std::out_of_range);
-}
-
-TEST(BlockSparse, DenseRoundTripAndDensity)
-{
-    BlockSparseMatrix m({1, 1}, {1, 1});
-    m.setBlock(0, 0, Matrix{{2.0}});
-    m.setBlock(1, 1, Matrix{{3.0}});
-    Matrix dense = m.toDense();
-    EXPECT_EQ(dense(0, 0), 2.0);
-    EXPECT_EQ(dense(1, 1), 3.0);
-    EXPECT_EQ(dense(0, 1), 0.0);
-    EXPECT_DOUBLE_EQ(m.density(), 0.5);
-    EXPECT_EQ(m.nonZeros(), 2u);
-}
-
-TEST(BlockSparse, RowAndColQueries)
-{
-    BlockSparseMatrix m({1, 1, 1}, {1, 1});
-    m.setBlock(0, 0, Matrix{{1.0}});
-    m.setBlock(0, 1, Matrix{{1.0}});
-    m.setBlock(2, 1, Matrix{{1.0}});
-    EXPECT_EQ(m.blocksInRow(0).size(), 2u);
-    EXPECT_EQ(m.blocksInRow(1).size(), 0u);
-    auto col1 = m.blocksInCol(1);
-    ASSERT_EQ(col1.size(), 2u);
-    EXPECT_EQ(col1[0], 0u);
-    EXPECT_EQ(col1[1], 2u);
 }
 
 } // namespace

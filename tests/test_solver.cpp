@@ -108,6 +108,16 @@ TEST(Graph, LinearizeShapes)
     EXPECT_EQ(dense.cols(), 24u);
     // The system is sparse: camera rows touch only 9 of 24 columns.
     EXPECT_LT(dense.density(), 0.6);
+
+    // A row key missing from the ordering (12 here) is out of range.
+    EXPECT_THROW(system.toDense({1, 2, 3, 11}), std::out_of_range);
+    // A block must match its row's rhs length and its key's dof.
+    fg::LinearSystem long_rhs = system;
+    long_rhs.rows[0].rhs = Vector(long_rhs.rows[0].rhs.size() + 1);
+    EXPECT_THROW(long_rhs.toDense(ordering), std::invalid_argument);
+    fg::LinearSystem wide_dof = system;
+    wide_dof.dofs.at(ordering.front()) += 1;
+    EXPECT_THROW(wide_dof.toDense(ordering), std::invalid_argument);
 }
 
 TEST(Eliminate, MatchesDenseLeastSquares)
