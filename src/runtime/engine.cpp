@@ -653,12 +653,6 @@ Session::Session(std::shared_ptr<const comp::Program> program,
             std::move(options.fallbackPlan));
 }
 
-std::int64_t
-Session::traceTrack() const
-{
-    return trace_ ? static_cast<std::int64_t>(trace_->track) : -1;
-}
-
 Session::Symptom
 Session::diagnose(const hw::SimResult &frame,
                   bool check_deadline) const

@@ -185,9 +185,6 @@ class Engine
 
     const hw::AcceleratorConfig &config() const { return config_; }
 
-    /** The options this engine was constructed with. */
-    const EngineOptions &engineOptions() const { return options_; }
-
     /** Resolved datapath precision this engine compiles for. */
     comp::Precision precision() const { return precision_; }
 
@@ -295,12 +292,6 @@ class Engine
      * skipped. session() and AcceleratedSmoother both ask here.
      */
     bool provisionsFallback() const;
-
-    /** The engine's fault injector, or nullptr when faults are off. */
-    const hw::FaultInjector *injector() const
-    {
-        return injector_.get();
-    }
 
     /** Live degradation counters shared with this engine's sessions. */
     const EngineHealth &health() const { return *health_; }
@@ -514,12 +505,6 @@ class Session
     const hw::SimResult &totals() const { return totals_; }
 
     std::size_t frames() const { return frames_; }
-
-    /**
-     * The session's track id in the unified trace, or -1 when the
-     * TraceCollector was disabled at construction.
-     */
-    std::int64_t traceTrack() const;
 
     /** True when a fallback reference program is provisioned. */
     bool hasFallback() const { return fallbackContext_ != nullptr; }

@@ -68,13 +68,6 @@ TraceCollector::hwEventCount() const
     return total;
 }
 
-std::size_t
-TraceCollector::trackCount() const
-{
-    std::lock_guard lock(mutex_);
-    return trackLabels_.size();
-}
-
 namespace {
 
 /** Escape the characters JSON strings cannot carry verbatim. */

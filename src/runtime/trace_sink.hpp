@@ -81,8 +81,6 @@ class TraceCollector
     /** Total hardware events attached so far. */
     std::size_t hwEventCount() const;
 
-    std::size_t trackCount() const;
-
     /**
      * Write everything collected so far as Chrome trace JSON
      * (load in https://ui.perfetto.dev).
